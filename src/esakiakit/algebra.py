@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import (InvalidId, TooLarge, TooManyAssignments,
                      UnboundVariable)
-from .poset import Poset, ids_of
+from .poset import Poset
 
 SIZE_BOUND = 20
 ASSIGNMENT_CAP = 200_000
@@ -25,7 +25,7 @@ class UpsetAlgebra:
     """Carrier is every upset of the base poset, in a fixed canonical order
     (by popcount, then mask value). Elements are referred to by index."""
 
-    __slots__ = ("base", "carrier", "index", "_meet", "_join", "_imp", "_down_of")
+    __slots__ = ("base", "carrier", "index", "_meet", "_join", "_imp")
 
     def __init__(self, base: Poset, carrier: tuple[int, ...]):
         self.base = base
@@ -34,7 +34,6 @@ class UpsetAlgebra:
         self._meet = None
         self._join = None
         self._imp = None
-        self._down_of = None
 
     @property
     def bot(self) -> int:
@@ -59,7 +58,6 @@ class UpsetAlgebra:
             k = len(self.carrier)
             idx = self.index
             full = self.base.full_mask()
-            down = [self.base.down_set(m) for m in self.carrier]
             meet = [[0] * k for _ in range(k)]
             join = [[0] * k for _ in range(k)]
             for i, a in enumerate(self.carrier):
@@ -70,7 +68,7 @@ class UpsetAlgebra:
             for i, a in enumerate(self.carrier):
                 for j, b in enumerate(self.carrier):
                     imp[i][j] = idx[full & ~self.base.down_set(a & ~b)]
-            self._meet, self._join, self._imp, self._down_of = meet, join, imp, down
+            self._meet, self._join, self._imp = meet, join, imp
         return self._meet, self._join, self._imp
 
     def meet(self, i: int, j: int) -> int:

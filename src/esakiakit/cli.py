@@ -14,8 +14,7 @@ import json
 import os
 import sys
 
-from .coloring import Coloring, is_coloring, is_weak_coloring, \
-    monochrome_mergeable_pair
+from .coloring import Coloring, is_weak_coloring, monochrome_mergeable_pair
 from .errors import BudgetExceeded, EsakiaKitError, PropertyFalsified
 from .poset import Poset
 from .probes import kc_probe, quotient_census
@@ -192,15 +191,6 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    threads = os.environ.get("ESAKIA_KIT_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            print("ESAKIA_KIT_THREADS must be a positive integer",
-                  file=sys.stderr)
-            return 2
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:

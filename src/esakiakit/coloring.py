@@ -15,7 +15,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .errors import (BudgetExceeded, InvalidId, NotColoring, OutOfRange,
                      PropertyFalsified)
-from .poset import Poset, ids_of
+from .poset import Poset
 from .reduction import mergeable_pairs
 
 

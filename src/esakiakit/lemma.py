@@ -26,9 +26,8 @@ from .errors import (EmbeddingMismatch, InvalidId, NotMergeable,
                      NotUpset, NotWeakColoring, OutOfRange,
                      PropertyFalsified, QuotientNotColorable)
 from .poset import Poset
-from .reduction import (EPartition, ReductionStep,
-                        coarsest_color_respecting, compose_steps, kernel,
-                        merge_step, quotient)
+from .reduction import (EPartition, ReductionStep, _Replay,
+                        coarsest_color_respecting, compose_steps, quotient)
 from .spaces import SpaceLabel, ladder_truncation, width_of
 
 
@@ -182,13 +181,8 @@ def schedule_beta_reductions(v: Poset, f: Coloring) -> Schedule:
 
     if coords:
         run(frozenset(range(width)), 0, f.n)
-    final_steps = tuple(steps)
-    proj = list(range(v.n))
-    cur = v
-    for step in final_steps:
-        cur, pi = merge_step(cur, "beta", proj[step.pair[0]], proj[step.pair[1]])
-        proj = [pi[t] for t in proj]
-    schedule = Schedule(v, final_steps, kernel(v, proj))
+    schedule = Schedule(v, tuple(steps),
+                        EPartition.from_pairs(v, (s.pair for s in steps)))
     verify_schedule(v, f, schedule)
     return schedule
 
@@ -268,7 +262,8 @@ def delta_map(n: int, depth: int, target: Poset) -> DeltaMap:
 @dataclass(frozen=True)
 class LiftCertificate:
     """Outcome of transporting a ladder schedule: one merged index pair
-    per full c-row, plus the transported steps and their kernel."""
+    per full c-row, the ladder schedule's steps (in ladder ids), and the
+    kernel of their delta images on z."""
 
     levels: dict[int, tuple[int, int]]
     steps: tuple[ReductionStep, ...]
@@ -316,8 +311,7 @@ def lift_schedule(z: Poset, f: Coloring, delta: DeltaMap, schedule: Schedule,
     if any(p > delta.depth for p in deepest):
         raise OutOfRange("delta embedding stops above a full c-row of z")
 
-    cur = z
-    proj = list(range(z.n))
+    replay = _Replay(z)
     for pos, step in enumerate(schedule.steps):
         u, v = (delta(t) for t in step.pair)
         if f.colors[u] != f.colors[v]:
@@ -325,13 +319,12 @@ def lift_schedule(z: Poset, f: Coloring, delta: DeltaMap, schedule: Schedule,
                 f"step {pos} merges {z.labels[u]} and {z.labels[v]} "
                 "of different colors")
         try:
-            cur, pi = merge_step(cur, "beta", proj[u], proj[v])
+            replay.merge("beta", u, v)
         except NotMergeable as exc:
             raise PropertyFalsified(
                 f"step {pos} ({z.labels[u]}, {z.labels[v]}) stopped being "
                 f"beta-valid: {exc}") from exc
-        proj = [pi[t] for t in proj]
-    ker = kernel(z, proj)
+    ker = replay.kernel()
 
     for block in ker.blocks:
         if len({f.colors[x] for x in block}) > 1:

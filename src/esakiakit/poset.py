@@ -98,9 +98,7 @@ class Poset:
         pred = [tuple(sorted(p)) for p in pred_sets]
         reduced.sort()
 
-        p = cls(n, tuple(reduced), _norm_labels(n, labels), up, down, succ, tuple(pred))
-        assert p._closure_of_covers() == up, "transitive reduction changed reachability"
-        return p
+        return cls(n, tuple(reduced), _norm_labels(n, labels), up, down, succ, tuple(pred))
 
     @classmethod
     def from_leq(cls, n: int, leq_rows: Sequence[int],
@@ -114,16 +112,6 @@ class Poset:
             for y in ids_of(leq_rows[x] & ~(1 << x)):
                 covers.append((x, y))
         return cls.from_covers(n, covers, labels)
-
-    def _closure_of_covers(self) -> list[int]:
-        order = _toposort(self.n, [set(s) for s in self._succ])
-        up = [0] * self.n
-        for x in reversed(order):
-            m = 1 << x
-            for y in self._succ[x]:
-                m |= up[y]
-            up[x] = m
-        return up
 
     # ----- order queries ----------------------------------------------------
 

@@ -10,7 +10,6 @@ immediate successor sets are merged).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -191,12 +190,11 @@ def beta_mergeable(p: Poset, x: int, y: int) -> bool:
 @dataclass(frozen=True)
 class ReductionStep:
     """One merge. `pair` holds original ids of the two merged elements;
-    snapshots are optional (heavy schedules skip them)."""
+    replaying the steps in order on the original poset re-derives every
+    intermediate poset."""
 
     kind: str                    # 'alpha' or 'beta'
     pair: tuple[int, int]
-    pre: Poset | None = None
-    post: Poset | None = None
 
 
 def merge_step(p: Poset, kind: str, x: int, y: int) -> tuple[Poset, tuple[int, ...]]:
@@ -230,6 +228,55 @@ def mergeable_pairs(p: Poset) -> list[tuple[str, int, int]]:
     return [(kind, x, y) for _, x, y, _, kind in out]
 
 
+class _Replay:
+    """A poset under a sequence of merges.
+
+    Tracks the original -> current projection and, for each current
+    element, the original id that names it in recorded steps: the name of
+    its lowest-numbered preimage one merge back.
+    """
+
+    __slots__ = ("base", "cur", "proj", "names")
+
+    def __init__(self, p: Poset):
+        self.base = p
+        self.cur = p
+        self.proj = list(range(p.n))
+        self.names = list(range(p.n))
+
+    def merge(self, kind: str, x: int, y: int) -> ReductionStep:
+        """Merge the current elements holding original ids x and y."""
+        bx, by = self.proj[x], self.proj[y]
+        if bx == by:
+            raise NotMergeable(f"pair {(x, y)} already identified")
+        self.cur, pi = merge_step(self.cur, kind, bx, by)
+        names = [0] * self.cur.n
+        for z in reversed(range(len(pi))):      # lowest preimage written last
+            names[pi[z]] = self.names[z]
+        self.names = names
+        self.proj = [pi[v] for v in self.proj]
+        return ReductionStep(kind, (x, y))
+
+    def greedy(self, values: Sequence, order=None) -> list[ReductionStep]:
+        """Merge same-valued pairs, first candidate first, until none remain.
+        `values` is indexed by original id; only equal values are merged,
+        so a current element's value is the value of its name."""
+        steps = []
+        while True:
+            cur_values = [values[v] for v in self.names]
+            cands = [(kind, x, y) for kind, x, y in mergeable_pairs(self.cur)
+                     if cur_values[x] == cur_values[y]]
+            if not cands:
+                return steps
+            if order is not None:
+                cands = order(cands)
+            kind, x, y = cands[0]
+            steps.append(self.merge(kind, self.names[x], self.names[y]))
+
+    def kernel(self) -> EPartition:
+        return kernel(self.base, self.proj)
+
+
 def decompose_pmorphism(p: Poset, q: Poset, f: Sequence[int]) -> list[ReductionStep]:
     """Factor a surjective p-morphism into single-pair merges.
 
@@ -240,56 +287,20 @@ def decompose_pmorphism(p: Poset, q: Poset, f: Sequence[int]) -> list[ReductionS
         raise NotPMorphism("input map")
     if set(f) != set(range(q.n)):
         raise NotSurjective("image misses codomain elements")
-    steps: list[ReductionStep] = []
-    cur = p
-    cur_f = list(f)
-    trace: list[tuple[int, ...]] = []   # projections, for id bookkeeping
-    while True:
-        if len(set(cur_f)) == cur.n:
-            break
-        found = None
-        for kind, x, y in mergeable_pairs(cur):
-            if cur_f[x] == cur_f[y]:
-                found = (kind, x, y)
-                break
-        if found is None:
-            raise NotPMorphism("no mergeable identified pair; factorization stuck")
-        kind, x, y = found
-        nxt, proj = merge_step(cur, kind, x, y)
-        steps.append(ReductionStep(kind, _original_pair(trace, x, y), cur, nxt))
-        new_f = [0] * nxt.n
-        for z in range(cur.n):
-            new_f[proj[z]] = cur_f[z]
-        trace.append(proj)
-        cur, cur_f = nxt, new_f
+    replay = _Replay(p)
+    steps = replay.greedy(f)
+    if len({f[v] for v in replay.names}) != replay.cur.n:
+        raise NotPMorphism("no mergeable identified pair; factorization stuck")
     return steps
-
-
-def _original_pair(trace: list[tuple[int, ...]], x: int, y: int) -> tuple[int, int]:
-    """Map current ids back through recorded projections to original ids.
-
-    Order is preserved: for alpha steps x is the element folded into y,
-    and replaying with the pair swapped would not be mergeable."""
-    for proj in reversed(trace):
-        x = proj.index(x)
-        y = proj.index(y)
-    return (x, y)
 
 
 def compose_steps(p: Poset, steps: Iterable[ReductionStep]) -> tuple[Poset, EPartition]:
     """Replay steps (validating each) and return the final poset and the
     accumulated kernel on p."""
-    cur = p
-    proj = list(range(p.n))          # original -> current
+    replay = _Replay(p)
     for step in steps:
-        x, y = step.pair
-        bx, by = proj[x], proj[y]
-        if bx == by:
-            raise NotMergeable(f"pair {step.pair} already identified")
-        nxt, pi = merge_step(cur, step.kind, bx, by)
-        proj = [pi[v] for v in proj]
-        cur = nxt
-    return cur, kernel(p, proj)
+        replay.merge(step.kind, *step.pair)
+    return replay.cur, replay.kernel()
 
 
 # ----- color-respecting reduction ------------------------------------------------
@@ -313,28 +324,9 @@ def color_respecting_reduction(p: Poset, coloring, *,
 
     if not is_weak_coloring(p, coloring):
         raise NotWeakColoring("input coloring is not order preserving")
-    cur = p
-    colors = list(coloring.colors)
-    proj = list(range(p.n))
-    steps: list[ReductionStep] = []
-    trace: list[tuple[int, ...]] = []
-    while True:
-        cands = [(kind, x, y) for kind, x, y in mergeable_pairs(cur)
-                 if colors[x] == colors[y]]
-        if not cands:
-            break
-        if order is not None:
-            cands = order(cands)
-        kind, x, y = cands[0]
-        nxt, pi = merge_step(cur, kind, x, y)
-        steps.append(ReductionStep(kind, _original_pair(trace, x, y)))
-        new_colors = [0] * nxt.n
-        for z in range(cur.n):
-            new_colors[pi[z]] = colors[z]
-        trace.append(pi)
-        proj = [pi[v] for v in proj]
-        cur, colors = nxt, new_colors
-    return kernel(p, proj), steps
+    replay = _Replay(p)
+    steps = replay.greedy(coloring.colors, order)
+    return replay.kernel(), steps
 
 
 def all_epartitions(p: Poset) -> list[EPartition]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .coloring import Coloring
 from .errors import InvalidId, OutOfRange
-from .poset import Poset, ids_of
+from .poset import Poset
 
 KIND_ORDER = ("a", "b", "c", "d", "ea", "eb")
 _LABEL_RE = re.compile(r"^(ea|eb|a|b|c|d|y)(\d+)(?:_(\d+))?$")

@@ -6,6 +6,7 @@ the suite checks directly with the pinned seed; criterion 10 runs the
 CLI verifier twice in subprocesses and compares bytes.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -17,6 +18,11 @@ from esakiakit.suite import (check_bound_arithmetic, check_canonical_colorings,
                              check_truncation_widths)
 
 SEED = 42
+# Digest of the `verify --suite paper --seed 42` report. Refactors must keep
+# the report byte-identical; update this only with a deliberate change to
+# what the suite reports.
+VERIFY_SHA256 = \
+    "55b67a7d2280f4ce0db49e5db4116b293f58c7f9d82323203f200d69d40c9a26"
 
 
 def report(cid, name, passed):
@@ -94,3 +100,4 @@ def test_criterion_10_determinism():
     assert second.returncode == 0, second.stderr.decode()
     assert first.stdout == second.stdout
     assert json.loads(first.stdout)["pass"] is True
+    assert hashlib.sha256(first.stdout).hexdigest() == VERIFY_SHA256

@@ -187,18 +187,6 @@ def test_convert_is_byte_stable(capsys, tmp_path):
     assert out == "lower,upper\n0,1\n"
 
 
-def test_thread_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("ESAKIA_KIT_THREADS", "abc")
-    code, _, err = run(capsys, "kc-probe", "--max-size", "1")
-    assert code == 2 and "ESAKIA_KIT_THREADS" in err
-    monkeypatch.setenv("ESAKIA_KIT_THREADS", "0")
-    assert cli.main(["kc-probe", "--max-size", "1"]) == 2
-    capsys.readouterr()
-    monkeypatch.setenv("ESAKIA_KIT_THREADS", "3")
-    code, out, _ = run(capsys, "kc-probe", "--max-size", "1")
-    assert code == 0 and json.loads(out)["maximum"] == 2
-
-
 def test_verify_passes_through_suite_report(capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_suite",
                         lambda seed: {"suite": "paper", "seed": seed,

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from esakiakit import (CycleDetected, InvalidId, NotUpset, Poset, TooLarge,
-                       ids_of, mask_of, max_antichain_size_brute)
+                       abomination_truncation, enumerate_posets, ids_of,
+                       ladder_truncation, mask_of, max_antichain_size_brute)
 from esakiakit.randgen import random_poset
 
 
@@ -32,6 +33,42 @@ def test_from_covers_rejects_bad_ids():
 def test_transitive_pairs_are_reduced():
     p = Poset.from_covers(3, [(0, 1), (1, 2), (0, 2)])
     assert p.covers == ((0, 1), (1, 2))
+
+
+def closure_of(n, covers):
+    """Reachability rows of a cover list by plain graph search."""
+    succ = [[] for _ in range(n)]
+    for x, y in covers:
+        succ[x].append(y)
+    rows = []
+    for x in range(n):
+        seen, stack = {x}, [x]
+        while stack:
+            for y in succ[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        rows.append(sum(1 << y for y in seen))
+    return rows
+
+
+def test_reduced_covers_keep_reachability():
+    posets = [p for k in range(7) for p in enumerate_posets(k)]
+    posets += [abomination_truncation(2, 2), abomination_truncation(3, 1)]
+    posets += [ladder_truncation(n, depth)
+               for n in (0, 1, 2) for depth in range(6)]
+    for p in posets:
+        assert closure_of(p.n, p.covers) == [p.up_mask(x) for x in range(p.n)]
+    rng = random.Random(61)
+    redundant = 0
+    for _ in range(100):
+        n = rng.randint(1, 12)
+        rows = closure_of(n, [(x, y) for x in range(n) for y in range(x + 1, n)
+                              if rng.random() < 0.35])
+        p = Poset.from_leq(n, rows)           # every strict pair goes in
+        assert closure_of(n, p.covers) == rows
+        redundant += sum(r.bit_count() - 1 for r in rows) - len(p.covers)
+    assert redundant > 0
 
 
 def test_leq_and_masks_on_chain():

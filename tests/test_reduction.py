@@ -1,10 +1,12 @@
+import hashlib
+import json
 import random
 
 import pytest
 
 from esakiakit import (Coloring, EPartition, InvalidId, NotEPartition,
                        NotMergeable, NotPMorphism, NotSurjective, Poset,
-                       TooLarge, all_epartitions, alpha_mergeable,
+                       TooLarge, abomination_truncation, all_epartitions, alpha_mergeable,
                        beta_mergeable, brute_coarsest_color_respecting,
                        coarsest_color_respecting, color_respecting_reduction,
                        compose_steps, decompose_pmorphism, is_epartition,
@@ -177,3 +179,34 @@ def test_color_respecting_reduction_steps_replay():
     final, ker = compose_steps(p, steps)
     assert ker == part
     assert final.n == 2
+
+
+def step_list(steps):
+    return [[s.kind, list(s.pair)] for s in steps]
+
+
+def test_reduction_step_names_are_pinned():
+    # Steps name each merged element by original id: its lowest-numbered
+    # preimage one merge back, followed back to the start. Quotients
+    # renumber blocks at every merge, so long replays pin this rule.
+    p = abomination_truncation(2, 1)
+    f = random_weak_coloring(random.Random(0), p, 2)
+    part, steps = color_respecting_reduction(p, f)
+    assert len(steps) == 54
+    assert hashlib.sha256(json.dumps(step_list(steps)).encode()).hexdigest() == \
+        "2c5b3b2e35af90dec889a09dabae4ab545edff4821ef9ddad8b743fa304dc90a"
+    assert compose_steps(p, steps)[1] == part
+
+
+def test_decompose_step_names_are_pinned():
+    rng = random.Random(3)
+    p = random_poset(rng, 16)
+    part = coarsest_color_respecting(p, random_weak_coloring(rng, p, 1))
+    q, proj = quotient(p, part)
+    steps = decompose_pmorphism(p, q, proj)
+    assert step_list(steps) == [
+        ["beta", [5, 15]], ["beta", [7, 10]], ["beta", [7, 13]],
+        ["alpha", [9, 7]], ["alpha", [14, 5]], ["alpha", [11, 12]],
+        ["alpha", [4, 12]], ["beta", [8, 0]], ["beta", [8, 2]],
+        ["alpha", [6, 8]], ["alpha", [3, 8]], ["alpha", [1, 8]]]
+    assert compose_steps(p, steps)[1] == part
