@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 
 from .errors import (InvalidId, TooLarge, TooManyAssignments,
                      UnboundVariable)
-from .poset import Poset
+from .poset import Poset, ids_of, mask_of
 
 SIZE_BOUND = 20
 ASSIGNMENT_CAP = 200_000
@@ -23,9 +23,17 @@ ASSIGNMENT_CAP = 200_000
 
 class UpsetAlgebra:
     """Carrier is every upset of the base poset, in a fixed canonical order
-    (by popcount, then mask value). Elements are referred to by index."""
+    (by popcount, then mask value). Elements are referred to by index.
 
-    __slots__ = ("base", "carrier", "index", "_meet", "_join", "_imp")
+    The meet, join and implication tables are built together on first use.
+    Subalgebra closure works on index sets packed into one int (bit i is
+    carrier index i) and reads per-element operation rows, also built once:
+    ``_rows()[x][y]`` has the bits of meet(x, y), join(x, y), imp(x, y) and
+    imp(y, x), so closing a set under all four operations for the pair
+    (x, y) is one OR."""
+
+    __slots__ = ("base", "carrier", "index", "_meet", "_join", "_imp",
+                 "_ops")
 
     def __init__(self, base: Poset, carrier: tuple[int, ...]):
         self.base = base
@@ -34,6 +42,7 @@ class UpsetAlgebra:
         self._meet = None
         self._join = None
         self._imp = None
+        self._ops = None
 
     @property
     def bot(self) -> int:
@@ -52,33 +61,36 @@ class UpsetAlgebra:
     def leq(self, i: int, j: int) -> bool:
         return self.carrier[i] & ~self.carrier[j] == 0
 
-    # Tables are built once, on first use.
     def _tables(self):
         if self._meet is None:
-            k = len(self.carrier)
             idx = self.index
             full = self.base.full_mask()
-            meet = [[0] * k for _ in range(k)]
-            join = [[0] * k for _ in range(k)]
-            for i, a in enumerate(self.carrier):
-                for j, b in enumerate(self.carrier):
-                    meet[i][j] = idx[a & b]
-                    join[i][j] = idx[a | b]
-            imp = [[0] * k for _ in range(k)]
-            for i, a in enumerate(self.carrier):
-                for j, b in enumerate(self.carrier):
-                    imp[i][j] = idx[full & ~self.base.down_set(a & ~b)]
-            self._meet, self._join, self._imp = meet, join, imp
+            down_set = self.base.down_set
+            self._meet = [[idx[a & b] for b in self.carrier]
+                          for a in self.carrier]
+            self._join = [[idx[a | b] for b in self.carrier]
+                          for a in self.carrier]
+            self._imp = [[idx[full & ~down_set(a & ~b)] for b in self.carrier]
+                         for a in self.carrier]
         return self._meet, self._join, self._imp
 
+    def _rows(self) -> list[list[int]]:
+        if self._ops is None:
+            meet, join, imp = self._tables()
+            k = len(self.carrier)
+            self._ops = [[(1 << meet[x][y]) | (1 << join[x][y])
+                          | (1 << imp[x][y]) | (1 << imp[y][x])
+                          for y in range(k)] for x in range(k)]
+        return self._ops
+
     def meet(self, i: int, j: int) -> int:
-        return self._tables()[0][i][j]
+        return (self._meet or self._tables()[0])[i][j]
 
     def join(self, i: int, j: int) -> int:
-        return self._tables()[1][i][j]
+        return (self._join or self._tables()[1])[i][j]
 
     def imp(self, i: int, j: int) -> int:
-        return self._tables()[2][i][j]
+        return (self._imp or self._tables()[2])[i][j]
 
     def neg(self, i: int) -> int:
         return self.imp(i, self.bot)
@@ -306,54 +318,73 @@ def validates(a: UpsetAlgebra, lhs: Term, rhs: Term,
 def generated_subalgebra(a: UpsetAlgebra, gens: Iterable[int]) -> frozenset[int]:
     """Indices of the subalgebra generated by the given carrier indices.
     Always contains bot and top."""
-    current = {a.bot, a.top}
+    seed = 0
     for g in gens:
         if not 0 <= g < len(a.carrier):
             raise InvalidId(f"carrier index {g}")
-        current.add(g)
-    return _close(a, frozenset(current))
+        seed |= 1 << g
+    return frozenset(ids_of(_close(a, _bounds_closure(a), seed)))
 
 
-def _close(a: UpsetAlgebra, seed: frozenset[int]) -> frozenset[int]:
-    # Worklist closure: every final pair is combined in at least one order,
-    # and imp is applied in both orders.
-    members = set(seed)
-    queue = list(seed)
-    everything = len(a.carrier)
-    while queue:
-        x = queue.pop()
-        for y in list(members):
-            for z in (a.meet(x, y), a.join(x, y), a.imp(x, y), a.imp(y, x)):
-                if z not in members:
-                    members.add(z)
-                    queue.append(z)
-        if len(members) == everything:
-            return frozenset(range(everything))
-    return frozenset(members)
+def _bounds_closure(a: UpsetAlgebra) -> int:
+    """The 0-generated subalgebra, as an index mask."""
+    return _close(a, 0, (1 << a.bot) | (1 << a.top))
+
+
+def _close(a: UpsetAlgebra, closed: int, new: int) -> int:
+    """Smallest subalgebra, as an index mask, holding `closed | new`, where
+    `closed` is already closed. Each added element x is combined once with
+    every member present when it is added (itself included); later members
+    pair with x when they are added in turn, and a row covers both orders."""
+    rows = a._rows()
+    full = (1 << len(rows)) - 1
+    members = closed
+    elems = ids_of(closed)
+    pending = new & ~closed
+    while pending:
+        if members | pending == full:
+            return full
+        low = pending & -pending
+        pending ^= low
+        members |= low
+        x = low.bit_length() - 1
+        elems.append(x)
+        row = rows[x]
+        acc = 0
+        for y in elems:
+            acc |= row[y]
+        pending |= acc & ~members
+    return members
 
 
 def min_generators(a: UpsetAlgebra, cap: int = 3) -> int | None:
     """Least m <= cap such that some m-subset generates the whole algebra,
     or None when no subset of size <= cap works."""
-    full = frozenset(range(len(a.carrier)))
+    full = (1 << len(a.carrier)) - 1
+    first = _bounds_closure(a)
     for m in range(cap + 1):
         for combo in itertools.combinations(range(len(a.carrier)), m):
-            if generated_subalgebra(a, combo) == full:
+            if _close(a, first, mask_of(combo)) == full:
                 return m
     return None
 
 
 def subalgebras(a: UpsetAlgebra) -> list[frozenset[int]]:
-    """Every subalgebra, by closing upward from the 0-generated one."""
-    first = generated_subalgebra(a, ())
+    """Every subalgebra, by closing upward from the 0-generated one: each
+    found subalgebra s is extended by one element x at a time, and the
+    closure restarts from s rather than from scratch."""
+    first = _bounds_closure(a)
     found = {first}
     queue = [first]
+    everything = range(len(a.carrier))
     while queue:
         s = queue.pop()
-        for x in range(len(a.carrier)):
-            if x not in s:
-                t = _close(a, frozenset(s | {x}))
+        for x in everything:
+            if not (s >> x) & 1:
+                t = _close(a, s, 1 << x)
                 if t not in found:
                     found.add(t)
                     queue.append(t)
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
+    subs = [ids_of(m) for m in found]
+    subs.sort(key=lambda ids: (len(ids), ids))
+    return [frozenset(ids) for ids in subs]

@@ -26,12 +26,10 @@ def mask_of(ids: Iterable[int]) -> int:
 def ids_of(mask: int) -> list[int]:
     """Unpack a bitmask into a sorted id list."""
     out = []
-    x = 0
     while mask:
-        if mask & 1:
-            out.append(x)
-        mask >>= 1
-        x += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
@@ -302,10 +300,24 @@ class Poset:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "Poset":
+        """Read {"n": int, "covers": [[int, int], ...], "labels": ...};
+        InvalidId on any other shape (bools are not ids)."""
+        if not isinstance(d, Mapping):
+            raise InvalidId("poset JSON must be an object")
+        n = d.get("n")
+        if not _is_id(n):
+            raise InvalidId(f"n must be an integer, got {n!r}")
+        covers = d.get("covers")
+        if not isinstance(covers, (list, tuple)):
+            raise InvalidId("covers must be a list of [lower, upper] pairs")
+        for c in covers:
+            if not (isinstance(c, (list, tuple)) and len(c) == 2
+                    and _is_id(c[0]) and _is_id(c[1])):
+                raise InvalidId(f"cover {c!r} is not a pair of integers")
         labels = d.get("labels") or None
         if labels is not None and not isinstance(labels, (Mapping, list)):
             raise InvalidId("labels must be a list or an id-to-label map")
-        return cls.from_covers(d["n"], [tuple(c) for c in d["covers"]], labels)
+        return cls.from_covers(n, [tuple(c) for c in covers], labels)
 
     def to_dot(self) -> str:
         """Cover-only DOT, drawn upward."""
@@ -333,6 +345,10 @@ class Poset:
 
 
 # ----- helpers ------------------------------------------------------------------
+
+
+def _is_id(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _norm_labels(n, labels):

@@ -100,18 +100,25 @@ class EPartition:
 
 def is_epartition(p: Poset, part: EPartition) -> bool:
     """Back-and-forth check: the set of blocks reachable above x must be
-    constant on each block."""
+    constant on each block.
+
+    The union of the blocks above x is x's up mask widened by every
+    merged block it touches; blocks are disjoint, so equal unions mean
+    equal sets of blocks. Singleton blocks pass trivially, so only
+    members of merged blocks are compared."""
     if part.base is not p and part.base != p:
         raise InvalidId("partition built on a different poset")
-    seen_above = []
-    for x in range(p.n):
-        s = frozenset(part.block_of(z) for z in ids_of(p.up_mask(x)))
-        seen_above.append(s)
-    for b in part.blocks:
-        first = seen_above[b[0]]
-        if any(seen_above[x] != first for x in b[1:]):
-            return False
-    return True
+    merged = [b for b in part.blocks if len(b) > 1]
+    masks = [mask_of(b) for b in merged]
+
+    def above(x: int) -> int:
+        up = out = p.up_mask(x)
+        for m in masks:
+            if up & m:
+                out |= m
+        return out
+
+    return all(len({above(x) for x in b}) == 1 for b in merged)
 
 
 def quotient(p: Poset, part: EPartition) -> tuple[Poset, tuple[int, ...]]:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from esakiakit import (Poset, TooLarge, TooManyAssignments, UnboundVariable,
                        min_generators, parse_equation, parse_term,
                        subalgebras, upset_algebra, validates)
 from esakiakit.algebra import BOT, TOP, evaluate, t_imp, t_not, var
+from esakiakit.probes import enumerate_posets
 from esakiakit.randgen import random_poset
 
 WEM = parse_equation("~x0 | ~~x0 = 1")
@@ -127,3 +129,69 @@ def test_subalgebra_count_matches_epartition_count():
 def test_term_str_roundtrip():
     t = t_imp(t_not(var(0)), var(1))
     assert parse_term(str(t)) == t
+
+
+# ----- closure against an independent reference -----------------------------
+
+
+def naive_close(a, seed):
+    """Plain fixed point over sets, through the public operations."""
+    members = set(seed)
+    while True:
+        new = set()
+        for x in members:
+            for y in members:
+                new.update((a.meet(x, y), a.join(x, y), a.imp(x, y)))
+        if new <= members:
+            return frozenset(members)
+        members |= new
+
+
+def naive_subalgebras(a):
+    bounds = {a.bot, a.top}
+    first = naive_close(a, bounds)
+    found = {first}
+    queue = [first]
+    while queue:
+        s = queue.pop()
+        for x in range(len(a)):
+            if x not in s:
+                t = naive_close(a, s | {x})
+                if t not in found:
+                    found.add(t)
+                    queue.append(t)
+    return sorted(found, key=lambda t: (len(t), sorted(t)))
+
+
+def naive_min_generators(a, cap):
+    full = frozenset(range(len(a)))
+    for m in range(cap + 1):
+        for combo in itertools.combinations(range(len(a)), m):
+            if naive_close(a, {a.bot, a.top, *combo}) == full:
+                return m
+    return None
+
+
+def closure_cases():
+    for n in range(6):
+        yield from enumerate_posets(n)
+    rng = random.Random(6)
+    for _ in range(20):
+        yield random_poset(rng, 6)
+
+
+def test_closure_matches_naive_fixed_point():
+    for p in closure_cases():
+        a = upset_algebra(p)
+        assert subalgebras(a) == naive_subalgebras(a), p
+        for g in range(len(a)):
+            assert generated_subalgebra(a, [g]) == naive_close(
+                a, {a.bot, a.top, g}), (p, g)
+        assert min_generators(a, cap=3) == naive_min_generators(a, 3), p
+
+
+def test_subalgebra_totals_per_size():
+    # Measured before the bitmask closure; equal to the E-partition totals.
+    totals = [sum(len(subalgebras(upset_algebra(p))) for p in enumerate_posets(n))
+              for n in range(6)]
+    assert totals == [1, 1, 4, 21, 144, 1214]

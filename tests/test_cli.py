@@ -214,3 +214,28 @@ def test_falsification_exits_1(capsys, monkeypatch, chain2):
     code, _, err = run(capsys, "census", "--poset", chain2, "--n", "1")
     assert code == 1
     assert err.startswith("FALSIFIED: boom")
+
+
+@pytest.mark.parametrize("doc", [
+    [],                                        # root is not an object
+    [{"n": 2, "covers": []}],
+    {"n": True, "covers": []},                 # bools are not ids
+    {"n": "2", "covers": []},
+    {"n": 2.0, "covers": []},
+    {"n": 2, "covers": [[False, True]]},
+    {"n": 2, "covers": [[0, 1.0]]},
+    {"n": 3, "covers": [[0, 1, 2]]},           # covers are pairs
+    {"n": 2, "covers": [[0]]},
+    {"n": 2, "covers": [0, 1]},
+    {"n": 2, "covers": {"0": 1}},
+])
+def test_malformed_poset_files_exit_2(capsys, tmp_path, doc):
+    poset = write_json(tmp_path / "p.json", doc)
+    coloring = write_json(tmp_path / "f.json",
+                          {"n": 0, "colors": ["", ""]})
+    for argv in (("convert", "--poset", poset, "--format", "json"),
+                 ("reduce", "--poset", poset, "--coloring", coloring)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, (argv, doc)
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err

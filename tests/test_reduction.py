@@ -12,6 +12,8 @@ from esakiakit import (Coloring, EPartition, InvalidId, NotEPartition,
                        compose_steps, decompose_pmorphism, is_epartition,
                        is_pmorphism, kernel, merge_step, mergeable_pairs,
                        quotient)
+from esakiakit.poset import ids_of
+from esakiakit.probes import enumerate_posets
 from esakiakit.randgen import random_poset, random_weak_coloring
 
 
@@ -210,3 +212,33 @@ def test_decompose_step_names_are_pinned():
         ["alpha", [4, 12]], ["beta", [8, 0]], ["beta", [8, 2]],
         ["alpha", [6, 8]], ["alpha", [3, 8]], ["alpha", [1, 8]]]
     assert compose_steps(p, steps)[1] == part
+
+
+def set_partitions(n):
+    """Every partition of 0..n-1, from restricted growth strings."""
+    def grow(prefix):
+        if len(prefix) == n:
+            yield [[x for x in range(n) if prefix[x] == b]
+                   for b in range(max(prefix, default=-1) + 1)]
+            return
+        for b in range(max(prefix, default=-1) + 2):
+            yield from grow(prefix + [b])
+    return grow([])
+
+
+def test_is_epartition_matches_block_set_definition():
+    # Reference: the set of block ids meeting the up set of x is constant
+    # on every block.
+    def reference(p, part):
+        above = [frozenset(part.block_of(z) for z in ids_of(p.up_mask(x)))
+                 for x in range(p.n)]
+        return all(above[x] == above[b[0]] for b in part.blocks for x in b)
+
+    checked = 0
+    for n in range(6):
+        for p in enumerate_posets(n):
+            for blocks in set_partitions(n):
+                part = EPartition.from_blocks(p, blocks)
+                assert is_epartition(p, part) == reference(p, part), (p, blocks)
+                checked += 1
+    assert checked == 3547     # sum of Bell(n) * A000112(n), n = 0..5
