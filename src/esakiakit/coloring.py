@@ -15,7 +15,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .errors import (BudgetExceeded, InvalidId, NotColoring, OutOfRange,
                      PropertyFalsified)
-from .poset import Poset
+from .poset import Poset, _is_id
 from .reduction import mergeable_pairs
 
 
@@ -63,9 +63,15 @@ class Coloring:
                 "colors": {str(x): self.bits(x) for x in range(self.base.n)}}
 
     @staticmethod
-    def from_json_dict(base: Poset, data: dict) -> "Coloring":
-        n = int(data["n"])
-        raw = data["colors"]
+    def from_json_dict(base: Poset, data: Mapping) -> "Coloring":
+        """Read {"n": int, "colors": {"id": "bits", ...} or ["bits", ...]};
+        InvalidId on any other shape (bools are not integers)."""
+        if not isinstance(data, Mapping):
+            raise InvalidId("coloring JSON must be an object")
+        n = data.get("n")
+        if not _is_id(n):
+            raise InvalidId(f"n must be an integer, got {n!r}")
+        raw = data.get("colors")
         if isinstance(raw, Mapping):
             items = raw.items()
         elif isinstance(raw, list):
@@ -75,7 +81,10 @@ class Coloring:
         cols = [0] * base.n
         seen = set()
         for key, bits in items:
-            x = int(key)
+            x = int(key) if isinstance(key, str) and key.isascii() \
+                and key.isdigit() else key
+            if not _is_id(x):
+                raise InvalidId(f"element key {key!r} is not an integer")
             if not 0 <= x < base.n or x in seen:
                 raise InvalidId(f"bad or repeated element {key!r}")
             seen.add(x)

@@ -14,6 +14,11 @@ from .errors import CycleDetected, InvalidId, NotUpset, TooLarge
 
 BRUTE_FORCE_LIMIT = 20
 
+# Largest n a poset JSON file may declare. Twice probes.GROWTH_SIZE_CAP, so
+# every truncation the growth probe admits reads back; a dense order at the
+# limit holds about 13 MB of reachability rows in each direction.
+JSON_SIZE_LIMIT = 10_000
+
 
 def mask_of(ids: Iterable[int]) -> int:
     """Pack element ids into a bitmask."""
@@ -301,12 +306,16 @@ class Poset:
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "Poset":
         """Read {"n": int, "covers": [[int, int], ...], "labels": ...};
-        InvalidId on any other shape (bools are not ids)."""
+        InvalidId on any other shape (bools are not ids) and on n above
+        JSON_SIZE_LIMIT."""
         if not isinstance(d, Mapping):
             raise InvalidId("poset JSON must be an object")
         n = d.get("n")
         if not _is_id(n):
             raise InvalidId(f"n must be an integer, got {n!r}")
+        if n > JSON_SIZE_LIMIT:
+            raise InvalidId(f"n = {n} exceeds the poset JSON limit "
+                            f"of {JSON_SIZE_LIMIT}")
         covers = d.get("covers")
         if not isinstance(covers, (list, tuple)):
             raise InvalidId("covers must be a list of [lower, upper] pairs")

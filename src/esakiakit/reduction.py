@@ -224,12 +224,15 @@ def mergeable_pairs(p: Poset) -> list[tuple[str, int, int]]:
     (depth of the merged-from element, ids, kind)."""
     depths = p.depths()
     out = []
+    twins: dict[tuple[int, ...], list[int]] = {}
     for x in range(p.n):
         succ = p.covers_up(x)
         if len(succ) == 1:
             out.append((depths[x], x, succ[0], 0, "alpha"))
-        for y in range(x + 1, p.n):
-            if succ == p.covers_up(y):
+        twins.setdefault(succ, []).append(x)
+    for group in twins.values():
+        for i, x in enumerate(group):
+            for y in group[i + 1:]:
                 out.append((depths[x], x, y, 1, "beta"))
     out.sort()
     return [(kind, x, y) for _, x, y, _, kind in out]
@@ -337,26 +340,72 @@ def color_respecting_reduction(p: Poset, coloring, *,
 
 
 def all_epartitions(p: Poset) -> list[EPartition]:
-    """Every E-partition, by filtering all set partitions. Small posets only."""
+    """Every E-partition of a small poset.
+
+    Depth-first search that places elements top down (by ascending depth),
+    so the strict up set of x is placed before x. x may open a new block,
+    or join a block whose members see exactly the blocks x sees above
+    itself, plus that block. A block's signature is fixed when it opens:
+    everything above its first member is already placed. Placed prefixes
+    are upsets and an E-partition restricted to an upset is again one, so
+    every E-partition is reached and every leaf is one.
+
+    The list is ordered by `_growth_key`, the order in which the set
+    partitions of 0..n-1 are grown by adding elements n-1 down to 0.
+    """
     if p.n > ALL_EPARTITIONS_LIMIT:
         raise TooLarge(f"all_epartitions limited to {ALL_EPARTITIONS_LIMIT}")
-    out = []
-    for blocks in _set_partitions(list(range(p.n))):
-        part = EPartition.from_blocks(p, blocks)
-        if is_epartition(p, part):
-            out.append(part)
-    return out
+    depths = p.depths()
+    order = sorted(range(p.n), key=lambda x: (depths[x], x))
+    above = [p.up_mask(x) & ~(1 << x) for x in range(p.n)]
+    members: list[int] = []     # element mask per open block
+    sigs: list[int] = []        # block-index mask each block's members see
+    leaves = []
+
+    def place(i: int) -> None:
+        if i == len(order):
+            leaves.append(tuple(sorted(tuple(ids_of(m)) for m in members)))
+            return
+        x = order[i]
+        up = above[x]
+        sig = 0
+        for b, m in enumerate(members):
+            if up & m:
+                sig |= 1 << b
+        for b, s in enumerate(sigs):
+            if s == sig | 1 << b:
+                members[b] |= 1 << x
+                place(i + 1)
+                members[b] ^= 1 << x
+        sigs.append(sig | 1 << len(members))
+        members.append(1 << x)
+        place(i + 1)
+        members.pop()
+        sigs.pop()
+
+    place(0)
+    leaves.sort(key=_growth_key)
+    return [EPartition(p, blocks) for blocks in leaves]
 
 
-def _set_partitions(items: list[int]):
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for sub in _set_partitions(rest):
-        for i in range(len(sub)):
-            yield sub[:i] + [[first] + sub[i]] + sub[i + 1:]
-        yield [[first]] + sub
+def _growth_key(blocks: tuple[tuple[int, ...], ...]) -> list[int]:
+    """Sort key of a partition of 0..n-1 in the order that grows all of
+    them by adding elements n-1 down to 0: each element joins one of the
+    blocks already grown, taken by ascending largest member, or opens a
+    new block after them."""
+    top = {}
+    for b in blocks:
+        for x in b:
+            top[x] = b[-1]
+    grown: list[int] = []       # largest members of the grown blocks, ascending
+    key = []
+    for x in reversed(range(len(top))):
+        if top[x] == x:
+            key.append(len(grown))
+            grown.insert(0, x)
+        else:
+            key.append(grown.index(top[x]))
+    return key
 
 
 def brute_coarsest_color_respecting(p: Poset, coloring) -> EPartition:

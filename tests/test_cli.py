@@ -3,7 +3,9 @@ import json
 import pytest
 
 import esakiakit.cli as cli
-from esakiakit import PropertyFalsified
+from esakiakit import Coloring, InvalidId, Poset, PropertyFalsified
+from esakiakit.poset import JSON_SIZE_LIMIT
+from esakiakit.probes import GROWTH_SIZE_CAP
 
 
 def write_json(path, obj):
@@ -228,6 +230,8 @@ def test_falsification_exits_1(capsys, monkeypatch, chain2):
     {"n": 2, "covers": [[0]]},
     {"n": 2, "covers": [0, 1]},
     {"n": 2, "covers": {"0": 1}},
+    {"n": JSON_SIZE_LIMIT + 1, "covers": []},  # rejected before allocating
+    {"n": 10**8, "covers": []},
 ])
 def test_malformed_poset_files_exit_2(capsys, tmp_path, doc):
     poset = write_json(tmp_path / "p.json", doc)
@@ -237,5 +241,34 @@ def test_malformed_poset_files_exit_2(capsys, tmp_path, doc):
                  ("reduce", "--poset", poset, "--coloring", coloring)):
         code, out, err = run(capsys, *argv)
         assert code == 2, (argv, doc)
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_poset_json_limit_admits_growth_cap():
+    assert JSON_SIZE_LIMIT >= GROWTH_SIZE_CAP
+
+
+@pytest.mark.parametrize("doc", [
+    [],                                        # root is not an object
+    ["0", "1"],
+    "01",
+    {"n": True, "colors": ["0", "1"]},         # bools are not integers
+    {"n": "1", "colors": ["0", "1"]},
+    {"n": 1.0, "colors": ["0", "1"]},
+    {"colors": ["0", "1"]},                    # n missing
+    {"n": 1},                                  # colors missing
+    {"n": 1, "colors": {"zero": "0", "1": "1"}},   # keys are element ids
+    {"n": 1, "colors": {"0.0": "0", "1": "1"}},
+    {"n": 1, "colors": {"-0": "0", "1": "1"}},
+])
+def test_malformed_coloring_files_exit_2(capsys, tmp_path, chain2, doc):
+    coloring = write_json(tmp_path / "f.json", doc)
+    with pytest.raises(InvalidId):
+        Coloring.from_json_dict(Poset.from_covers(2, [(0, 1)]), doc)
+    for cmd in ("check-coloring", "reduce"):
+        code, out, err = run(capsys, cmd, "--poset", chain2,
+                             "--coloring", coloring)
+        assert code == 2, (cmd, doc)
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err

@@ -214,16 +214,58 @@ def test_decompose_step_names_are_pinned():
     assert compose_steps(p, steps)[1] == part
 
 
-def set_partitions(n):
-    """Every partition of 0..n-1, from restricted growth strings."""
-    def grow(prefix):
-        if len(prefix) == n:
-            yield [[x for x in range(n) if prefix[x] == b]
-                   for b in range(max(prefix, default=-1) + 1)]
-            return
-        for b in range(max(prefix, default=-1) + 2):
-            yield from grow(prefix + [b])
-    return grow([])
+def set_partitions(items):
+    """Every partition of items. The last item varies slowest; each item
+    joins the blocks of the later ones in turn, then opens its own."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for sub in set_partitions(rest):
+        for i in range(len(sub)):
+            yield sub[:i] + [[first] + sub[i]] + sub[i + 1:]
+        yield [[first]] + sub
+
+
+def bell_filter(p):
+    """Reference enumeration: every set partition, kept when it passes
+    is_epartition."""
+    parts = (EPartition.from_blocks(p, blocks)
+             for blocks in set_partitions(list(range(p.n))))
+    return [part for part in parts if is_epartition(p, part)]
+
+
+def test_all_epartitions_matches_bell_filter():
+    totals = []
+    for n in range(7):
+        total = 0
+        for p in enumerate_posets(n):
+            parts = all_epartitions(p)
+            assert parts == bell_filter(p), p
+            total += len(parts)
+        totals.append(total)
+    # Equal to the subalgebra totals, by duality.
+    assert totals == [1, 1, 4, 21, 144, 1214, 13085]
+    rng = random.Random(59)
+    for n in (7, 8):
+        for _ in range(15):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            p = random_poset(rng, n).permuted(perm)
+            assert all_epartitions(p) == bell_filter(p), p
+
+
+def test_all_epartitions_does_not_use_the_greedy(monkeypatch):
+    # The brute-force oracle must stay independent of the merge-based
+    # greedy it checks.
+    import esakiakit.reduction as reduction
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("all_epartitions reached the greedy")
+    for name in ("coarsest_color_respecting", "mergeable_pairs",
+                 "merge_step", "_Replay"):
+        monkeypatch.setattr(reduction, name, forbidden)
+    assert len(all_epartitions(Poset.from_covers(8, []))) == 4140   # Bell(8)
 
 
 def test_is_epartition_matches_block_set_definition():
@@ -237,7 +279,7 @@ def test_is_epartition_matches_block_set_definition():
     checked = 0
     for n in range(6):
         for p in enumerate_posets(n):
-            for blocks in set_partitions(n):
+            for blocks in set_partitions(list(range(n))):
                 part = EPartition.from_blocks(p, blocks)
                 assert is_epartition(p, part) == reference(p, part), (p, blocks)
                 checked += 1
