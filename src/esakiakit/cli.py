@@ -15,11 +15,12 @@ import os
 import sys
 
 from .coloring import Coloring, is_weak_coloring, monochrome_mergeable_pair
-from .errors import BudgetExceeded, EsakiaKitError, PropertyFalsified
-from .poset import Poset
+from .errors import BudgetExceeded, EsakiaKitError, PropertyFalsified, TooLarge
+from .poset import JSON_SIZE_LIMIT, Poset
 from .probes import kc_probe, quotient_census
 from .reduction import color_respecting_reduction
-from .spaces import abomination_truncation, ladder_truncation
+from .spaces import (abomination_truncation, ladder_truncation, level_size,
+                     width_of)
 from .suite import run_suite
 
 
@@ -47,13 +48,16 @@ def _emit_poset(p: Poset, fmt: str) -> None:
         print(_dumps(p.to_json_dict()))
 
 
-def _cmd_gen_abomination(args) -> int:
-    _emit_poset(abomination_truncation(args.n, args.depth), args.format)
-    return 0
-
-
-def _cmd_gen_ladder(args) -> int:
-    _emit_poset(ladder_truncation(args.n, args.depth), args.format)
+def _cmd_gen(args) -> int:
+    """Emit a truncation; refuse, before building anything, one with more
+    elements than poset JSON reads back (per_level(n) >= 2^(n+1) bounds n
+    first). Negative n or depth are left to the generator."""
+    n, depth = args.n, args.depth
+    if n >= 0 and depth >= 0 and (n >= JSON_SIZE_LIMIT.bit_length() or
+                                  (depth + 1) * args.per_level(n) > JSON_SIZE_LIMIT):
+        raise TooLarge(f"--n {n} --depth {depth} exceeds the poset JSON "
+                       f"limit of {JSON_SIZE_LIMIT} elements")
+    _emit_poset(args.build(n, depth), args.format)
     return 0
 
 
@@ -138,14 +142,16 @@ def _parser() -> argparse.ArgumentParser:
     gen_a.add_argument("--depth", type=int, required=True)
     gen_a.add_argument("--format", choices=("json", "dot", "csv"),
                        default="json")
-    gen_a.set_defaults(func=_cmd_gen_abomination)
+    gen_a.set_defaults(func=_cmd_gen, build=abomination_truncation,
+                       per_level=level_size)
 
     gen_l = sub.add_parser("gen-ladder", help="emit a ladder truncation")
     gen_l.add_argument("--n", type=int, required=True)
     gen_l.add_argument("--depth", type=int, required=True)
     gen_l.add_argument("--format", choices=("json", "dot", "csv"),
                        default="json")
-    gen_l.set_defaults(func=_cmd_gen_ladder)
+    gen_l.set_defaults(func=_cmd_gen, build=ladder_truncation,
+                       per_level=width_of)
 
     chk = sub.add_parser("check-coloring",
                          help="validate a coloring file against a poset file")

@@ -291,6 +291,13 @@ def full_c_levels(z: Poset, n: int) -> list[int]:
     return sorted(p for p, row in c_rows(z, n).items() if len(row) == w)
 
 
+def merges_every_full_c_row(z: Poset, part: EPartition, n: int) -> bool:
+    """Does every full c-row of z hold two elements in one block of `part`?"""
+    w = width_of(n)
+    return all(len({part.block_of(x) for x in row.values()}) < w
+               for row in c_rows(z, n).values() if len(row) == w)
+
+
 def lift_schedule(z: Poset, f: Coloring, delta: DeltaMap, schedule: Schedule,
                   coarsest: EPartition | None = None) -> LiftCertificate:
     """Replay a ladder schedule on the delta images inside z.
@@ -384,10 +391,4 @@ def corollary_check(z: Poset, part: EPartition, n: int,
     else:
         if search_coloring(quot, n, budget) is None:
             raise QuotientNotColorable(f"no coloring of order {n} found")
-    rows = c_rows(z, n)
-    for p in full_c_levels(z, n):
-        row = rows[p]
-        blocks = {part.block_of(x) for x in row.values()}
-        if len(blocks) == len(row):
-            return False
-    return True
+    return merges_every_full_c_row(z, part, n)

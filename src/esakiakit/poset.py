@@ -67,54 +67,59 @@ class Poset:
         """
         if n < 0:
             raise InvalidId(f"negative size {n}")
-        succ_raw: list[set[int]] = [set() for _ in range(n)]
+        above = [0] * n
         for pair in covers:
             x, y = pair
             if not (0 <= x < n and 0 <= y < n):
                 raise InvalidId(f"cover ({x}, {y}) outside 0..{n - 1}")
             if x == y:
                 raise CycleDetected(f"reflexive cover ({x}, {y})")
-            succ_raw[x].add(y)
-
-        order = _toposort(n, succ_raw)
-        up = [0] * n
-        for x in reversed(order):
-            m = 1 << x
-            for y in succ_raw[x]:
-                m |= up[y]
-            up[x] = m
-        down = _transpose(n, up)
-
-        # Keep (x, y) only when nothing sits strictly between them.
-        succ: list[tuple[int, ...]] = [()] * n
-        pred_sets: list[list[int]] = [[] for _ in range(n)]
-        reduced = []
-        for x in range(n):
-            kept = []
-            for y in succ_raw[x]:
-                between = (up[x] & down[y]) & ~(1 << x) & ~(1 << y)
-                if not between:
-                    kept.append(y)
-                    pred_sets[y].append(x)
-                    reduced.append((x, y))
-            succ[x] = tuple(sorted(kept))
-        pred = [tuple(sorted(p)) for p in pred_sets]
-        reduced.sort()
-
-        return cls(n, tuple(reduced), _norm_labels(n, labels), up, down, succ, tuple(pred))
+            above[x] |= 1 << y
+        return cls._from_above(n, above, labels)
 
     @classmethod
     def from_leq(cls, n: int, leq_rows: Sequence[int],
                  labels: Mapping[int, str] | Sequence[str] | None = None) -> "Poset":
         """Build from reachability rows (row x = mask of all y >= x).
 
-        All strict pairs are handed to from_covers, which reduces them.
+        Rows need not be transitively closed; a cycle raises CycleDetected.
         """
-        covers = []
-        for x in range(n):
-            for y in ids_of(leq_rows[x] & ~(1 << x)):
-                covers.append((x, y))
-        return cls.from_covers(n, covers, labels)
+        if len(leq_rows) != n or any(row >> n for row in leq_rows):
+            raise InvalidId(f"rows must be {n} masks over 0..{n - 1}")
+        return cls._from_above(
+            n, [row & ~(1 << x) for x, row in enumerate(leq_rows)], labels)
+
+    @classmethod
+    def _from_above(cls, n, above, labels) -> "Poset":
+        """The one constructor: above[x] masks elements strictly above x,
+        redundant pairs allowed. Top down, up[x] is closed only from
+        successors not yet reached, and the covers of x are the members of
+        above[x] outside the strict up sets of the others (every cover of x
+        is in above[x]). Down masks are closed bottom up over the covers."""
+        order = _toposort(n, above)
+        up = [0] * n
+        succ: list[tuple[int, ...]] = [()] * n
+        for x in reversed(order):
+            reach = strict = 0
+            rest = above[x]
+            while rest:
+                low = rest & -rest
+                u = up[low.bit_length() - 1]
+                reach |= u
+                strict |= u ^ low
+                rest &= ~reach
+            up[x] = reach | 1 << x
+            succ[x] = tuple(ids_of(above[x] & ~strict))
+        covers = tuple((x, y) for x in range(n) for y in succ[x])
+        pred: list[list[int]] = [[] for _ in range(n)]
+        for x, y in covers:
+            pred[y].append(x)
+        down = [1 << x for x in range(n)]
+        for x in order:
+            for y in succ[x]:
+                down[y] |= down[x]
+        return cls(n, covers, _norm_labels(n, labels), up, down, succ,
+                   tuple(map(tuple, pred)))
 
     # ----- order queries ----------------------------------------------------
 
@@ -179,9 +184,9 @@ class Poset:
 
     def depths(self) -> tuple[int, ...]:
         if self._depths is None:
-            order = _toposort(self.n, [set(s) for s in self._succ])
             d = [1] * self.n
-            for x in reversed(order):
+            # y > x implies up(y) is a proper subset of up(x): top down.
+            for x in sorted(range(self.n), key=lambda y: self._up[y].bit_count()):
                 if self._succ[x]:
                     d[x] = 1 + max(d[y] for y in self._succ[x])
             self._depths = tuple(d)
@@ -218,10 +223,9 @@ class Poset:
             if not 0 <= x < self.n:
                 raise InvalidId(f"element {x}")
         remap = {x: i for i, x in enumerate(keep)}
-        rows = []
         keep_mask = mask_of(keep)
-        for x in keep:
-            rows.append(_compress_mask(self._up[x] & keep_mask, keep))
+        rows = [mask_of(remap[y] for y in ids_of(self._up[x] & keep_mask))
+                for x in keep]
         labels = None
         if self.labels is not None:
             labels = [self.labels[x] for x in keep]
@@ -305,8 +309,9 @@ class Poset:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "Poset":
-        """Read {"n": int, "covers": [[int, int], ...], "labels": ...};
-        InvalidId on any other shape (bools are not ids) and on n above
+        """Read {"n": int, "covers": [[int, int], ...], "labels": ...}, where
+        labels is {"<id>": str | null, ...} or [str | null, ...]; InvalidId
+        on any other shape (bools are not ids) and on n above
         JSON_SIZE_LIMIT."""
         if not isinstance(d, Mapping):
             raise InvalidId("poset JSON must be an object")
@@ -366,20 +371,27 @@ def _norm_labels(n, labels):
     if isinstance(labels, Mapping):
         out = [None] * n
         for k, v in labels.items():
-            k = int(k)
-            if not 0 <= k < n:
-                raise InvalidId(f"label id {k}")
+            if isinstance(k, str) and k.isascii() and k.isdigit():
+                k = int(k)
+            if not (_is_id(k) and 0 <= k < n):
+                raise InvalidId(f"label key {k!r} is not an element id")
             out[k] = v
-        return tuple(out)
-    if len(labels) != n:
+        labels = out
+    elif len(labels) != n:
         raise InvalidId("label list length mismatch")
+    for v in labels:
+        if v is not None and not isinstance(v, str):
+            raise InvalidId(f"label {v!r} is neither a string nor null")
     return tuple(labels)
 
 
-def _toposort(n, succ):
+def _toposort(n, above):
+    """Order 0..n-1 so that each element precedes every element of its
+    mask; CycleDetected when no such order exists."""
+    succ = [ids_of(m) for m in above]
     indeg = [0] * n
-    for x in range(n):
-        for y in succ[x]:
+    for ys in succ:
+        for y in ys:
             indeg[y] += 1
     queue = deque(x for x in range(n) if indeg[x] == 0)
     order = []
@@ -393,27 +405,6 @@ def _toposort(n, succ):
     if len(order) != n:
         raise CycleDetected("cover relation contains a cycle")
     return order
-
-
-def _transpose(n, up):
-    down = [0] * n
-    for x in range(n):
-        row = up[x]
-        y = 0
-        while row:
-            if row & 1:
-                down[y] |= 1 << x
-            row >>= 1
-            y += 1
-    return down
-
-
-def _compress_mask(mask, keep):
-    out = 0
-    for i, x in enumerate(keep):
-        if (mask >> x) & 1:
-            out |= 1 << i
-    return out
 
 
 def _hopcroft_karp(n, adj):

@@ -281,14 +281,14 @@ GROWTH_SIZE_CAP = 5000
 @dataclass(frozen=True)
 class GrowthReport:
     n: int
-    rows: tuple[tuple[int, int, int], ...]   # (depth, size, colorable size)
+    rows: tuple[tuple[int, int], ...]   # (depth, size)
 
 
 def growth_probe(n: int, depths: list[int]) -> GrowthReport:
-    """Truncation sizes at the given depths, paired with the size of the
-    largest quotient still colorable at order n+1. The canonical coloring
-    keeps the identity quotient colorable, so the two numbers agree and
-    grow strictly with depth."""
+    """Truncation sizes at the given depths. Each truncation is built and
+    its canonical coloring checked strict, so the whole truncation is the
+    largest quotient still colorable at order n+1, and sizes grow strictly
+    with depth."""
     if n not in (2, 3):
         raise OutOfRange("growth probe is calibrated for n in {2, 3}")
     if any(d < 0 for d in depths) or sorted(set(depths)) != list(depths):
@@ -305,5 +305,5 @@ def growth_probe(n: int, depths: list[int]) -> GrowthReport:
         if not is_coloring(x, f):
             raise PropertyFalsified(
                 f"canonical coloring fails strictness at depth {depth}")
-        rows.append((depth, size, size))
+        rows.append((depth, size))
     return GrowthReport(n, tuple(rows))

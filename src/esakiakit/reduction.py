@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .errors import (InvalidId, NotEPartition, NotMergeable, NotPMorphism,
-                     NotSurjective, NotWeakColoring, PropertyFalsified,
-                     TooLarge)
+from .errors import (CycleDetected, InvalidId, NotEPartition, NotMergeable,
+                     NotPMorphism, NotSurjective, NotWeakColoring,
+                     PropertyFalsified, TooLarge)
 from .poset import Poset, ids_of, mask_of
 
 ALL_EPARTITIONS_LIMIT = 8
@@ -134,24 +134,14 @@ def quotient(p: Poset, part: EPartition) -> tuple[Poset, tuple[int, ...]]:
                    key=lambda i: (min(depths[x] for x in part.blocks[i]),
                                   part.blocks[i][0]))
     rank = {old: new for new, old in enumerate(order)}
-    k = len(part.blocks)
-    block_mask = [mask_of(b) for b in part.blocks]
-    rows = [0] * k
-    for old in range(k):
-        up = 0
-        for x in part.blocks[old]:
-            up |= p.up_mask(x)
-        row = 0
-        for other in range(k):
-            if up & block_mask[other]:
-                row |= 1 << rank[other]
-        rows[rank[old]] = row
-    for i in range(k):
-        for j in range(k):
-            if i != j and (rows[i] >> j) & 1 and (rows[j] >> i) & 1:
-                raise NotEPartition("quotient relation is not antisymmetric")
-    q = Poset.from_leq(k, rows)
     proj = tuple(rank[part.block_of(x)] for x in range(p.n))
+    rows = [0] * len(part.blocks)
+    for old, block in enumerate(part.blocks):
+        rows[rank[old]] = mask_of(proj[y] for y in ids_of(p.up_set(block)))
+    try:
+        q = Poset.from_leq(len(rows), rows)
+    except CycleDetected as exc:
+        raise NotEPartition("quotient relation is not antisymmetric") from exc
     return q, proj
 
 

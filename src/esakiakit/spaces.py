@@ -121,14 +121,16 @@ def abomination_truncation(n: int, M: int) -> Poset:
     if n < 2 or M < 0:
         raise OutOfRange("needs n >= 2 and M >= 0")
     w = width_of(n)
-    table = triple_table(n)
+    # The first M+1 triples of triple_table(n), wrapping like assigned(),
+    # without building the whole table (about 2^(3n+3) triples).
+    triples = itertools.islice(
+        itertools.cycle(itertools.permutations(range(w), 3)), M + 1)
 
     def eid(kind, m, k=None):
         return abomination_id(n, SpaceLabel(kind, m, k))
 
     covers = []
-    for m in range(M + 1):
-        k1, k2, k3 = table.assigned(m)
+    for m, (k1, k2, k3) in enumerate(triples):
         covers.append((eid("a", m), eid("c", m, k1)))
         covers.append((eid("a", m), eid("c", m, k2)))
         covers.append((eid("b", m), eid("c", m, k1)))

@@ -12,7 +12,7 @@ import random
 
 from .algebra import min_generators, subalgebras, upset_algebra
 from .coloring import (enumerate_weak_colorings, is_coloring, is_n_colorable)
-from .lemma import (c_rows, corollary_check, full_c_levels,
+from .lemma import (corollary_check, merges_every_full_c_row,
                     schedule_beta_reductions, verify_schedule)
 from .probes import (enumerate_posets, enumerate_rooted_posets, kc_probe,
                      quotient_census, size_bound, size_bound_by_levels)
@@ -90,14 +90,8 @@ def check_census_collapse(seed: int) -> dict:
     witness_ok = all(
         corollary_check(z, e.partition, 2, witness=e.witness)
         for e in census.entries)
-    rows = c_rows(z, 2)
-    merged_ok = True
-    for part in census.partitions:
-        for level in full_c_levels(z, 2):
-            row = rows[level]
-            blocks = {part.block_of(x) for x in row.values()}
-            if len(blocks) == len(row):
-                merged_ok = False
+    merged_ok = all(merges_every_full_c_row(z, part, 2)
+                    for part in census.partitions)
     return {"pass": enough and witness_ok and merged_ok,
             "partitions": len(census.partitions),
             "iso_entries": len(census.entries),

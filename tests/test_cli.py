@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -232,8 +234,15 @@ def test_falsification_exits_1(capsys, monkeypatch, chain2):
     {"n": 2, "covers": {"0": 1}},
     {"n": JSON_SIZE_LIMIT + 1, "covers": []},  # rejected before allocating
     {"n": 10**8, "covers": []},
+    {"n": 1, "covers": [], "labels": {"a": "x"}},   # keys are element ids
+    {"n": 1, "covers": [], "labels": {"-0": "x"}},
+    {"n": 1, "covers": [], "labels": {"0": 7}},     # labels are strings
+    {"n": 1, "covers": [], "labels": [[1, 2]]},
+    {"n": 2, "covers": [], "labels": [None, True]},
 ])
 def test_malformed_poset_files_exit_2(capsys, tmp_path, doc):
+    with pytest.raises(InvalidId):
+        Poset.from_json_dict(doc)
     poset = write_json(tmp_path / "p.json", doc)
     coloring = write_json(tmp_path / "f.json",
                           {"n": 0, "colors": ["", ""]})
@@ -243,6 +252,31 @@ def test_malformed_poset_files_exit_2(capsys, tmp_path, doc):
         assert code == 2, (argv, doc)
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen-abomination", "--n", "12", "--depth", "0"),
+    ("gen-abomination", "--n", "2", "--depth", "1000000"),
+    ("gen-abomination", "--n", str(10**9), "--depth", "0"),
+    ("gen-ladder", "--n", "13", "--depth", "0"),
+    ("gen-ladder", "--n", "0", "--depth", str(JSON_SIZE_LIMIT // 2)),
+])
+def test_generators_refuse_unreadable_sizes(argv):
+    """Output past the poset JSON limit could not be read back: exit 2
+    before anything is built."""
+    done = subprocess.run([sys.executable, "-m", "esakiakit.cli", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, argv
+    assert done.stdout == ""
+    assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
+
+
+def test_generators_admit_the_poset_json_limit(capsys):
+    # 2 elements per level at n = 0: exactly the limit, one level short of
+    # the refused --depth JSON_SIZE_LIMIT // 2 above.
+    code, out, _ = run(capsys, "gen-ladder", "--n", "0",
+                       "--depth", str(JSON_SIZE_LIMIT // 2 - 1))
+    assert code == 0 and json.loads(out)["n"] == JSON_SIZE_LIMIT
 
 
 def test_poset_json_limit_admits_growth_cap():

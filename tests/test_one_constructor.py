@@ -1,0 +1,40 @@
+"""Every Poset is built by one constructor core, so covers, up and down
+masks are derived in exactly one place."""
+
+import ast
+import pathlib
+
+import esakiakit
+
+SRC = pathlib.Path(esakiakit.__file__).parent
+
+
+def instantiating_functions(path):
+    """Qualified names of the functions that call `Poset(...)`, or `cls(...)`
+    inside class Poset."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+
+    def visit(node, scope, in_poset):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, scope + [child.name], child.name == "Poset")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.Lambda)):
+                name = getattr(child, "name", "<lambda>")
+                visit(child, scope + [name], in_poset)
+            else:
+                if isinstance(child, ast.Call) and isinstance(child.func, ast.Name):
+                    if child.func.id == "Poset" or (in_poset and child.func.id == "cls"):
+                        found.append(".".join(scope))
+                visit(child, scope, in_poset)
+
+    visit(tree, [path.stem], False)
+    return found
+
+
+def test_poset_is_instantiated_only_in_the_core_constructor():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    found = [name for path in modules for name in instantiating_functions(path)]
+    assert found == ["poset.Poset._from_above"]

@@ -1,11 +1,13 @@
+import hashlib
 import random
 
 import pytest
 
 from esakiakit import (CycleDetected, InvalidId, NotUpset, Poset, TooLarge,
-                       abomination_truncation, enumerate_posets, ids_of,
-                       ladder_truncation, mask_of, max_antichain_size_brute)
-from esakiakit.randgen import random_poset
+                       abomination_truncation, coarsest_color_respecting,
+                       enumerate_posets, ids_of, ladder_truncation, mask_of,
+                       max_antichain_size_brute, quotient)
+from esakiakit.randgen import random_poset, random_weak_coloring
 
 
 def v_poset():
@@ -21,6 +23,10 @@ def test_from_covers_rejects_cycles():
         Poset.from_covers(2, [(0, 1), (1, 0)])
     with pytest.raises(CycleDetected):
         Poset.from_covers(1, [(0, 0)])
+    with pytest.raises(CycleDetected):
+        Poset.from_leq(2, [0b11, 0b11])
+    with pytest.raises(CycleDetected):
+        Poset.from_leq(3, [0b011, 0b110, 0b101])   # rows not closed
 
 
 def test_from_covers_rejects_bad_ids():
@@ -28,6 +34,12 @@ def test_from_covers_rejects_bad_ids():
         Poset.from_covers(2, [(0, 2)])
     with pytest.raises(InvalidId):
         Poset.from_covers(2, [(-1, 0)])
+    with pytest.raises(InvalidId):
+        Poset.from_leq(2, [0b101, 0b10])
+    with pytest.raises(InvalidId):
+        Poset.from_leq(2, [-1, 0b10])
+    with pytest.raises(InvalidId):
+        Poset.from_leq(2, [0b1])
 
 
 def test_transitive_pairs_are_reduced():
@@ -52,6 +64,31 @@ def closure_of(n, covers):
     return rows
 
 
+def longest_chains(up_rows):
+    """Elements on the longest chain inside each up set, by plain recursion
+    over strict up sets."""
+    memo = {}
+
+    def chain_len(x):
+        if x not in memo:
+            memo[x] = 1 + max((chain_len(y) for y in ids_of(up_rows[x])
+                               if y != x), default=0)
+        return memo[x]
+
+    return tuple(chain_len(x) for x in range(len(up_rows)))
+
+
+def check_derived_tables(p):
+    """Down masks, covers_down and depths against the covers and up masks."""
+    rows = [p.up_mask(x) for x in range(p.n)]
+    assert [p.down_mask(y) for y in range(p.n)] == [
+        sum(1 << x for x in range(p.n) if (rows[x] >> y) & 1)
+        for y in range(p.n)]
+    assert [p.covers_down(y) for y in range(p.n)] == [
+        tuple(x for x, z in p.covers if z == y) for y in range(p.n)]
+    assert p.depths() == longest_chains(rows)
+
+
 def test_reduced_covers_keep_reachability():
     posets = [p for k in range(7) for p in enumerate_posets(k)]
     posets += [abomination_truncation(2, 2), abomination_truncation(3, 1)]
@@ -59,6 +96,7 @@ def test_reduced_covers_keep_reachability():
                for n in (0, 1, 2) for depth in range(6)]
     for p in posets:
         assert closure_of(p.n, p.covers) == [p.up_mask(x) for x in range(p.n)]
+        check_derived_tables(p)
     rng = random.Random(61)
     redundant = 0
     for _ in range(100):
@@ -67,8 +105,30 @@ def test_reduced_covers_keep_reachability():
                               if rng.random() < 0.35])
         p = Poset.from_leq(n, rows)           # every strict pair goes in
         assert closure_of(n, p.covers) == rows
+        check_derived_tables(p)
         redundant += sum(r.bit_count() - 1 for r in rows) - len(p.covers)
     assert redundant > 0
+
+
+def test_construction_is_pinned():
+    """sha256 of (n, covers, down masks, depths), recorded before the
+    constructors shared one core, over every poset up to 6 elements, the
+    suite's truncations and ladders, and one reduced quotient."""
+    posets = [p for k in range(7) for p in enumerate_posets(k)]
+    posets += [abomination_truncation(n, depth)
+               for n, depth in ((2, 0), (2, 1), (2, 2), (3, 1))]
+    posets += [ladder_truncation(n, depth)
+               for n in (0, 1, 2) for depth in range(6)]
+    z = abomination_truncation(2, 1)
+    f = random_weak_coloring(random.Random(0), z, 2)
+    posets.append(quotient(z, coarsest_color_respecting(z, f))[0])
+    h = hashlib.sha256()
+    for p in posets:
+        h.update(repr((p.n, p.covers, [p.down_mask(x) for x in range(p.n)],
+                       p.depths())).encode())
+    assert (len(posets), posets[-1].n) == (429, 14)
+    assert h.hexdigest() == (
+        "edfb9de994033cd684ab0f3b95b1f456a7fb505f5db3879e7ee487935d3a88f3")
 
 
 def test_leq_and_masks_on_chain():
@@ -206,6 +266,8 @@ def test_json_labels_may_be_a_plain_list():
         Poset.from_json_dict({"n": 2, "covers": [], "labels": ["lo"]})
     with pytest.raises(InvalidId):
         Poset.from_json_dict({"n": 2, "covers": [], "labels": "lohi"})
+    p = Poset.from_json_dict({"n": 2, "covers": [], "labels": [None, "hi"]})
+    assert p.labels == (None, "hi")
 
 
 def test_dot_output_shape():

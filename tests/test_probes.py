@@ -124,8 +124,8 @@ def test_local_finiteness_skips_oversized_upsets():
 
 def test_growth_probe_rows():
     report = growth_probe(2, [0, 1, 2])
-    assert report.rows == ((0, 34, 34), (1, 68, 68), (2, 102, 102))
-    assert growth_probe(3, [0]).rows == ((0, 66, 66),)
+    assert report.rows == ((0, 34), (1, 68), (2, 102))
+    assert growth_probe(3, [0]).rows == ((0, 66),)
 
 
 def test_growth_probe_guards():

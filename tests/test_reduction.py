@@ -70,6 +70,17 @@ def test_quotient_of_v_by_arm_merge():
         quotient(p, EPartition.from_blocks(p, [[0, 1], [2]]))
 
 
+def test_quotient_rejects_a_cyclic_block_relation(monkeypatch):
+    """Splitting a 3-chain as {0, 2}, {1} relates the two blocks both ways;
+    the constructor's cycle check must still refuse it when the E-check is
+    bypassed."""
+    import esakiakit.reduction as reduction
+    monkeypatch.setattr(reduction, "is_epartition", lambda p, part: True)
+    p = chain(3)
+    with pytest.raises(NotEPartition):
+        quotient(p, EPartition.from_blocks(p, [[0, 2], [1]]))
+
+
 def test_pmorphism_check_and_kernel():
     p, q = v_poset(), chain(2)
     f = (0, 1, 1)

@@ -40,6 +40,23 @@ def test_triple_table():
         triple_table(1)
 
 
+def test_truncation_levels_take_the_assigned_triples():
+    """a(m) and b(m) sit below the c's named by triple_table(n).assigned(m),
+    also on the level where the table wraps around."""
+    table = triple_table(2)
+    wrap = len(table.triples)
+    p = abomination_truncation(2, wrap)
+    for m in (0, 1, wrap - 1, wrap):
+        k1, k2, k3 = table.assigned(m)
+
+        def c(*ks):
+            return tuple(sorted(abomination_id(2, SpaceLabel("c", m, k))
+                                for k in ks))
+
+        assert p.covers_up(abomination_id(2, SpaceLabel("a", m))) == c(k1, k2)
+        assert p.covers_up(abomination_id(2, SpaceLabel("b", m))) == c(k1, k3)
+
+
 def test_widths_and_level_sizes():
     assert width_of(2) == 8 and width_of(3) == 16
     assert level_size(2) == 34 and level_size(3) == 66
