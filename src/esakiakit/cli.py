@@ -16,10 +16,11 @@ import sys
 
 from .coloring import Coloring, is_weak_coloring, monochrome_mergeable_pair
 from .errors import BudgetExceeded, EsakiaKitError, PropertyFalsified, TooLarge
-from .poset import JSON_SIZE_LIMIT, Poset
+from .poset import JSON_COVER_LIMIT, JSON_SIZE_LIMIT, Poset
 from .probes import kc_probe, quotient_census
 from .reduction import color_respecting_reduction
-from .spaces import (abomination_truncation, ladder_truncation, level_size,
+from .spaces import (abomination_cover_count, abomination_truncation,
+                     ladder_cover_count, ladder_truncation, level_size,
                      width_of)
 from .suite import run_suite
 
@@ -50,13 +51,15 @@ def _emit_poset(p: Poset, fmt: str) -> None:
 
 def _cmd_gen(args) -> int:
     """Emit a truncation; refuse, before building anything, one with more
-    elements than poset JSON reads back (per_level(n) >= 2^(n+1) bounds n
-    first). Negative n or depth are left to the generator."""
+    elements or covers than poset JSON reads back (per_level(n) >= 2^(n+1)
+    bounds n first). Negative n or depth are left to the generator."""
     n, depth = args.n, args.depth
-    if n >= 0 and depth >= 0 and (n >= JSON_SIZE_LIMIT.bit_length() or
-                                  (depth + 1) * args.per_level(n) > JSON_SIZE_LIMIT):
-        raise TooLarge(f"--n {n} --depth {depth} exceeds the poset JSON "
-                       f"limit of {JSON_SIZE_LIMIT} elements")
+    if n >= 0 and depth >= 0 and (
+            n >= JSON_SIZE_LIMIT.bit_length()
+            or (depth + 1) * args.per_level(n) > JSON_SIZE_LIMIT
+            or args.cover_count(n, depth) > JSON_COVER_LIMIT):
+        raise TooLarge(f"--n {n} --depth {depth} exceeds the poset JSON limit "
+                       f"of {JSON_SIZE_LIMIT} elements or {JSON_COVER_LIMIT} covers")
     _emit_poset(args.build(n, depth), args.format)
     return 0
 
@@ -143,7 +146,7 @@ def _parser() -> argparse.ArgumentParser:
     gen_a.add_argument("--format", choices=("json", "dot", "csv"),
                        default="json")
     gen_a.set_defaults(func=_cmd_gen, build=abomination_truncation,
-                       per_level=level_size)
+                       per_level=level_size, cover_count=abomination_cover_count)
 
     gen_l = sub.add_parser("gen-ladder", help="emit a ladder truncation")
     gen_l.add_argument("--n", type=int, required=True)
@@ -151,7 +154,7 @@ def _parser() -> argparse.ArgumentParser:
     gen_l.add_argument("--format", choices=("json", "dot", "csv"),
                        default="json")
     gen_l.set_defaults(func=_cmd_gen, build=ladder_truncation,
-                       per_level=width_of)
+                       per_level=width_of, cover_count=ladder_cover_count)
 
     chk = sub.add_parser("check-coloring",
                          help="validate a coloring file against a poset file")

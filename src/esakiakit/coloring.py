@@ -121,6 +121,44 @@ def _color_order(p: Poset) -> list[int]:
     return sorted(range(p.n), key=lambda x: (depths[x], x))
 
 
+def _weak_walk(p: Poset, n: int, partners: Sequence[Sequence[int]],
+               budget: int | None) -> Iterator[list[int]]:
+    """Depth-first over the weak colorings of order n along the top-down
+    order, yielding the color list at each leaf. Each element tries the
+    submasks of its upper covers' color meet in ascending order (Knuth,
+    TAOCP 4A 7.1.3), skipping its colored partners' colors."""
+    if n < 0:
+        raise OutOfRange("negative color order")
+    order = _color_order(p)
+    colors = [-1] * p.n
+    full = (1 << n) - 1
+    spent = 0
+
+    def rec(i: int) -> Iterator[list[int]]:
+        nonlocal spent
+        if i == len(order):
+            yield colors
+            return
+        x = order[i]
+        ceiling = full
+        for y in p.covers_up(x):
+            ceiling &= colors[y]
+        cand = 0
+        while True:
+            if all(colors[y] != cand for y in partners[x]):
+                if budget is not None and spent >= budget:
+                    raise BudgetExceeded(f"coloring search budget {budget}")
+                spent += 1
+                colors[x] = cand
+                yield from rec(i + 1)
+            cand = ((cand | ~ceiling) + 1) & ceiling
+            if not cand:
+                break
+        colors[x] = -1
+
+    return rec(0)
+
+
 def search_coloring(p: Poset, n: int, budget: int | None = None) -> Coloring | None:
     """Backtracking search for a coloring of order n.
 
@@ -128,40 +166,12 @@ def search_coloring(p: Poset, n: int, budget: int | None = None) -> Coloring | N
     order, or None. A budget bounds the number of color assignments
     tried; exhausting it raises BudgetExceeded rather than answering.
     """
-    order = _color_order(p)
     partners: list[list[int]] = [[] for _ in range(p.n)]
     for _, x, y in mergeable_pairs(p):
         partners[x].append(y)
         partners[y].append(x)
-    colors = [-1] * p.n
-    full = (1 << n) - 1
-    spent = 0
-
-    def assign(i: int) -> bool:
-        nonlocal spent
-        if i == len(order):
-            return True
-        x = order[i]
-        ceiling = full
-        for y in p.covers_up(x):
-            ceiling &= colors[y]
-        for cand in range(full + 1):
-            if cand & ~ceiling:
-                continue
-            if any(colors[y] == cand for y in partners[x]):
-                continue
-            if budget is not None and spent >= budget:
-                raise BudgetExceeded(f"coloring search budget {budget}")
-            spent += 1
-            colors[x] = cand
-            if assign(i + 1):
-                return True
-            colors[x] = -1
-        return False
-
-    if assign(0):
-        return Coloring.of(p, n, colors)
-    return None
+    colors = next(_weak_walk(p, n, partners, budget), None)
+    return None if colors is None else Coloring.of(p, n, colors)
 
 
 def is_n_colorable(p: Poset, n: int, budget: int | None = None) -> bool:
@@ -171,25 +181,8 @@ def is_n_colorable(p: Poset, n: int, budget: int | None = None) -> bool:
 def enumerate_weak_colorings(p: Poset, n: int) -> Iterator[Coloring]:
     """All weak colorings of order n, in deterministic order. The count
     grows exponentially; consumers are expected to impose their own cap."""
-    order = _color_order(p)
-    colors = [0] * p.n
-    full = (1 << n) - 1
-
-    def rec(i: int) -> Iterator[Coloring]:
-        if i == len(order):
-            yield Coloring.of(p, n, colors)
-            return
-        x = order[i]
-        ceiling = full
-        for y in p.covers_up(x):
-            ceiling &= colors[y]
-        for cand in range(full + 1):
-            if cand & ~ceiling:
-                continue
-            colors[x] = cand
-            yield from rec(i + 1)
-
-    return rec(0)
+    walk = _weak_walk(p, n, [()] * p.n, None)
+    return (Coloring.of(p, n, colors) for colors in walk)
 
 
 def promote_subspace_coloring(p: Poset, f: Coloring, x: int

@@ -274,7 +274,7 @@ class LiftCertificate:
                 "steps": [{"kind": s.kind, "pair": list(s.pair)} for s in self.steps]}
 
 
-def c_rows(z: Poset, n: int) -> dict[int, dict[int, int]]:
+def c_rows(z: Poset) -> dict[int, dict[int, int]]:
     """level -> {index -> element} for the c-labeled points of z."""
     if z.labels is None:
         raise InvalidId("expected generated labels")
@@ -288,18 +288,18 @@ def c_rows(z: Poset, n: int) -> dict[int, dict[int, int]]:
 
 def full_c_levels(z: Poset, n: int) -> list[int]:
     w = width_of(n)
-    return sorted(p for p, row in c_rows(z, n).items() if len(row) == w)
+    return sorted(p for p, row in c_rows(z).items() if len(row) == w)
 
 
 def merges_every_full_c_row(z: Poset, part: EPartition, n: int) -> bool:
     """Does every full c-row of z hold two elements in one block of `part`?"""
     w = width_of(n)
     return all(len({part.block_of(x) for x in row.values()}) < w
-               for row in c_rows(z, n).values() if len(row) == w)
+               for row in c_rows(z).values() if len(row) == w)
 
 
-def lift_schedule(z: Poset, f: Coloring, delta: DeltaMap, schedule: Schedule,
-                  coarsest: EPartition | None = None) -> LiftCertificate:
+def lift_schedule(z: Poset, f: Coloring, delta: DeltaMap,
+                  schedule: Schedule) -> LiftCertificate:
     """Replay a ladder schedule on the delta images inside z.
 
     Every transported step is re-checked for beta-validity on the actual
@@ -313,7 +313,7 @@ def lift_schedule(z: Poset, f: Coloring, delta: DeltaMap, schedule: Schedule,
         raise InvalidId("schedule and delta built on different ladders")
     if not is_weak_coloring(z, f):
         raise NotWeakColoring("lift needs an order preserving coloring on z")
-    rows = c_rows(z, delta.n)
+    rows = c_rows(z)
     deepest = [p for p, row in rows.items() if len(row) == width_of(delta.n)]
     if any(p > delta.depth for p in deepest):
         raise OutOfRange("delta embedding stops above a full c-row of z")
@@ -336,9 +336,7 @@ def lift_schedule(z: Poset, f: Coloring, delta: DeltaMap, schedule: Schedule,
     for block in ker.blocks:
         if len({f.colors[x] for x in block}) > 1:
             raise PropertyFalsified("lifted kernel mixes colors")
-    if coarsest is None:
-        coarsest = coarsest_color_respecting(z, f)
-    if not ker.refines(coarsest):
+    if not ker.refines(coarsest_color_respecting(z, f)):
         raise PropertyFalsified(
             "lifted kernel escapes the coarsest color-respecting partition")
 

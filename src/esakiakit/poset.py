@@ -18,6 +18,9 @@ BRUTE_FORCE_LIMIT = 20
 # every truncation the growth probe admits reads back; a dense order at the
 # limit holds about 13 MB of reachability rows in each direction.
 JSON_SIZE_LIMIT = 10_000
+# Most cover pairs a poset JSON file may list: admits the 785,924 covers of
+# the widest abomination level the generators emit (n = 8); n = 9 has 3.1M.
+JSON_COVER_LIMIT = 1_000_000
 
 
 def mask_of(ids: Iterable[int]) -> int:
@@ -80,9 +83,10 @@ class Poset:
     @classmethod
     def from_leq(cls, n: int, leq_rows: Sequence[int],
                  labels: Mapping[int, str] | Sequence[str] | None = None) -> "Poset":
-        """Build from reachability rows (row x = mask of all y >= x).
+        """Build from one row per element x, masking elements above x.
 
-        Rows need not be transitively closed; a cycle raises CycleDetected.
+        A row need not be reflexive or transitively closed; a cycle raises
+        CycleDetected.
         """
         if len(leq_rows) != n or any(row >> n for row in leq_rows):
             raise InvalidId(f"rows must be {n} masks over 0..{n - 1}")
@@ -311,8 +315,8 @@ class Poset:
     def from_json_dict(cls, d: Mapping) -> "Poset":
         """Read {"n": int, "covers": [[int, int], ...], "labels": ...}, where
         labels is {"<id>": str | null, ...} or [str | null, ...]; InvalidId
-        on any other shape (bools are not ids) and on n above
-        JSON_SIZE_LIMIT."""
+        on any other shape (bools are not ids), on n above JSON_SIZE_LIMIT
+        and on more than JSON_COVER_LIMIT covers."""
         if not isinstance(d, Mapping):
             raise InvalidId("poset JSON must be an object")
         n = d.get("n")
@@ -324,6 +328,9 @@ class Poset:
         covers = d.get("covers")
         if not isinstance(covers, (list, tuple)):
             raise InvalidId("covers must be a list of [lower, upper] pairs")
+        if len(covers) > JSON_COVER_LIMIT:
+            raise InvalidId(f"{len(covers)} covers exceed the poset JSON "
+                            f"limit of {JSON_COVER_LIMIT}")
         for c in covers:
             if not (isinstance(c, (list, tuple)) and len(c) == 2
                     and _is_id(c[0]) and _is_id(c[1])):

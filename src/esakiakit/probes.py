@@ -28,6 +28,8 @@ INT_CAP = 2**63 - 1
 EXHAUSTIVE_LIMIT = 12
 DEFAULT_SAMPLE = 100
 STRICT_SEARCH_BUDGET = 200_000
+# Weak colorings an exhaustive census may examine when given no budget.
+EXHAUSTIVE_CENSUS_LIMIT = 100_000
 
 
 # ----- poset enumeration up to isomorphism ----------------------------------
@@ -96,15 +98,16 @@ def quotient_census(p: Poset, n: int, budget: int | None = None, *,
 
     Partitions are reached as coarsest_color_respecting over weak
     colorings: exhaustively when p has at most 12 elements (cut short if
-    the budget runs out, and marked incomplete), otherwise over a seeded
+    the budget runs out, and marked incomplete; with no budget, BudgetExceeded
+    past EXHAUSTIVE_CENSUS_LIMIT colorings), otherwise over a seeded
     sample of `budget` colorings preceded by the least strict coloring
     when one exists. Entries are deduplicated by quotient isomorphism;
     all distinct partitions seen are kept alongside.
     """
     if budget is not None and budget <= 0:
         raise BudgetExceeded("census budget must be positive")
-    colorings = []
     exhaustive = p.n <= EXHAUSTIVE_LIMIT
+    limit = budget if budget is not None else EXHAUSTIVE_CENSUS_LIMIT
     complete = True
     examined = 0
     if exhaustive:
@@ -131,7 +134,11 @@ def quotient_census(p: Poset, n: int, budget: int | None = None, *,
     partitions: dict[EPartition, None] = {}
     entries: dict = {}
     for f in source:
-        if exhaustive and budget is not None and examined >= budget:
+        if exhaustive and examined >= limit:
+            if budget is None:
+                raise BudgetExceeded(
+                    f"exhaustive census spent {examined}/{limit} weak "
+                    "colorings; pass a budget for a partial sweep")
             complete = False
             break
         examined += 1

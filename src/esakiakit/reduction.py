@@ -90,13 +90,6 @@ class EPartition:
         """True when every block of self sits inside a block of other."""
         return all(len({other.block_of(x) for x in b}) == 1 for b in self.blocks)
 
-    def join(self, other: "EPartition") -> "EPartition":
-        pairs = []
-        for part in (self, other):
-            for b in part.blocks:
-                pairs.extend(zip(b, b[1:]))
-        return EPartition.from_pairs(self.base, pairs)
-
 
 def is_epartition(p: Poset, part: EPartition) -> bool:
     """Back-and-forth check: the set of blocks reachable above x must be
@@ -135,9 +128,12 @@ def quotient(p: Poset, part: EPartition) -> tuple[Poset, tuple[int, ...]]:
                                   part.blocks[i][0]))
     rank = {old: new for new, old in enumerate(order)}
     proj = tuple(rank[part.block_of(x)] for x in range(p.n))
+    # The quotient order is the closure of "some member of B <= some member
+    # of C". Every x <= y is a chain of covers, so the projected covers have
+    # the same closure and the same cycles between distinct blocks.
     rows = [0] * len(part.blocks)
-    for old, block in enumerate(part.blocks):
-        rows[rank[old]] = mask_of(proj[y] for y in ids_of(p.up_set(block)))
+    for x, y in p.covers:
+        rows[proj[x]] |= 1 << proj[y]
     try:
         q = Poset.from_leq(len(rows), rows)
     except CycleDetected as exc:

@@ -85,6 +85,13 @@ def level_size(n: int) -> int:
     return 4 * width_of(n) + 2
 
 
+def abomination_cover_count(n: int, M: int) -> int:
+    """Covers of abomination_truncation(n, M): 4 + 3w(w-1) + 2w per level,
+    plus w(w-1) + w^2 from each level m >= 1 into level m-1."""
+    w = width_of(n)
+    return (M + 1) * (4 + 3 * w * (w - 1) + 2 * w) + M * (w * (w - 1) + w * w)
+
+
 def level_members(n: int, p: int) -> list[SpaceLabel]:
     w = width_of(n)
     out = [SpaceLabel("a", p), SpaceLabel("b", p)]
@@ -177,6 +184,12 @@ def ladder_truncation(n: int, M: int) -> Poset:
                     covers.append((ladder_id(n, m, i), ladder_id(n, m - 1, j)))
     labels = [str(SpaceLabel("y", m, i)) for m in range(M + 1) for i in range(w)]
     return Poset.from_covers((M + 1) * w, covers, labels)
+
+
+def ladder_cover_count(n: int, M: int) -> int:
+    """Covers of ladder_truncation(n, M): w(w-1) per level below level 0."""
+    w = width_of(n)
+    return M * w * (w - 1)
 
 
 def canonical_coloring(n: int, M: int) -> Coloring:

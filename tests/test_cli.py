@@ -7,7 +7,7 @@ import pytest
 import esakiakit.cli as cli
 from esakiakit import Coloring, InvalidId, Poset, PropertyFalsified
 from esakiakit.poset import JSON_SIZE_LIMIT
-from esakiakit.probes import GROWTH_SIZE_CAP
+from esakiakit.probes import EXHAUSTIVE_CENSUS_LIMIT, GROWTH_SIZE_CAP
 
 
 def write_json(path, obj):
@@ -150,7 +150,8 @@ def test_census_json_and_csv(capsys, chain2):
     data = json.loads(out)
     assert data["n"] == 1
     assert data["distinct_partitions"] == 2
-    assert data["record"]["mode"] == "exhaustive"
+    assert data["record"] == {"mode": "exhaustive", "examined": 3,
+                              "budget": None, "seed": None, "complete": True}
     assert data["entries"] == [{"blocks": [[0, 1]], "size": 1},
                                {"blocks": [[0], [1]], "size": 2}]
     code, out, _ = run(capsys, "census", "--poset", chain2, "--n", "1",
@@ -164,6 +165,29 @@ def test_census_budget_exhaustion_exits_3(capsys, chain2):
                        "--budget", "0")
     assert code == 3
     assert "budget exhausted" in err
+
+
+def run_cli(*argv):
+    done = subprocess.run([sys.executable, "-m", "esakiakit.cli", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert "Traceback" not in done.stderr
+    return done
+
+
+def test_census_negative_order_exits_2(chain2):
+    done = run_cli("census", "--poset", chain2, "--n", "-1")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error:")
+    assert "negative shift count" not in done.stderr
+
+
+def test_unbudgeted_exhaustive_census_stops_at_its_limit(tmp_path):
+    # About 5^70 weak colorings of the 3-element V at order 70.
+    v = write_json(tmp_path / "v.json", {"n": 3, "covers": [[0, 1], [0, 2]]})
+    done = run_cli("census", "--poset", v, "--n", "70")
+    assert done.returncode == 3 and done.stdout == ""
+    limit = EXHAUSTIVE_CENSUS_LIMIT
+    assert f"spent {limit}/{limit}" in done.stderr
 
 
 def test_kc_probe_outputs(capsys):
@@ -256,9 +280,11 @@ def test_malformed_poset_files_exit_2(capsys, tmp_path, doc):
 
 @pytest.mark.parametrize("argv", [
     ("gen-abomination", "--n", "12", "--depth", "0"),
+    ("gen-abomination", "--n", "10", "--depth", "0"),   # 8194 elements, 12.6M covers
     ("gen-abomination", "--n", "2", "--depth", "1000000"),
     ("gen-abomination", "--n", str(10**9), "--depth", "0"),
     ("gen-ladder", "--n", "13", "--depth", "0"),
+    ("gen-ladder", "--n", "11", "--depth", "1"),        # 8192 elements, 16.8M covers
     ("gen-ladder", "--n", "0", "--depth", str(JSON_SIZE_LIMIT // 2)),
 ])
 def test_generators_refuse_unreadable_sizes(argv):

@@ -1,5 +1,8 @@
 import itertools
 import random
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -8,7 +11,10 @@ from esakiakit import (BudgetExceeded, Coloring, InvalidId, NotColoring,
                        enumerate_weak_colorings, is_coloring, is_n_colorable,
                        is_weak_coloring, monochrome_mergeable_pair,
                        promote_subspace_coloring, search_coloring)
+from esakiakit.coloring import _color_order
+from esakiakit.probes import enumerate_posets
 from esakiakit.randgen import random_poset, random_weak_coloring
+from esakiakit.reduction import mergeable_pairs
 
 
 def v_poset():
@@ -160,3 +166,98 @@ def test_promotion_theorem_on_seeded_strict_colorings():
             _sub, _remap, g = promote_subspace_coloring(p, f, x)
             done += 1
     assert done > 100
+
+
+# ----- reference: the full scan over all 2^n colors per element ------------
+
+
+def scan_search(p, n):
+    """The search as a scan of every color below 2^n; returns the colors
+    found (or None) and the number of assignments tried."""
+    order = _color_order(p)
+    partners = [[] for _ in range(p.n)]
+    for _, x, y in mergeable_pairs(p):
+        partners[x].append(y)
+        partners[y].append(x)
+    colors = [-1] * p.n
+    full = (1 << n) - 1
+    spent = 0
+
+    def assign(i):
+        nonlocal spent
+        if i == len(order):
+            return True
+        x = order[i]
+        ceiling = full
+        for y in p.covers_up(x):
+            ceiling &= colors[y]
+        for cand in range(full + 1):
+            if cand & ~ceiling or any(colors[y] == cand for y in partners[x]):
+                continue
+            spent += 1
+            colors[x] = cand
+            if assign(i + 1):
+                return True
+            colors[x] = -1
+        return False
+
+    return (tuple(colors) if assign(0) else None), spent
+
+
+def scan_enumerate(p, n):
+    order = _color_order(p)
+    colors = [0] * p.n
+    full = (1 << n) - 1
+    out = []
+
+    def rec(i):
+        if i == len(order):
+            out.append(tuple(colors))
+            return
+        x = order[i]
+        ceiling = full
+        for y in p.covers_up(x):
+            ceiling &= colors[y]
+        for cand in range(full + 1):
+            if not cand & ~ceiling:
+                colors[x] = cand
+                rec(i + 1)
+
+    rec(0)
+    return out
+
+
+def test_submask_steps_match_the_full_color_scan():
+    """Same colorings in the same order, the same least solution, and the
+    same number of assignments (pinned through the budget)."""
+    for k in range(6):
+        for p in enumerate_posets(k):
+            for n in range(4):
+                listed = [f.colors for f in enumerate_weak_colorings(p, n)]
+                assert listed == scan_enumerate(p, n)
+                found, spent = scan_search(p, n)
+                got = search_coloring(p, n, budget=spent)
+                assert (got and got.colors) == found
+                if spent:
+                    with pytest.raises(BudgetExceeded):
+                        search_coloring(p, n, budget=spent - 1)
+
+
+def test_negative_color_order_is_out_of_range():
+    with pytest.raises(OutOfRange):
+        search_coloring(chain(2), -1)
+    with pytest.raises(OutOfRange):
+        enumerate_weak_colorings(chain(2), -1)
+
+
+def test_census_at_a_high_order_stays_fast(tmp_path):
+    """With a budget of 3 weak colorings, order 40 costs no 2^40 scan."""
+    poset = tmp_path / "chain2.json"
+    poset.write_text('{"n": 2, "covers": [[0, 1]]}', encoding="utf-8")
+    start = time.monotonic()
+    done = subprocess.run([sys.executable, "-m", "esakiakit.cli", "census",
+                           "--poset", str(poset), "--n", "40",
+                           "--budget", "3"],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert time.monotonic() - start < 10

@@ -10,7 +10,7 @@ from esakiakit import (Coloring, EmbeddingMismatch, EPartition, InvalidId,
                        ladder_id, ladder_truncation, lift_schedule,
                        quotient_census, schedule_beta_reductions,
                        verify_schedule)
-from esakiakit.lemma import c_rows
+from esakiakit.lemma import c_rows, merges_every_full_c_row
 from esakiakit.randgen import random_weak_coloring
 
 
@@ -160,7 +160,7 @@ def test_lift_rechecks_colors_per_step():
 
 def test_c_rows_and_full_levels():
     z = abomination_truncation(2, 1)
-    rows = c_rows(z, 2)
+    rows = c_rows(z)
     assert sorted(rows) == [0, 1]
     assert len(rows[0]) == len(rows[1]) == 8
     assert z.labels[rows[1][5]] == "c1_5"
@@ -182,3 +182,24 @@ def test_corollary_check_demands_colorable_quotient():
         corollary_check(z, EPartition.identity(z), 2)
     with pytest.raises(QuotientNotColorable):
         corollary_check(z, EPartition.identity(z), 2, witness=constant(z, 2))
+
+
+def test_census_collapse_at_order_3():
+    """The census claim one order up: every sampled colorable quotient of
+    the 132-element depth-1 truncation merges a pair in every full c-row."""
+    z = abomination_truncation(3, 1)
+    assert full_c_levels(z, 3) == [0, 1]
+    census = quotient_census(z, 3, budget=10, seed=0)
+    assert census.record["mode"] == "sampled" and census.entries
+    for entry in census.entries:
+        assert corollary_check(z, entry.partition, 3, witness=entry.witness)
+    assert all(merges_every_full_c_row(z, part, 3)
+               for part in census.partitions)
+
+
+def test_certificates_at_order_3():
+    z = abomination_truncation(3, 1)
+    rng = random.Random(3)
+    for _ in range(3):
+        cert = corollary_certificate(z, random_weak_coloring(rng, z, 3), 3)
+        assert sorted(cert.levels) == [0, 1]

@@ -7,6 +7,7 @@ from esakiakit import (CycleDetected, InvalidId, NotUpset, Poset, TooLarge,
                        abomination_truncation, coarsest_color_respecting,
                        enumerate_posets, ids_of, ladder_truncation, mask_of,
                        max_antichain_size_brute, quotient)
+from esakiakit.poset import JSON_COVER_LIMIT
 from esakiakit.randgen import random_poset, random_weak_coloring
 
 
@@ -268,6 +269,14 @@ def test_json_labels_may_be_a_plain_list():
         Poset.from_json_dict({"n": 2, "covers": [], "labels": "lohi"})
     p = Poset.from_json_dict({"n": 2, "covers": [], "labels": [None, "hi"]})
     assert p.labels == (None, "hi")
+
+
+def test_json_cover_limit():
+    pair = [0, 1]
+    p = Poset.from_json_dict({"n": 2, "covers": [pair] * JSON_COVER_LIMIT})
+    assert p.covers == ((0, 1),)
+    with pytest.raises(InvalidId):
+        Poset.from_json_dict({"n": 2, "covers": [pair] * (JSON_COVER_LIMIT + 1)})
 
 
 def test_dot_output_shape():

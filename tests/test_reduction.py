@@ -11,8 +11,8 @@ from esakiakit import (Coloring, EPartition, InvalidId, NotEPartition,
                        coarsest_color_respecting, color_respecting_reduction,
                        compose_steps, decompose_pmorphism, is_epartition,
                        is_pmorphism, kernel, merge_step, mergeable_pairs,
-                       quotient)
-from esakiakit.poset import ids_of
+                       ladder_truncation, quotient)
+from esakiakit.poset import ids_of, mask_of
 from esakiakit.probes import enumerate_posets
 from esakiakit.randgen import random_poset, random_weak_coloring
 
@@ -79,6 +79,61 @@ def test_quotient_rejects_a_cyclic_block_relation(monkeypatch):
     p = chain(3)
     with pytest.raises(NotEPartition):
         quotient(p, EPartition.from_blocks(p, [[0, 2], [1]]))
+
+
+def up_set_quotient(p, part):
+    """Reference: each block row is the projection of the union of its
+    members' up sets, as the quotient was first computed."""
+    if not is_epartition(p, part):
+        raise NotEPartition("blocks fail the back-and-forth condition")
+    depths = p.depths()
+    order = sorted(range(len(part.blocks)),
+                   key=lambda i: (min(depths[x] for x in part.blocks[i]),
+                                  part.blocks[i][0]))
+    rank = {old: new for new, old in enumerate(order)}
+    proj = tuple(rank[part.block_of(x)] for x in range(p.n))
+    rows = [0] * len(part.blocks)
+    for old, block in enumerate(part.blocks):
+        rows[rank[old]] = mask_of(proj[y] for y in ids_of(p.up_set(block)))
+    return Poset.from_leq(len(rows), rows), proj
+
+
+def quotient_key(q, proj):
+    return (q.n, q.covers, tuple(q.down_mask(x) for x in range(q.n)),
+            q.depths(), proj)
+
+
+def test_quotient_matches_the_up_set_formula(monkeypatch):
+    """Same covers, down masks, depths and projection as the up-set rows,
+    on every E-partition of every poset up to 6 elements and on every
+    merge of seeded greedy reductions of the suite's spaces."""
+    for k in range(7):
+        for p in enumerate_posets(k):
+            for part in all_epartitions(p):
+                assert (quotient_key(*quotient(p, part))
+                        == quotient_key(*up_set_quotient(p, part)))
+    import esakiakit.reduction as reduction
+    merges = 0
+
+    def checked(p, part):
+        nonlocal merges
+        merges += 1
+        got = quotient(p, part)
+        assert quotient_key(*got) == quotient_key(*up_set_quotient(p, part))
+        return got
+
+    monkeypatch.setattr(reduction, "quotient", checked)
+    spaces = [(abomination_truncation(n, depth), n)
+              for n, depth in ((2, 1), (2, 2), (3, 1))]
+    spaces += [(ladder_truncation(n, depth), n)
+               for n in (0, 1, 2) for depth in range(6)]
+    rng = random.Random(6)
+    total = 0
+    for z, n in spaces:
+        _part, steps = color_respecting_reduction(
+            z, random_weak_coloring(rng, z, n))
+        total += len(steps)
+    assert merges == total > 400
 
 
 def test_pmorphism_check_and_kernel():

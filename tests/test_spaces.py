@@ -5,6 +5,8 @@ from esakiakit import (InvalidId, OutOfRange, SpaceLabel, abomination_id,
                        canonical_coloring, ids_of, is_coloring, ladder_id,
                        ladder_truncation, level_size, mergeable_pairs,
                        triple_table, verify_downset_claim, width_of)
+from esakiakit.poset import JSON_COVER_LIMIT
+from esakiakit.spaces import abomination_cover_count, ladder_cover_count
 
 
 def test_label_parse_and_str_roundtrip():
@@ -160,3 +162,17 @@ def test_labels_match_ids():
     assert p.labels[abomination_id(2, SpaceLabel("ea", 0, 5))] == "ea0_5"
     q = ladder_truncation(1, 2)
     assert q.labels[ladder_id(1, 2, 3)] == "y2_3"
+
+
+def test_cover_counts_match_the_generators():
+    for n in (2, 3):
+        for depth in range(4):
+            p = abomination_truncation(n, depth)
+            assert len(p.covers) == abomination_cover_count(n, depth)
+    for n in range(4):
+        for depth in range(6):
+            p = ladder_truncation(n, depth)
+            assert len(p.covers) == ladder_cover_count(n, depth)
+    # The widest abomination level the poset JSON limit admits is n = 8.
+    assert abomination_cover_count(8, 0) <= JSON_COVER_LIMIT
+    assert abomination_cover_count(9, 0) > JSON_COVER_LIMIT
