@@ -47,7 +47,7 @@ class Poset:
     __slots__ = ("n", "covers", "labels", "_up", "_down", "_succ", "_pred",
                  "_depths", "_canon")
 
-    def __init__(self, n, covers, labels, up, down, succ, pred):
+    def __init__(self, n, covers, labels, up, down, succ, pred, depths):
         self.n = n
         self.covers = covers
         self.labels = labels
@@ -55,7 +55,7 @@ class Poset:
         self._down = down
         self._succ = succ
         self._pred = pred
-        self._depths = None
+        self._depths = depths
         self._canon = None
 
     # ----- construction ---------------------------------------------------
@@ -96,34 +96,48 @@ class Poset:
     @classmethod
     def _from_above(cls, n, above, labels) -> "Poset":
         """The one constructor: above[x] masks elements strictly above x,
-        redundant pairs allowed. Top down, up[x] is closed only from
-        successors not yet reached, and the covers of x are the members of
-        above[x] outside the strict up sets of the others (every cover of x
-        is in above[x]). Down masks are closed bottom up over the covers."""
-        order = _toposort(n, above)
+        redundant pairs allowed. When every row masks only lower ids,
+        ascending ids are already a top-down order (and acyclic); otherwise
+        a toposort gives one or raises CycleDetected. Top down, up[x] is
+        closed only from successors not yet reached. A member of above[x]
+        that is never picked lies in the strict up set of a pick, so the
+        covers of x are the picks outside the strict up sets of the others,
+        in ascending order, and x's depth follows from theirs. Down masks
+        are closed bottom up over the covers."""
+        if all(row < 1 << x for x, row in enumerate(above)):
+            top_down = range(n)
+        else:
+            top_down = _toposort(n, above)[::-1]
         up = [0] * n
+        depth = [1] * n
         succ: list[tuple[int, ...]] = [()] * n
-        for x in reversed(order):
+        for x in top_down:
             reach = strict = 0
+            picked = []
             rest = above[x]
             while rest:
                 low = rest & -rest
-                u = up[low.bit_length() - 1]
+                y = low.bit_length() - 1
+                picked.append(y)
+                u = up[y]
                 reach |= u
                 strict |= u ^ low
                 rest &= ~reach
             up[x] = reach | 1 << x
-            succ[x] = tuple(ids_of(above[x] & ~strict))
+            if picked:
+                ys = [y for y in picked if not strict >> y & 1]
+                succ[x] = tuple(ys)
+                depth[x] = 1 + max(depth[y] for y in ys)
         covers = tuple((x, y) for x in range(n) for y in succ[x])
         pred: list[list[int]] = [[] for _ in range(n)]
         for x, y in covers:
             pred[y].append(x)
         down = [1 << x for x in range(n)]
-        for x in order:
+        for x in reversed(top_down):
             for y in succ[x]:
                 down[y] |= down[x]
         return cls(n, covers, _norm_labels(n, labels), up, down, succ,
-                   tuple(map(tuple, pred)))
+                   tuple(map(tuple, pred)), tuple(depth))
 
     # ----- order queries ----------------------------------------------------
 
@@ -187,13 +201,6 @@ class Poset:
         return self.depths()[x]
 
     def depths(self) -> tuple[int, ...]:
-        if self._depths is None:
-            d = [1] * self.n
-            # y > x implies up(y) is a proper subset of up(x): top down.
-            for x in sorted(range(self.n), key=lambda y: self._up[y].bit_count()):
-                if self._succ[x]:
-                    d[x] = 1 + max(d[y] for y in self._succ[x])
-            self._depths = tuple(d)
         return self._depths
 
     def height(self) -> int:

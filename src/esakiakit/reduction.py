@@ -19,6 +19,8 @@ from .errors import (CycleDetected, InvalidId, NotEPartition, NotMergeable,
 from .poset import Poset, ids_of, mask_of
 
 ALL_EPARTITIONS_LIMIT = 8
+# Sorted id tuple of every element mask all_epartitions can place.
+_IDS = tuple(tuple(ids_of(m)) for m in range(1 << ALL_EPARTITIONS_LIMIT))
 
 
 @dataclass(frozen=True)
@@ -88,7 +90,8 @@ class EPartition:
 
     def refines(self, other: "EPartition") -> bool:
         """True when every block of self sits inside a block of other."""
-        return all(len({other.block_of(x) for x in b}) == 1 for b in self.blocks)
+        look = other._lookup()
+        return all(look[x] == look[b[0]] for b in self.blocks for x in b)
 
 
 def is_epartition(p: Poset, part: EPartition) -> bool:
@@ -350,7 +353,7 @@ def all_epartitions(p: Poset) -> list[EPartition]:
 
     def place(i: int) -> None:
         if i == len(order):
-            leaves.append(tuple(sorted(tuple(ids_of(m)) for m in members)))
+            leaves.append(tuple(sorted([_IDS[m] for m in members])))
             return
         x = order[i]
         up = above[x]
@@ -378,19 +381,18 @@ def _growth_key(blocks: tuple[tuple[int, ...], ...]) -> list[int]:
     """Sort key of a partition of 0..n-1 in the order that grows all of
     them by adding elements n-1 down to 0: each element joins one of the
     blocks already grown, taken by ascending largest member, or opens a
-    new block after them."""
-    top = {}
+    new block after them.
+
+    For x from n-1 down to 0 the key holds the largest member of x's
+    block, or n when x is that largest member. Among partitions that agree
+    above x, this digit rises with the block x joins, and a new block
+    sorts last."""
+    n = sum(map(len, blocks))
+    key = [n] * n
     for b in blocks:
-        for x in b:
-            top[x] = b[-1]
-    grown: list[int] = []       # largest members of the grown blocks, ascending
-    key = []
-    for x in reversed(range(len(top))):
-        if top[x] == x:
-            key.append(len(grown))
-            grown.insert(0, x)
-        else:
-            key.append(grown.index(top[x]))
+        top = b[-1]
+        for x in b[:-1]:
+            key[n - 1 - x] = top
     return key
 
 
@@ -399,11 +401,10 @@ def brute_coarsest_color_respecting(p: Poset, coloring) -> EPartition:
     E-partition, keep the ones with single-colored blocks, and return the
     one that every other refines. TooLarge past the enumeration limit;
     PropertyFalsified if no unique coarsest exists (it always should)."""
-    candidates = []
-    for part in all_epartitions(p):
-        if all(len({coloring.colors[x] for x in block}) == 1
-               for block in part.blocks):
-            candidates.append(part)
+    colors = coloring.colors
+    candidates = [part for part in all_epartitions(p)
+                  if all(colors[x] == colors[b[0]]
+                         for b in part.blocks for x in b)]
     best = min(candidates, key=lambda e: (len(e.blocks), e.blocks))
     for part in candidates:
         if not part.refines(best):

@@ -10,6 +10,7 @@ from esakiakit import (Poset, TooLarge, TooManyAssignments, UnboundVariable,
 from esakiakit.algebra import BOT, TOP, evaluate, t_imp, t_not, var
 from esakiakit.probes import enumerate_posets
 from esakiakit.randgen import random_poset
+from esakiakit.suite import residuation_failures
 
 WEM = parse_equation("~x0 | ~~x0 = 1")
 
@@ -51,6 +52,37 @@ def test_residuation_on_seeded_posets():
                 m = a.meet(i, j)
                 for c in range(k):
                     assert a.leq(m, c) == a.leq(i, a.imp(j, c))
+
+
+def triple_loop_failures(a):
+    """Reference: criterion 8 as first written, k^3 table lookups."""
+    k = len(a)
+    bad = 0
+    for i in range(k):
+        for j in range(k):
+            m = a.meet(i, j)
+            for c in range(k):
+                if a.leq(m, c) != a.leq(i, a.imp(j, c)):
+                    bad += 1
+    return bad
+
+
+def test_residuation_failures_match_the_triple_loop():
+    """Zero on every algebra of a poset up to 6 elements; with one
+    implication entry corrupted, the same nonzero count both ways."""
+    algebras = [upset_algebra(p) for n in range(1, 7)
+                for p in enumerate_posets(n)]
+    assert len(algebras) == 405
+    for a in algebras:
+        assert residuation_failures(a) == triple_loop_failures(a) == 0
+    rng = random.Random(17)
+    for a in rng.sample([a for a in algebras if len(a) > 2], 50):
+        imp = a._tables()[2]
+        j, c = rng.randrange(len(a)), rng.randrange(len(a))
+        imp[j][c] = rng.choice([v for v in range(len(a)) if v != imp[j][c]])
+        bad = triple_loop_failures(a)
+        assert bad > 0
+        assert residuation_failures(a) == bad
 
 
 def test_negation_is_implication_to_bottom():

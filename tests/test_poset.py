@@ -132,6 +132,44 @@ def test_construction_is_pinned():
         "edfb9de994033cd684ab0f3b95b1f456a7fb505f5db3879e7ee487935d3a88f3")
 
 
+def test_both_top_down_routes_build_the_same_poset(monkeypatch):
+    """Rows that mask only lower ids are built in ascending id order
+    without a toposort. Reversing the ids of seeded posets switches routes
+    and must map covers, masks and depths onto each other; quotients
+    always take the shortcut."""
+    import esakiakit.poset as poset
+    sorts = 0
+    toposort = poset._toposort
+
+    def counted(n, above):
+        nonlocal sorts
+        sorts += 1
+        return toposort(n, above)
+
+    monkeypatch.setattr(poset, "_toposort", counted)
+    rng = random.Random(29)
+    for _ in range(150):
+        n = rng.randint(2, 24)
+        p = random_poset(rng, n)        # ids ascend upward: toposort route
+        rev = [n - 1 - x for x in range(n)]
+        sorts = 0
+        r = p.permuted(rev)             # ids ascend downward: shortcut
+        assert sorts == 0
+        sorts = 0
+        back = r.permuted(rev)
+        assert sorts == (len(p.covers) > 0)
+        assert back.covers == p.covers
+        for x in range(n):
+            assert r.up_mask(rev[x]) == mask_of(rev[y] for y in ids_of(p.up_mask(x)))
+            assert r.down_mask(rev[x]) == mask_of(rev[y] for y in ids_of(p.down_mask(x)))
+            assert r.depths()[rev[x]] == p.depths()[x]
+            assert list(r.covers_up(rev[x])) == sorted(rev[y] for y in p.covers_up(x))
+        part = coarsest_color_respecting(p, random_weak_coloring(rng, p, 1))
+        sorts = 0
+        quotient(p, part)
+        assert sorts == 0
+
+
 def test_leq_and_masks_on_chain():
     p = chain(3)
     assert p.leq(0, 2) and not p.leq(2, 0)

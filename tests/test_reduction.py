@@ -3,18 +3,23 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esakiakit import (Coloring, EPartition, InvalidId, NotEPartition,
                        NotMergeable, NotPMorphism, NotSurjective, Poset,
-                       TooLarge, abomination_truncation, all_epartitions, alpha_mergeable,
+                       PropertyFalsified, TooLarge, abomination_truncation,
+                       all_epartitions, alpha_mergeable,
                        beta_mergeable, brute_coarsest_color_respecting,
                        coarsest_color_respecting, color_respecting_reduction,
                        compose_steps, decompose_pmorphism, is_epartition,
                        is_pmorphism, kernel, merge_step, mergeable_pairs,
                        ladder_truncation, quotient)
+from esakiakit.coloring import enumerate_weak_colorings
 from esakiakit.poset import ids_of, mask_of
 from esakiakit.probes import enumerate_posets
 from esakiakit.randgen import random_poset, random_weak_coloring
+from esakiakit.reduction import _growth_key
 
 
 def v_poset():
@@ -56,8 +61,11 @@ def test_all_epartition_counts():
     assert len(all_epartitions(chain(3))) == 4
     assert len(all_epartitions(Poset.from_covers(3, []))) == 5
     assert len(all_epartitions(v_poset())) == 3
-    with pytest.raises(TooLarge):
-        all_epartitions(Poset.from_covers(9, []))
+    for p in (Poset.from_covers(9, []), chain(9)):
+        with pytest.raises(TooLarge):
+            all_epartitions(p)
+        with pytest.raises(TooLarge):
+            brute_coarsest_color_respecting(p, Coloring.of(p, 0, [0] * 9))
 
 
 def test_quotient_of_v_by_arm_merge():
@@ -331,7 +339,11 @@ def test_all_epartitions_does_not_use_the_greedy(monkeypatch):
     for name in ("coarsest_color_respecting", "mergeable_pairs",
                  "merge_step", "_Replay"):
         monkeypatch.setattr(reduction, name, forbidden)
-    assert len(all_epartitions(Poset.from_covers(8, []))) == 4140   # Bell(8)
+    p = Poset.from_covers(8, [])
+    assert len(all_epartitions(p)) == 4140   # Bell(8)
+    f = Coloring.of(p, 1, [0, 1, 0, 1, 0, 1, 0, 1])
+    assert brute_coarsest_color_respecting(p, f).blocks == \
+        ((0, 2, 4, 6), (1, 3, 5, 7))
 
 
 def test_is_epartition_matches_block_set_definition():
@@ -350,3 +362,140 @@ def test_is_epartition_matches_block_set_definition():
                 assert is_epartition(p, part) == reference(p, part), (p, blocks)
                 checked += 1
     assert checked == 3547     # sum of Bell(n) * A000112(n), n = 0..5
+
+
+def list_growth_key(blocks):
+    """Reference: the growth order as first written, the grown blocks
+    kept in a list by ascending largest member."""
+    top = {}
+    for b in blocks:
+        for x in b:
+            top[x] = b[-1]
+    grown = []
+    key = []
+    for x in reversed(range(len(top))):
+        if top[x] == x:
+            key.append(len(grown))
+            grown.insert(0, x)
+        else:
+            key.append(grown.index(top[x]))
+    return key
+
+
+def test_growth_key_matches_the_grown_block_list():
+    checked = 0
+    for n in range(9):
+        parts = [tuple(sorted(tuple(sorted(b)) for b in blocks))
+                 for blocks in set_partitions(list(range(n)))]
+        assert sorted(parts, key=_growth_key) == \
+            sorted(parts, key=list_growth_key)
+        checked += len(parts)
+    assert checked == 5296      # Bell(0) + ... + Bell(8)
+
+
+def set_refines(part, other):
+    """Reference: every block of part meets exactly one block of other."""
+    return all(len({other.block_of(x) for x in b}) == 1 for b in part.blocks)
+
+
+def set_filter_oracle(parts, colors):
+    """Reference: the oracle as first written, with one color set per
+    block and set_refines."""
+    candidates = [part for part in parts
+                  if all(len({colors[x] for x in b}) == 1 for b in part.blocks)]
+    best = min(candidates, key=lambda e: (len(e.blocks), e.blocks))
+    for part in candidates:
+        if not set_refines(part, best):
+            raise PropertyFalsified("no coarsest candidate")
+    return best
+
+
+def color_pattern(colors):
+    first = {}
+    return tuple(first.setdefault(c, len(first)) for c in colors)
+
+
+def test_brute_coarsest_matches_the_set_filter(monkeypatch):
+    """Every poset up to 5 elements with every weak coloring of orders 1-3,
+    then seeded relabelled posets of 7 and 8 elements. The enumeration is
+    pinned by test_all_epartitions_matches_bell_filter, so on the small
+    posets the oracle reads each poset's list from a cache and only its
+    filter and refines check run per coloring. The reference reads colors
+    only through equality, so it runs once per color pattern."""
+    import esakiakit.reduction as reduction
+    checked = 0
+    for n in range(6):
+        for p in enumerate_posets(n):
+            parts = all_epartitions(p)
+            monkeypatch.setattr(reduction, "all_epartitions",
+                                lambda q, parts=parts: parts)
+            expected = {}
+            for order in (1, 2, 3):
+                for f in enumerate_weak_colorings(p, order):
+                    key = color_pattern(f.colors)
+                    if key not in expected:
+                        expected[key] = set_filter_oracle(parts, f.colors).blocks
+                    assert brute_coarsest_color_respecting(p, f).blocks == \
+                        expected[key], (p, f.colors)
+                    checked += 1
+    assert checked == 195053
+    monkeypatch.undo()
+    rng = random.Random(71)
+    for n in (7, 8):
+        for _ in range(12):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            p = random_poset(rng, n).permuted(perm)
+            parts = all_epartitions(p)
+            for order in (1, 2, 3):
+                f = random_weak_coloring(rng, p, order)
+                assert brute_coarsest_color_respecting(p, f) == \
+                    set_filter_oracle(parts, f.colors), (p, f.colors)
+
+
+def test_refines_matches_the_set_definition():
+    rng = random.Random(73)
+    outcomes = set()
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        p = Poset.from_covers(n, [])
+        labels = [rng.randrange(n) for _ in range(n)]
+        part = kernel(p, labels)
+        if rng.random() < 0.5:
+            # A coarsening of part: merge its blocks by a random map.
+            merge = [rng.randrange(len(part.blocks)) for _ in part.blocks]
+            other = kernel(p, [merge[part.block_of(x)] for x in range(n)])
+        else:
+            other = kernel(p, [rng.randrange(n) for _ in range(n)])
+        for a, b in ((part, other), (other, part)):
+            assert a.refines(b) == set_refines(a, b)
+            outcomes.add(a.refines(b))
+    assert outcomes == {True, False}
+
+
+@st.composite
+def colored_posets(draw):
+    """A relabelled random poset of up to 8 elements with a weak coloring
+    of order 1-3, drawn top down below the colors of the covers."""
+    n = draw(st.integers(0, 8))
+    rows = [draw(st.integers(0, (1 << n) - 1)) >> (x + 1) << (x + 1)
+            for x in range(n)]
+    perm = draw(st.permutations(range(n)))
+    p = Poset.from_leq(n, rows).permuted(perm)
+    order = draw(st.integers(1, 3))
+    colors = [0] * n
+    for x in sorted(range(n), key=p.depth):
+        ceiling = (1 << order) - 1
+        for y in p.covers_up(x):
+            ceiling &= colors[y]
+        colors[x] = draw(st.integers(0, (1 << order) - 1)) & ceiling
+    return p, Coloring.of(p, order, colors)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(colored_posets(), st.randoms(use_true_random=False))
+def test_scrambled_greedy_equals_the_brute_force_oracle(case, rnd):
+    p, f = case
+    got = coarsest_color_respecting(
+        p, f, order=lambda cands: sorted(cands, key=lambda _: rnd.random()))
+    assert got == brute_coarsest_color_respecting(p, f)
