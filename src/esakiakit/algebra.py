@@ -25,12 +25,15 @@ class UpsetAlgebra:
     """Carrier is every upset of the base poset, in a fixed canonical order
     (by popcount, then mask value). Elements are referred to by index.
 
-    The meet, join and implication tables are built together on first use.
-    Subalgebra closure works on index sets packed into one int (bit i is
-    carrier index i) and reads per-element operation rows, also built once:
-    ``_rows()[x][y]`` has the bits of meet(x, y), join(x, y), imp(x, y) and
-    imp(y, x), so closing a set under all four operations for the pair
-    (x, y) is one OR."""
+    The meet, join and implication tables are built together on first use;
+    an implication a -> b is read off the difference a & ~b, computed once
+    per distinct difference. Subalgebra closure works on index sets packed
+    into one int (bit i is carrier index i) and reads per-element operation
+    rows, also built once: ``_rows()[x][y]`` has the bits of meet(x, y),
+    join(x, y), imp(x, y) and imp(y, x), so closing a set under all four
+    operations for the pair (x, y) is one OR. `_close` takes a `stop` mask
+    and gives up as soon as the closure would reach it; `subalgebras` uses
+    that for the canonicity test of its Close-by-One search."""
 
     __slots__ = ("base", "carrier", "index", "_meet", "_join", "_imp",
                  "_ops")
@@ -70,7 +73,15 @@ class UpsetAlgebra:
                           for a in self.carrier]
             self._join = [[idx[a | b] for b in self.carrier]
                           for a in self.carrier]
-            self._imp = [[idx[full & ~down_set(a & ~b)] for b in self.carrier]
+            # a -> b depends on a & ~b only, and those masks repeat a lot
+            imp_of: dict[int, int] = {}
+
+            def imp(d: int) -> int:
+                if d not in imp_of:
+                    imp_of[d] = idx[full & ~down_set(d)]
+                return imp_of[d]
+
+            self._imp = [[imp(a & ~b) for b in self.carrier]
                          for a in self.carrier]
         return self._meet, self._join, self._imp
 
@@ -331,17 +342,24 @@ def _bounds_closure(a: UpsetAlgebra) -> int:
     return _close(a, 0, (1 << a.bot) | (1 << a.top))
 
 
-def _close(a: UpsetAlgebra, closed: int, new: int) -> int:
+def _close(a: UpsetAlgebra, closed: int, new: int, stop: int = 0,
+           elems: list[int] | None = None) -> int:
     """Smallest subalgebra, as an index mask, holding `closed | new`, where
     `closed` is already closed. Each added element x is combined once with
     every member present when it is added (itself included); later members
-    pair with x when they are added in turn, and a row covers both orders."""
+    pair with x when they are added in turn, and a row covers both orders.
+
+    Returns -1 as soon as an element of `stop` would be added, so a caller
+    that only wants closures avoiding `stop` gives up early. `elems`, when
+    given, lists the members of `closed`; it is copied, not changed."""
     rows = a._rows()
     full = (1 << len(rows)) - 1
     members = closed
-    elems = ids_of(closed)
+    elems = ids_of(closed) if elems is None else elems[:]
     pending = new & ~closed
     while pending:
+        if pending & stop:
+            return -1
         if members | pending == full:
             return full
         low = pending & -pending
@@ -370,21 +388,27 @@ def min_generators(a: UpsetAlgebra, cap: int = 3) -> int | None:
 
 
 def subalgebras(a: UpsetAlgebra) -> list[frozenset[int]]:
-    """Every subalgebra, by closing upward from the 0-generated one: each
-    found subalgebra s is extended by one element x at a time, and the
-    closure restarts from s rather than from scratch."""
-    first = _bounds_closure(a)
-    found = {first}
-    queue = [first]
-    everything = range(len(a.carrier))
-    while queue:
-        s = queue.pop()
-        for x in everything:
-            if not (s >> x) & 1:
-                t = _close(a, s, 1 << x)
-                if t not in found:
-                    found.add(t)
-                    queue.append(t)
-    subs = [ids_of(m) for m in found]
+    """Every subalgebra, sorted by size and then by member list, found by
+    Close-by-One (Kuznetsov) from the 0-generated one.
+
+    A stack entry (s, start) is a subalgebra s reached by adding index
+    start - 1. Each y >= start outside s is tried: s + y is closed and the
+    result t kept only when it adds no index below y, which `_close` checks
+    on the fly through its `stop` mask. A kept t is pushed as (t, y + 1).
+    Every subalgebra t has exactly one such parent (add the least index of
+    t missing from the current set, from the bounds up), so each is
+    visited once and no set of found subalgebras is needed."""
+    k = len(a.carrier)
+    subs = []
+    stack = [(_bounds_closure(a), 0)]
+    while stack:
+        s, start = stack.pop()
+        elems = ids_of(s)
+        subs.append(elems)
+        for y in range(start, k):
+            if not (s >> y) & 1:
+                t = _close(a, s, 1 << y, ((1 << y) - 1) & ~s, elems)
+                if t != -1:
+                    stack.append((t, y + 1))
     subs.sort(key=lambda ids: (len(ids), ids))
     return [frozenset(ids) for ids in subs]

@@ -25,10 +25,10 @@ def color_leq(a: int, b: int) -> bool:
 
 
 def color_bits(c: int, n: int) -> str:
-    """Most significant bit first, width n."""
+    """Most significant bit first, width n (the empty string at n = 0)."""
     if not 0 <= c < (1 << n):
         raise OutOfRange(f"color {c} needs more than {n} bits")
-    return format(c, f"0{n}b")
+    return format(c, f"0{n}b") if n else ""
 
 
 @dataclass(frozen=True)

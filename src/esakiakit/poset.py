@@ -396,7 +396,8 @@ def _norm_labels(n, labels):
     for v in labels:
         if v is not None and not isinstance(v, str):
             raise InvalidId(f"label {v!r} is neither a string nor null")
-    return tuple(labels)
+    # no label on any element is the same as no labels
+    return tuple(labels) if any(v is not None for v in labels) else None
 
 
 def _toposort(n, above):

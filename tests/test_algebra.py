@@ -7,7 +7,8 @@ from esakiakit import (Poset, TooLarge, TooManyAssignments, UnboundVariable,
                        all_epartitions, generated_subalgebra, is_si,
                        min_generators, parse_equation, parse_term,
                        subalgebras, upset_algebra, validates)
-from esakiakit.algebra import BOT, TOP, evaluate, t_imp, t_not, var
+from esakiakit.algebra import BOT, TOP, _close, evaluate, t_imp, t_not, var
+from esakiakit.poset import ids_of, mask_of
 from esakiakit.probes import enumerate_posets
 from esakiakit.randgen import random_poset
 from esakiakit.suite import residuation_failures
@@ -227,3 +228,44 @@ def test_subalgebra_totals_per_size():
     totals = [sum(len(subalgebras(upset_algebra(p))) for p in enumerate_posets(n))
               for n in range(6)]
     assert totals == [1, 1, 4, 21, 144, 1214]
+
+
+def test_close_with_stop_matches_naive_closure():
+    """`_close` with a stop mask gives -1 exactly when the closure meets the
+    mask, and the closure otherwise, whether or not the member list of the
+    closed part is passed in (it is left as it was)."""
+    rng = random.Random(8)
+    gave_up = kept = 0
+    for n in range(6):
+        for p in enumerate_posets(n):
+            a = upset_algebra(p)
+            subs = subalgebras(a)
+            assert len(set(subs)) == len(subs), p
+            for sub in subs:
+                s = mask_of(sub)
+                elems = ids_of(s)
+                free = ((1 << len(a)) - 1) & ~s
+                for y in ids_of(free):
+                    want = mask_of(naive_close(a, sub | {y}))
+                    for stop in (((1 << y) - 1) & ~s,
+                                 rng.getrandbits(len(a)) & free):
+                        got = _close(a, s, 1 << y, stop)
+                        assert got == (-1 if want & stop else want), (p, s, y)
+                        assert _close(a, s, 1 << y, stop, elems) == got
+                        assert elems == ids_of(s)
+                        gave_up += got == -1
+                        kept += got != -1
+    assert gave_up and kept
+
+
+def test_subalgebras_biject_with_epartitions_at_7():
+    """The duality one size past the suite: on every 7-element poset the
+    subalgebras, found by the algebra-side search, match the E-partitions."""
+    posets = enumerate_posets(7)
+    assert len(posets) == 2045
+    total = 0
+    for p in posets:
+        subs = len(subalgebras(upset_algebra(p)))
+        assert subs == len(all_epartitions(p)), p
+        total += subs
+    assert total == 178_854

@@ -34,6 +34,7 @@ def test_color_order_is_bitwise_containment():
 def test_color_bits_most_significant_first():
     assert color_bits(0b100, 3) == "100"
     assert color_bits(1, 3) == "001"
+    assert color_bits(0, 0) == ""
     with pytest.raises(OutOfRange):
         color_bits(8, 3)
     with pytest.raises(OutOfRange):

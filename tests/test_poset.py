@@ -1,9 +1,12 @@
 import hashlib
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from esakiakit import (CycleDetected, InvalidId, NotUpset, Poset, TooLarge,
+from esakiakit import (Coloring, CycleDetected, InvalidId, NotUpset, Poset, TooLarge,
                        abomination_truncation, coarsest_color_respecting,
                        enumerate_posets, ids_of, ladder_truncation, mask_of,
                        max_antichain_size_brute, quotient)
@@ -298,6 +301,35 @@ def test_json_roundtrip_without_labels():
     assert Poset.from_json_dict(p.to_json_dict()) == p
 
 
+@st.composite
+def labelled_colored_posets(draw):
+    """A relabelled random poset of up to 8 elements, with no labels or an
+    optional label per element, and a coloring of order 0-3."""
+    n = draw(st.integers(0, 8))
+    rows = [draw(st.integers(0, (1 << n) - 1)) >> (x + 1) << (x + 1)
+            for x in range(n)]
+    labels = draw(st.none() | st.lists(st.none() | st.text(max_size=3),
+                                       min_size=n, max_size=n))
+    perm = draw(st.permutations(range(n)))
+    p = Poset.from_leq(n, rows, labels).permuted(perm)
+    order = draw(st.integers(0, 3))
+    colors = draw(st.lists(st.integers(0, (1 << order) - 1),
+                           min_size=n, max_size=n))
+    return p, Coloring.of(p, order, colors)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(labelled_colored_posets())
+def test_json_round_trip_keeps_covers_labels_and_colors(case):
+    p, f = case
+    q = Poset.from_json_dict(json.loads(json.dumps(p.to_json_dict())))
+    assert q.covers == p.covers
+    assert q.labels == p.labels
+    assert q.canonical_form() == p.canonical_form()
+    g = Coloring.from_json_dict(q, json.loads(json.dumps(f.to_json_dict())))
+    assert g.colors == f.colors
+
+
 def test_json_labels_may_be_a_plain_list():
     p = Poset.from_json_dict({"n": 2, "covers": [[0, 1]], "labels": ["lo", "hi"]})
     assert p.labels == ("lo", "hi")
@@ -307,6 +339,9 @@ def test_json_labels_may_be_a_plain_list():
         Poset.from_json_dict({"n": 2, "covers": [], "labels": "lohi"})
     p = Poset.from_json_dict({"n": 2, "covers": [], "labels": [None, "hi"]})
     assert p.labels == (None, "hi")
+    # no label on any element means no labels, so the round trip holds
+    p = Poset.from_covers(2, [], [None, None])
+    assert p.labels is None and Poset.from_json_dict(p.to_json_dict()) == p
 
 
 def test_json_cover_limit():
