@@ -25,7 +25,7 @@ from .coloring import Coloring, is_coloring, is_weak_coloring, search_coloring
 from .errors import (EmbeddingMismatch, InvalidId, NotMergeable,
                      NotUpset, NotWeakColoring, OutOfRange,
                      PropertyFalsified, QuotientNotColorable)
-from .poset import Poset
+from .poset import Poset, ids_of
 from .reduction import (EPartition, ReductionStep, _Replay,
                         coarsest_color_respecting, compose_steps, quotient)
 from .spaces import SpaceLabel, ladder_truncation, width_of
@@ -40,50 +40,72 @@ class Schedule:
     kernel: EPartition
 
 
-def _ladder_coordinates(v: Poset, width: int) -> dict[int, tuple[int, int]]:
+def _label_rows(p: Poset, kind: str) -> dict[int, dict[int, int]]:
+    """level -> {index -> element} for the `kind`-labeled points of p;
+    InvalidId when p is unlabeled or a label names two elements."""
+    if p.labels is None:
+        raise InvalidId("expected generated labels")
+    rows: dict[int, dict[int, int]] = {}
+    for x, text in enumerate(p.labels):
+        lab = SpaceLabel.parse(text)
+        if lab.kind == kind:
+            row = rows.setdefault(lab.level, {})
+            if lab.index in row:
+                raise InvalidId(f"label {text!r} names elements {row[lab.index]} and {x}")
+            row[lab.index] = x
+    return rows
+
+
+def _ladder_rows(v: Poset, width: int) -> dict[int, dict[int, int]]:
     """Validate that v is an upward-closed chunk of a ladder and return
-    element -> (level, column)."""
-    if v.labels is None:
-        raise InvalidId("ladder subspaces must carry their generated labels")
-    coords = {}
-    present: dict[int, set[int]] = {}
-    for x in range(v.n):
-        lab = SpaceLabel.parse(v.labels[x])
-        if lab.kind != "y":
-            raise InvalidId(f"element {x} labeled {v.labels[x]!r} is not a ladder point")
-        if lab.index >= width:
-            raise OutOfRange(f"column {lab.index} exceeds width {width}")
-        coords[x] = (lab.level, lab.index)
-        present.setdefault(lab.level, set()).add(lab.index)
-    for m, cols in present.items():
-        if m == 0:
-            continue
-        above = present.get(m - 1, set())
-        for i in cols:
-            if not (set(range(width)) - {i}) <= above:
+    level -> {column -> element}."""
+    rows = _label_rows(v, "y")
+    if sum(map(len, rows.values())) != v.n:
+        raise InvalidId("a ladder subspace holds only y-labeled points")
+    for m, row in rows.items():
+        above = rows.get(m - 1, {})
+        for i, x in row.items():
+            if i >= width:
+                raise OutOfRange(f"column {i} exceeds width {width}")
+            if m and len(above) - (i in above) != width - 1:
                 raise NotUpset(f"level {m - 1} misses successors of column {i}")
-    expected = set()
-    for m, cols in present.items():
-        for i in cols:
-            for j in present.get(m - 1, set()):
-                if i != j:
-                    expected.add((m, i, m - 1, j))
-    actual = {coords[x] + coords[y] for x, y in v.covers}
-    if actual != expected:
-        raise NotUpset("cover relation does not match the ladder pattern")
-    return coords
+            if v.covers_up(x) != tuple(sorted(y for j, y in above.items() if j != i)):
+                raise NotUpset("cover relation does not match the ladder pattern")
+    return rows
+
+
+def _full(rows: dict[int, dict[int, int]], width: int) -> list[int]:
+    """Levels of a row map holding all `width` indices, ascending."""
+    return sorted(m for m, row in rows.items() if len(row) == width)
+
+
+def _merged_pair(part: EPartition, row: dict[int, int]) -> tuple[int, int] | None:
+    """The first two indices of `row` whose elements share a block of
+    `part`, or None."""
+    seen: dict[int, int] = {}
+    for i in sorted(row):
+        b = part.block_of(row[i])
+        if b in seen:
+            return seen[b], i
+        seen[b] = i
+    return None
 
 
 class _Column:
-    """A fused group of same-level cells, tracked by original columns."""
+    """A fused group of same-level cells, with a mask of original columns."""
 
     __slots__ = ("level", "indices", "color", "rep")
 
-    def __init__(self, level: int, indices: frozenset, color: int, rep: int):
+    def __init__(self, level: int, indices: int, color: int, rep: int):
         self.level = level
         self.indices = indices
         self.color = color
         self.rep = rep
+
+
+def _lowest(col: _Column) -> int:
+    """Bit of the column's smallest original index; orders columns by it."""
+    return col.indices & -col.indices
 
 
 def schedule_beta_reductions(v: Poset, f: Coloring) -> Schedule:
@@ -99,63 +121,59 @@ def schedule_beta_reductions(v: Poset, f: Coloring) -> Schedule:
     if not is_weak_coloring(v, f):
         raise NotWeakColoring("scheduler needs an order preserving coloring")
     width = width_of(f.n)
-    coords = _ladder_coordinates(v, width)
+    rows = _ladder_rows(v, width)
 
-    top_level = max((m for m, _ in coords.values()), default=-1)
+    top_level = max(rows, default=-1)
     cell: dict[tuple[int, int], _Column] = {}
     by_level: dict[int, list[_Column]] = {m: [] for m in range(top_level + 1)}
-    for x, (m, i) in coords.items():
-        col = _Column(m, frozenset([i]), f.colors[x], x)
-        cell[(m, i)] = col
-        by_level[m].append(col)
+    for m, row in rows.items():
+        for i, x in row.items():
+            col = _Column(m, 1 << i, f.colors[x], x)
+            cell[(m, i)] = col
+            by_level[m].append(col)
     steps: list[ReductionStep] = []
 
     def signature(col: _Column):
         if col.level == 0:
             return ("top",)
-        if len(col.indices) > 1:
+        if col.indices & (col.indices - 1):
             return ("all",)
-        i = next(iter(col.indices))
+        i = col.indices.bit_length() - 1
         above = cell.get((col.level - 1, i))
-        if above is not None and above.indices == frozenset([i]):
+        if above is not None and above.indices == col.indices:
             return ("exc", i)
         return ("all",)
 
     def fuse(group: list[_Column]) -> None:
-        group = sorted(group, key=lambda c: min(c.indices))
+        group = sorted(group, key=_lowest)
         head = group[0]
         for other in group[1:]:
             steps.append(ReductionStep("beta", tuple(sorted((head.rep, other.rep)))))
-            head.indices = head.indices | other.indices
+            head.indices |= other.indices
             head.rep = min(head.rep, other.rep)
-            for i in other.indices:
+            for i in ids_of(other.indices):
                 cell[(head.level, i)] = head
             by_level[head.level].remove(other)
 
-    def run(active: frozenset, lo: int, bits: int) -> None:
+    def run(active: int, lo: int, bits: int) -> None:
         for m in range(lo, top_level + 1):
-            blocks = [c for c in by_level[m] if c.indices <= active]
+            blocks = [c for c in by_level[m] if not c.indices & ~active]
             if not blocks:
                 break
             classes: dict[tuple, list[_Column]] = {}
             for c in blocks:
                 classes.setdefault((c.color, signature(c)), []).append(c)
-            split = {}
-            for color, _sig in classes:
-                split[color] = split.get(color, 0) + 1
-            if all(count == 1 for count in split.values()):
+            if len({color for color, _sig in classes}) == len(classes):
                 for group in classes.values():
                     if len(group) > 1:
                         fuse(group)
                 continue
-            covered = set()
+            covered = joined = 0
             for c in blocks:
                 covered |= c.indices
+                joined |= c.color
             if covered != active:
                 return                      # no further full levels below
-            joined = 0
-            for c in blocks:
-                joined |= c.color
             surviving = joined.bit_count()
             if surviving >= bits:
                 raise PropertyFalsified(
@@ -165,8 +183,8 @@ def schedule_beta_reductions(v: Poset, f: Coloring) -> Schedule:
             for color in sorted({c.color for c in blocks}):
                 best = max(
                     (g for (col, _s), g in classes.items() if col == color),
-                    key=lambda g: (len(g), -min(min(c.indices) for c in g)))
-                best = sorted(best, key=lambda c: min(c.indices))
+                    key=lambda g: (len(g), -min(map(_lowest, g))))
+                best = sorted(best, key=_lowest)
                 take = min(len(best), goal - len(chosen))
                 chosen.extend(best[:take])
                 if len(chosen) == goal:
@@ -175,12 +193,12 @@ def schedule_beta_reductions(v: Poset, f: Coloring) -> Schedule:
                 raise PropertyFalsified(
                     f"level {m}: only {len(chosen)} columns available, "
                     f"need {goal}")
-            narrowed = frozenset().union(*(c.indices for c in chosen))
-            run(narrowed, m, surviving)
+            # the chosen columns are disjoint, so their sum is their union
+            run(sum(c.indices for c in chosen), m, surviving)
             return
 
-    if coords:
-        run(frozenset(range(width)), 0, f.n)
+    if rows:
+        run((1 << width) - 1, 0, f.n)
     schedule = Schedule(v, tuple(steps),
                         EPartition.from_pairs(v, (s.pair for s in steps)))
     verify_schedule(v, f, schedule)
@@ -189,11 +207,7 @@ def schedule_beta_reductions(v: Poset, f: Coloring) -> Schedule:
 
 def full_levels(v: Poset, width: int) -> list[int]:
     """Levels of a labeled ladder subspace holding all `width` columns."""
-    coords = _ladder_coordinates(v, width)
-    seen: dict[int, set[int]] = {}
-    for m, i in coords.values():
-        seen.setdefault(m, set()).add(i)
-    return sorted(m for m, cols in seen.items() if len(cols) == width)
+    return _full(_ladder_rows(v, width), width)
 
 
 def verify_schedule(v: Poset, f: Coloring, schedule: Schedule) -> None:
@@ -207,11 +221,9 @@ def verify_schedule(v: Poset, f: Coloring, schedule: Schedule) -> None:
     for block in ker.blocks:
         if len({f.colors[x] for x in block}) > 1:
             raise PropertyFalsified(f"kernel block {block} mixes colors")
-    coords = _ladder_coordinates(v, width_of(f.n))
-    for m in full_levels(v, width_of(f.n)):
-        members = [x for x, (lev, _i) in coords.items() if lev == m]
-        blocks = {ker.block_of(x) for x in members}
-        if len(blocks) == len(members):
+    rows = _ladder_rows(v, width_of(f.n))
+    for m in _full(rows, width_of(f.n)):
+        if _merged_pair(ker, rows[m]) is None:
             raise PropertyFalsified(f"full level {m} has no merged pair")
 
 
@@ -276,26 +288,18 @@ class LiftCertificate:
 
 def c_rows(z: Poset) -> dict[int, dict[int, int]]:
     """level -> {index -> element} for the c-labeled points of z."""
-    if z.labels is None:
-        raise InvalidId("expected generated labels")
-    rows: dict[int, dict[int, int]] = {}
-    for x, text in enumerate(z.labels):
-        lab = SpaceLabel.parse(text)
-        if lab.kind == "c":
-            rows.setdefault(lab.level, {})[lab.index] = x
-    return rows
+    return _label_rows(z, "c")
 
 
 def full_c_levels(z: Poset, n: int) -> list[int]:
-    w = width_of(n)
-    return sorted(p for p, row in c_rows(z).items() if len(row) == w)
+    return _full(c_rows(z), width_of(n))
 
 
 def merges_every_full_c_row(z: Poset, part: EPartition, n: int) -> bool:
     """Does every full c-row of z hold two elements in one block of `part`?"""
-    w = width_of(n)
-    return all(len({part.block_of(x) for x in row.values()}) < w
-               for row in c_rows(z).values() if len(row) == w)
+    rows = c_rows(z)
+    return all(_merged_pair(part, rows[p]) is not None
+               for p in _full(rows, width_of(n)))
 
 
 def lift_schedule(z: Poset, f: Coloring, delta: DeltaMap,
@@ -314,8 +318,8 @@ def lift_schedule(z: Poset, f: Coloring, delta: DeltaMap,
     if not is_weak_coloring(z, f):
         raise NotWeakColoring("lift needs an order preserving coloring on z")
     rows = c_rows(z)
-    deepest = [p for p, row in rows.items() if len(row) == width_of(delta.n)]
-    if any(p > delta.depth for p in deepest):
+    full = _full(rows, width_of(delta.n))
+    if any(p > delta.depth for p in full):
         raise OutOfRange("delta embedding stops above a full c-row of z")
 
     replay = _Replay(z)
@@ -341,16 +345,8 @@ def lift_schedule(z: Poset, f: Coloring, delta: DeltaMap,
             "lifted kernel escapes the coarsest color-respecting partition")
 
     levels: dict[int, tuple[int, int]] = {}
-    for p in sorted(deepest):
-        row = rows[p]
-        by_block: dict[int, int] = {}
-        pair = None
-        for i in sorted(row):
-            b = ker.block_of(row[i])
-            if b in by_block:
-                pair = (by_block[b], i)
-                break
-            by_block[b] = i
+    for p in full:
+        pair = _merged_pair(ker, rows[p])
         if pair is None:
             raise PropertyFalsified(f"full c-row {p} has no merged pair")
         levels[p] = pair

@@ -32,7 +32,9 @@ def mask_of(ids: Iterable[int]) -> int:
 
 
 def ids_of(mask: int) -> list[int]:
-    """Unpack a bitmask into a sorted id list."""
+    """Unpack a non-negative bitmask into a sorted id list."""
+    if mask < 0:
+        raise InvalidId(f"negative mask {mask}")
     out = []
     while mask:
         low = mask & -mask
@@ -157,18 +159,22 @@ class Poset:
     def covers_down(self, x: int) -> tuple[int, ...]:
         return self._pred[x]
 
-    def up_set(self, elements: int | Iterable[int]) -> int:
-        """Upward closure of a bitmask or id iterable, as a bitmask."""
-        mask = elements if isinstance(elements, int) else mask_of(elements)
+    def _ids(self, mask: int) -> list[int]:
+        """The ids in a mask over 0..n-1; InvalidId for any other int."""
+        if mask >> self.n:
+            raise InvalidId(f"mask {mask:#x} names elements outside 0..{self.n - 1}")
+        return ids_of(mask)
+
+    def up_set(self, mask: int) -> int:
+        """Upward closure of an element mask."""
         out = 0
-        for x in ids_of(mask):
+        for x in self._ids(mask):
             out |= self._up[x]
         return out
 
-    def down_set(self, elements: int | Iterable[int]) -> int:
-        mask = elements if isinstance(elements, int) else mask_of(elements)
+    def down_set(self, mask: int) -> int:
         out = 0
-        for x in ids_of(mask):
+        for x in self._ids(mask):
             out |= self._down[x]
         return out
 
@@ -221,36 +227,29 @@ class Poset:
         """Max over elements x of the largest antichain inside the upset of x."""
         best = 0
         for x in range(self.n):
-            sub, _ = self.induced(ids_of(self._up[x]))
+            sub, _ = self.induced(self._up[x])
             best = max(best, sub.max_antichain_size())
         return best
 
     # ----- subposets and rebuilds --------------------------------------------
 
-    def induced(self, ids: Iterable[int]) -> tuple["Poset", dict[int, int]]:
-        """Induced subposet on the given ids. Returns (poset, old->new map)."""
-        keep = sorted(set(ids))
-        for x in keep:
-            if not 0 <= x < self.n:
-                raise InvalidId(f"element {x}")
+    def induced(self, mask: int) -> tuple["Poset", dict[int, int]]:
+        """Induced subposet on an element mask. Returns (poset, old->new map)."""
+        keep = self._ids(mask)
         remap = {x: i for i, x in enumerate(keep)}
-        keep_mask = mask_of(keep)
-        rows = [mask_of(remap[y] for y in ids_of(self._up[x] & keep_mask))
+        rows = [mask_of(remap[y] for y in ids_of(self._up[x] & mask))
                 for x in keep]
-        labels = None
-        if self.labels is not None:
-            labels = [self.labels[x] for x in keep]
+        labels = None if self.labels is None else [self.labels[x] for x in keep]
         return Poset.from_leq(len(keep), rows, labels), remap
 
-    def upset_subposet(self, ids: Iterable[int]) -> tuple["Poset", dict[int, int]]:
-        """Induced subposet of an upward-closed id set; NotUpset otherwise."""
-        mask = mask_of(ids)
+    def upset_subposet(self, mask: int) -> tuple["Poset", dict[int, int]]:
+        """Induced subposet on an upward-closed mask; NotUpset otherwise."""
         if not self.is_upset(mask):
             raise NotUpset("element set is not upward closed")
-        return self.induced(ids_of(mask))
+        return self.induced(mask)
 
     def principal_upset(self, x: int) -> tuple["Poset", dict[int, int]]:
-        return self.induced(ids_of(self._up[x]))
+        return self.induced(self._up[x])
 
     def with_bottom(self, label: str | None = None) -> "Poset":
         """Adjoin a fresh least element below everything, as id 0."""

@@ -18,7 +18,7 @@ from .coloring import (Coloring, enumerate_weak_colorings, is_coloring,
                        is_n_colorable, search_coloring)
 from .errors import (BudgetExceeded, OutOfRange, Overflow,
                      PropertyFalsified)
-from .poset import Poset, ids_of
+from .poset import Poset
 from .randgen import random_weak_coloring
 from .reduction import (ALL_EPARTITIONS_LIMIT, EPartition, all_epartitions,
                         coarsest_color_respecting, quotient)
@@ -263,10 +263,9 @@ def local_finiteness_probe(p: Poset, n: int,
     seen = set()
     partial = False
     for mask in sorted(p.upsets()):
-        ids = list(ids_of(mask))
-        if not ids:
+        if not mask:
             continue
-        u, _ = p.upset_subposet(ids)
+        u, _ = p.upset_subposet(mask)
         if u.n > ALL_EPARTITIONS_LIMIT:
             partial = True
             continue

@@ -32,6 +32,8 @@ class EPartition:
 
     @staticmethod
     def from_blocks(base: Poset, blocks: Iterable[Iterable[int]]) -> "EPartition":
+        """Check and normalize blocks given from outside; partitions built
+        from a map go through `kernel`."""
         seen = set()
         norm = []
         for b in blocks:
@@ -65,10 +67,7 @@ class EPartition:
             rx, ry = find(x), find(y)
             if rx != ry:
                 parent[rx] = ry
-        groups: dict[int, list[int]] = {}
-        for x in range(base.n):
-            groups.setdefault(find(x), []).append(x)
-        return EPartition.from_blocks(base, groups.values())
+        return kernel(base, [find(x) for x in range(base.n)])
 
     def block_of(self, x: int) -> int:
         return self._lookup()[x]
@@ -163,10 +162,14 @@ def is_pmorphism(p: Poset, q: Poset, f: Sequence[int]) -> bool:
 
 
 def kernel(p: Poset, f: Sequence[int]) -> EPartition:
+    """The fibres of a map on p's elements. They open in ascending order
+    of their least member, so the blocks come out sorted."""
+    if len(f) != p.n:
+        raise InvalidId(f"map of length {len(f)} on a poset of {p.n} elements")
     groups: dict[int, list[int]] = {}
     for x, v in enumerate(f):
         groups.setdefault(v, []).append(x)
-    return EPartition.from_blocks(p, groups.values())
+    return EPartition(p, tuple(map(tuple, groups.values())))
 
 
 # ----- single-pair moves ------------------------------------------------------
@@ -195,6 +198,8 @@ class ReductionStep:
 
 def merge_step(p: Poset, kind: str, x: int, y: int) -> tuple[Poset, tuple[int, ...]]:
     """Apply one alpha or beta merge; returns (reduced poset, projection)."""
+    if not (0 <= x < p.n and 0 <= y < p.n):
+        raise InvalidId(f"pair ({x}, {y}) outside 0..{p.n - 1}")
     if kind == "alpha":
         ok = alpha_mergeable(p, x, y)
     elif kind == "beta":
@@ -203,9 +208,7 @@ def merge_step(p: Poset, kind: str, x: int, y: int) -> tuple[Poset, tuple[int, .
         raise InvalidId(f"unknown step kind {kind!r}")
     if not ok:
         raise NotMergeable(f"pair ({x}, {y}) is not {kind}-mergeable")
-    blocks = [[z] for z in range(p.n) if z not in (x, y)]
-    blocks.append([x, y])
-    return quotient(p, EPartition.from_blocks(p, blocks))
+    return quotient(p, kernel(p, [x if z == y else z for z in range(p.n)]))
 
 
 def mergeable_pairs(p: Poset) -> list[tuple[str, int, int]]:
@@ -245,6 +248,8 @@ class _Replay:
 
     def merge(self, kind: str, x: int, y: int) -> ReductionStep:
         """Merge the current elements holding original ids x and y."""
+        if not (0 <= x < self.base.n and 0 <= y < self.base.n):
+            raise InvalidId(f"pair ({x}, {y}) outside 0..{self.base.n - 1}")
         bx, by = self.proj[x], self.proj[y]
         if bx == by:
             raise NotMergeable(f"pair {(x, y)} already identified")

@@ -50,7 +50,7 @@ class SpaceLabel:
 
     @staticmethod
     def parse(text: str) -> "SpaceLabel":
-        m = _LABEL_RE.match(text)
+        m = _LABEL_RE.match(text) if isinstance(text, str) else None
         if not m:
             raise InvalidId(f"bad label {text!r}")
         kind, level, index = m.group(1), int(m.group(2)), m.group(3)

@@ -52,7 +52,7 @@ def test_coordinate_validation():
     z = abomination_truncation(2, 0)
     with pytest.raises(InvalidId):
         schedule_beta_reductions(z, constant(z, 2))
-    antichain, _ = ladder_truncation(0, 1).induced([2, 3])
+    antichain, _ = ladder_truncation(0, 1).induced(0b1100)
     with pytest.raises(NotUpset):
         schedule_beta_reductions(antichain, constant(antichain, 0))
     wide = ladder_truncation(1, 0)
@@ -61,6 +61,9 @@ def test_coordinate_validation():
     fake = Poset.from_covers(2, [], ["y0_0", "y1_1"])
     with pytest.raises(NotUpset):
         schedule_beta_reductions(fake, constant(fake, 0))
+    partly = Poset.from_covers(2, [], ["y0_0", None])
+    with pytest.raises(InvalidId, match="bad label None"):
+        full_levels(partly, 2)
 
 
 def test_scheduler_rejects_non_weak_colorings():
@@ -203,3 +206,42 @@ def test_certificates_at_order_3():
     for _ in range(3):
         cert = corollary_certificate(z, random_weak_coloring(rng, z, 3), 3)
         assert sorted(cert.levels) == [0, 1]
+
+
+def test_a_label_naming_two_elements_is_rejected():
+    twice = Poset.from_covers(4, [(2, 1), (3, 1)],
+                              ["y0_0", "y0_1", "y1_0", "y1_0"])
+    with pytest.raises(InvalidId, match="'y1_0' names elements 2 and 3"):
+        schedule_beta_reductions(twice, constant(twice, 0))
+    z = abomination_truncation(2, 0)
+    labels = list(z.labels)
+    labels[labels.index("c0_1")] = "c0_0"
+    relabelled = Poset.from_covers(z.n, z.covers, labels)
+    with pytest.raises(InvalidId, match="'c0_0' names elements"):
+        c_rows(relabelled)
+    with pytest.raises(InvalidId):
+        merges_every_full_c_row(relabelled, EPartition.identity(relabelled), 2)
+
+
+def test_a_full_row_without_a_merged_pair_is_reported():
+    v = ladder_truncation(0, 2)
+    f = constant(v, 0)
+    steps = schedule_beta_reductions(v, f).steps[:-1]
+    short = Schedule(v, steps, EPartition.from_pairs(v, (s.pair for s in steps)))
+    with pytest.raises(PropertyFalsified, match="full level 2 has no merged pair"):
+        verify_schedule(v, f, short)
+
+    z = abomination_truncation(2, 1)
+    delta = delta_map(2, 1, z)
+    f = constant(z, 2)
+    sched = schedule_beta_reductions(delta.source, constant(delta.source, 2))
+    lowest = ladder_id(2, 3, 0)         # ladder level 3 lands on c-row 1
+    steps = tuple(s for s in sched.steps if s.pair[0] < lowest)
+    truncated = Schedule(delta.source, steps,
+                         EPartition.from_pairs(delta.source, (s.pair for s in steps)))
+    with pytest.raises(PropertyFalsified, match="full c-row 1 has no merged pair"):
+        lift_schedule(z, f, delta, truncated)
+
+    assert not merges_every_full_c_row(z, EPartition.identity(z), 2)
+    lifted = lift_schedule(z, f, delta, sched)
+    assert merges_every_full_c_row(z, lifted.kernel, 2)

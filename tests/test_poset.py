@@ -191,6 +191,24 @@ def test_upset_and_downset_masks():
     assert not p.is_upset(mask_of([0]))
 
 
+def test_element_set_methods_reject_masks_outside_the_poset():
+    with pytest.raises(InvalidId, match="negative mask"):
+        ids_of(-1)
+    p = v_poset()
+    for mask in (-1, -0b100, 0b1000, 0b1001):
+        with pytest.raises(InvalidId):
+            p.up_set(mask)
+        with pytest.raises(InvalidId):
+            p.down_set(mask)
+        with pytest.raises(InvalidId):
+            p.is_upset(mask)
+        with pytest.raises(InvalidId):
+            p.induced(mask)
+        with pytest.raises(InvalidId):
+            p.upset_subposet(mask)
+    assert p.induced(0)[0].n == 0 and p.upset_subposet(0b111)[0] == p
+
+
 def test_upsets_counts():
     assert len(v_poset().upsets()) == 5
     assert len(chain(3).upsets()) == 4
@@ -261,12 +279,12 @@ def test_principal_upset():
 
 def test_upset_subposet_rejects_non_upsets():
     with pytest.raises(NotUpset):
-        chain(3).upset_subposet([0])
+        chain(3).upset_subposet(0b001)
 
 
 def test_induced_keeps_relations():
     p = chain(4)
-    sub, remap = p.induced([0, 2, 3])
+    sub, remap = p.induced(0b1101)
     assert sub.leq(remap[0], remap[3])
     assert sub.covers == ((0, 1), (1, 2))
 

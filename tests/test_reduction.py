@@ -102,7 +102,7 @@ def up_set_quotient(p, part):
     proj = tuple(rank[part.block_of(x)] for x in range(p.n))
     rows = [0] * len(part.blocks)
     for old, block in enumerate(part.blocks):
-        rows[rank[old]] = mask_of(proj[y] for y in ids_of(p.up_set(block)))
+        rows[rank[old]] = mask_of(proj[y] for y in ids_of(p.up_set(mask_of(block))))
     return Poset.from_leq(len(rows), rows), proj
 
 
@@ -149,6 +149,10 @@ def test_pmorphism_check_and_kernel():
     f = (0, 1, 1)
     assert is_pmorphism(p, q, f)
     assert kernel(p, f).blocks == ((0,), (1, 2))
+    assert kernel(p, (5, 3, 5)).blocks == ((0, 2), (1,))
+    for wrong in ((0, 1), (0, 1, 1, 1)):
+        with pytest.raises(InvalidId):
+            kernel(p, wrong)
     assert not is_pmorphism(p, q, (0, 1, 0))        # back condition at the arm
     assert is_pmorphism(chain(2), chain(2), (1, 1))  # p-morphism, not onto
     assert not is_pmorphism(chain(2), chain(2), (0, 0))
@@ -178,6 +182,9 @@ def test_merge_step_and_errors():
         merge_step(p, "alpha", 1, 2)
     with pytest.raises(NotMergeable):
         merge_step(p, "beta", 0, 1)
+    for pair in ((-1, 1), (1, 3)):              # -1 would alias element 2
+        with pytest.raises(InvalidId):
+            merge_step(p, "beta", *pair)
 
 
 def test_decompose_then_compose_roundtrip():
@@ -217,6 +224,9 @@ def test_compose_steps_validates_each_step():
     from esakiakit import ReductionStep
     with pytest.raises(NotMergeable):
         compose_steps(p, [ReductionStep("beta", (0, 1))])
+    for pair in ((-1, 1), (1, 3)):
+        with pytest.raises(InvalidId):
+            compose_steps(p, [ReductionStep("beta", pair)])
 
 
 def test_coarsest_color_respecting_examples():
@@ -499,3 +509,14 @@ def test_scrambled_greedy_equals_the_brute_force_oracle(case, rnd):
     got = coarsest_color_respecting(
         p, f, order=lambda cands: sorted(cands, key=lambda _: rnd.random()))
     assert got == brute_coarsest_color_respecting(p, f)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(colored_posets(), st.randoms(use_true_random=False))
+def test_decompose_then_compose_gives_back_the_kernel(case, rnd):
+    p, f = case
+    part = coarsest_color_respecting(
+        p, f, order=lambda cands: sorted(cands, key=lambda _: rnd.random()))
+    q, proj = quotient(p, part)
+    _final, ker = compose_steps(p, decompose_pmorphism(p, q, proj))
+    assert ker == kernel(p, proj) == part
