@@ -31,7 +31,10 @@ def _dumps(obj) -> str:
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise TooLarge(f"{path} nests JSON too deeply to parse") from None
 
 
 def _load_poset(path: str) -> Poset:

@@ -24,10 +24,13 @@ JSON_COVER_LIMIT = 1_000_000
 
 
 def mask_of(ids: Iterable[int]) -> int:
-    """Pack element ids into a bitmask."""
+    """Pack non-negative element ids into a bitmask."""
     m = 0
-    for x in ids:
-        m |= 1 << x
+    try:
+        for x in ids:
+            m |= 1 << x
+    except ValueError:
+        raise InvalidId(f"negative id {x}") from None
     return m
 
 
@@ -46,17 +49,14 @@ def ids_of(mask: int) -> list[int]:
 class Poset:
     """Immutable finite poset. Build with :meth:`from_covers`."""
 
-    __slots__ = ("n", "covers", "labels", "_up", "_down", "_succ", "_pred",
-                 "_depths", "_canon")
+    __slots__ = ("n", "labels", "_up", "_down", "_succ", "_depths", "_canon")
 
-    def __init__(self, n, covers, labels, up, down, succ, pred, depths):
+    def __init__(self, n, labels, up, down, succ, depths):
         self.n = n
-        self.covers = covers
         self.labels = labels
         self._up = up
         self._down = down
         self._succ = succ
-        self._pred = pred
         self._depths = depths
         self._canon = None
 
@@ -73,12 +73,9 @@ class Poset:
         if n < 0:
             raise InvalidId(f"negative size {n}")
         above = [0] * n
-        for pair in covers:
-            x, y = pair
+        for x, y in covers:
             if not (0 <= x < n and 0 <= y < n):
                 raise InvalidId(f"cover ({x}, {y}) outside 0..{n - 1}")
-            if x == y:
-                raise CycleDetected(f"reflexive cover ({x}, {y})")
             above[x] |= 1 << y
         return cls._from_above(n, above, labels)
 
@@ -98,66 +95,85 @@ class Poset:
     @classmethod
     def _from_above(cls, n, above, labels) -> "Poset":
         """The one constructor: above[x] masks elements strictly above x,
-        redundant pairs allowed. When every row masks only lower ids,
-        ascending ids are already a top-down order (and acyclic); otherwise
-        a toposort gives one or raises CycleDetected. Top down, up[x] is
-        closed only from successors not yet reached. A member of above[x]
-        that is never picked lies in the strict up set of a pick, so the
-        covers of x are the picks outside the strict up sets of the others,
-        in ascending order, and x's depth follows from theirs. Down masks
-        are closed bottom up over the covers."""
-        if all(row < 1 << x for x, row in enumerate(above)):
-            top_down = range(n)
-        else:
-            top_down = _toposort(n, above)[::-1]
+        redundant pairs allowed. A depth-first stack walk (Tarjan 1976)
+        closes x from successors not yet reached; x that meets an open one
+        is entered and retried under it, and meets one again only on a
+        cycle. Ascending ids pop first, so quotients never push. A member
+        of above[x] never picked lies in the strict up set of a pick, so
+        the covers of x are the picks outside the strict up sets of the
+        others, in ascending order, and x's depth follows from theirs. Down
+        masks are closed over the covers in reverse closing order."""
         up = [0] * n
         depth = [1] * n
         succ: list[tuple[int, ...]] = [()] * n
-        for x in top_down:
+        entered = [False] * n
+        closed = []
+        stack = list(range(n - 1, -1, -1))
+        while stack:
+            x = stack.pop()
+            if up[x]:
+                continue
             reach = strict = 0
             picked = []
             rest = above[x]
             while rest:
                 low = rest & -rest
                 y = low.bit_length() - 1
-                picked.append(y)
                 u = up[y]
+                if not u:
+                    break
+                picked.append(y)
                 reach |= u
                 strict |= u ^ low
                 rest &= ~reach
+            if rest:
+                if entered[x]:
+                    raise CycleDetected("cover relation contains a cycle")
+                entered[x] = True
+                stack += [x] + ids_of(rest)     # retry x once these close
+                continue
             up[x] = reach | 1 << x
+            closed.append(x)
             if picked:
-                ys = [y for y in picked if not strict >> y & 1]
-                succ[x] = tuple(ys)
+                succ[x] = ys = tuple([y for y in picked if not strict >> y & 1])
                 depth[x] = 1 + max(depth[y] for y in ys)
-        covers = tuple((x, y) for x in range(n) for y in succ[x])
-        pred: list[list[int]] = [[] for _ in range(n)]
-        for x, y in covers:
-            pred[y].append(x)
         down = [1 << x for x in range(n)]
-        for x in reversed(top_down):
+        for x in reversed(closed):
             for y in succ[x]:
                 down[y] |= down[x]
-        return cls(n, covers, _norm_labels(n, labels), up, down, succ,
-                   tuple(map(tuple, pred)), tuple(depth))
+        return cls(n, _norm_labels(n, labels), up, down, tuple(succ),
+                   tuple(depth))
 
     # ----- order queries ----------------------------------------------------
 
+    @property
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        """Pairs (x, y) with y covering x, ordered by x and then by y."""
+        return tuple((x, y) for x in range(self.n) for y in self._succ[x])
+
+    def _id(self, x: int) -> int:
+        """x itself when it names an element; InvalidId for any other int."""
+        if not 0 <= x < self.n:
+            raise InvalidId(f"element {x} outside 0..{self.n - 1}")
+        return x
+
     def leq(self, x: int, y: int) -> bool:
-        return bool((self._up[x] >> y) & 1)
+        return bool(self._up[self._id(x)] >> self._id(y) & 1)
 
     def up_mask(self, x: int) -> int:
-        return self._up[x]
+        return self._up[self._id(x)]
 
     def down_mask(self, x: int) -> int:
-        return self._down[x]
+        return self._down[self._id(x)]
 
     def covers_up(self, x: int) -> tuple[int, ...]:
         """Immediate successors of x."""
-        return self._succ[x]
+        return self._succ[self._id(x)]
 
     def covers_down(self, x: int) -> tuple[int, ...]:
-        return self._pred[x]
+        """Immediate predecessors of x: the maximal elements below it."""
+        below = self._down[self._id(x)] ^ 1 << x
+        return tuple(y for y in ids_of(below) if not self._up[y] & below ^ 1 << y)
 
     def _ids(self, mask: int) -> list[int]:
         """The ids in a mask over 0..n-1; InvalidId for any other int."""
@@ -188,7 +204,7 @@ class Poset:
         return mask_of(x for x in range(self.n) if not self._succ[x])
 
     def minimal_mask(self) -> int:
-        return mask_of(x for x in range(self.n) if not self._pred[x])
+        return mask_of(x for x in range(self.n) if self._down[x] == 1 << x)
 
     def has_root(self) -> bool:
         """True iff there is a least element."""
@@ -202,9 +218,7 @@ class Poset:
 
     def depth(self, x: int) -> int:
         """Number of elements in the longest chain inside the upset of x."""
-        if not 0 <= x < self.n:
-            raise InvalidId(f"element {x}")
-        return self.depths()[x]
+        return self._depths[self._id(x)]
 
     def depths(self) -> tuple[int, ...]:
         return self._depths
@@ -304,8 +318,6 @@ class Poset:
         return self._canon
 
     def isomorphic(self, other: "Poset") -> bool:
-        if self.n != other.n or len(self.covers) != len(other.covers):
-            return False
         return self.canonical_form() == other.canonical_form()
 
     # ----- serialization ------------------------------------------------------------
@@ -362,10 +374,10 @@ class Poset:
 
     def __eq__(self, other):
         return (isinstance(other, Poset) and self.n == other.n
-                and self.covers == other.covers and self.labels == other.labels)
+                and self._succ == other._succ and self.labels == other.labels)
 
     def __hash__(self):
-        return hash((self.n, self.covers))
+        return hash((self.n, self._succ))
 
     def __repr__(self):
         return f"Poset(n={self.n}, covers={len(self.covers)})"
@@ -397,28 +409,6 @@ def _norm_labels(n, labels):
             raise InvalidId(f"label {v!r} is neither a string nor null")
     # no label on any element is the same as no labels
     return tuple(labels) if any(v is not None for v in labels) else None
-
-
-def _toposort(n, above):
-    """Order 0..n-1 so that each element precedes every element of its
-    mask; CycleDetected when no such order exists."""
-    succ = [ids_of(m) for m in above]
-    indeg = [0] * n
-    for ys in succ:
-        for y in ys:
-            indeg[y] += 1
-    queue = deque(x for x in range(n) if indeg[x] == 0)
-    order = []
-    while queue:
-        x = queue.popleft()
-        order.append(x)
-        for y in succ[x]:
-            indeg[y] -= 1
-            if indeg[y] == 0:
-                queue.append(y)
-    if len(order) != n:
-        raise CycleDetected("cover relation contains a cycle")
-    return order
 
 
 def _hopcroft_karp(n, adj):
@@ -493,35 +483,31 @@ def _canonical_form(p: Poset):
     n = p.n
     if n == 0:
         return (0, ())
-    succ_sets = [frozenset(p.covers_up(x)) for x in range(n)]
-    pred_sets = [frozenset(p.covers_down(x)) for x in range(n)]
+    succ = p._succ
+    pred = [p.covers_down(x) for x in range(n)]
 
     def refine(colors):
         while True:
-            keys = []
-            for x in range(n):
-                keys.append((colors[x],
-                             tuple(sorted(colors[y] for y in p.covers_up(x))),
-                             tuple(sorted(colors[y] for y in p.covers_down(x)))))
+            keys = [(colors[x], tuple(sorted(colors[y] for y in succ[x])),
+                     tuple(sorted(colors[y] for y in pred[x]))) for x in range(n)]
             ranks = {k: i for i, k in enumerate(sorted(set(keys)))}
             new = [ranks[k] for k in keys]
             if new == colors:
                 return colors
             colors = new
 
-    init = []
     depths = p.depths()
-    for x in range(n):
-        init.append((depths[x], len(p.covers_up(x)), len(p.covers_down(x)),
-                     bin(p.up_mask(x)).count("1"), bin(p.down_mask(x)).count("1")))
+    init = [(depths[x], len(succ[x]), len(pred[x]), p._up[x].bit_count(),
+             p._down[x].bit_count()) for x in range(n)]
     ranks = {k: i for i, k in enumerate(sorted(set(init)))}
     colors = refine([ranks[k] for k in init])
 
     best = None
+    covers = p.covers
 
     def encode(order):
         pos = {x: i for i, x in enumerate(order)}
-        return tuple(sorted((pos[x], pos[y]) for x, y in p.covers))
+        return tuple(sorted((pos[x], pos[y]) for x, y in covers))
 
     def search(colors):
         nonlocal best
@@ -539,7 +525,7 @@ def _canonical_form(p: Poset):
         fresh = max(colors) + 1
         tried_twins = []
         for v in target:
-            key = (succ_sets[v], pred_sets[v])
+            key = (succ[v], pred[v])        # sorted tuples, equal as sets
             if key in tried_twins:
                 continue  # swapping twin candidates is an automorphism
             tried_twins.append(key)

@@ -125,22 +125,24 @@ def quotient(p: Poset, part: EPartition) -> tuple[Poset, tuple[int, ...]]:
     if not is_epartition(p, part):
         raise NotEPartition("blocks fail the back-and-forth condition")
     depths = p.depths()
-    order = sorted(range(len(part.blocks)),
-                   key=lambda i: (min(depths[x] for x in part.blocks[i]),
-                                  part.blocks[i][0]))
-    rank = {old: new for new, old in enumerate(order)}
-    proj = tuple(rank[part.block_of(x)] for x in range(p.n))
+    # Blocks are disjoint, so their first members break every depth tie.
+    ranked = sorted((min(depths[x] for x in b), b) for b in part.blocks)
+    proj = [0] * p.n
+    for i, (_, b) in enumerate(ranked):
+        for x in b:
+            proj[x] = i
     # The quotient order is the closure of "some member of B <= some member
     # of C". Every x <= y is a chain of covers, so the projected covers have
     # the same closure and the same cycles between distinct blocks.
-    rows = [0] * len(part.blocks)
-    for x, y in p.covers:
-        rows[proj[x]] |= 1 << proj[y]
+    rows = [0] * len(ranked)
+    for x in range(p.n):
+        for y in p.covers_up(x):
+            rows[proj[x]] |= 1 << proj[y]
     try:
         q = Poset.from_leq(len(rows), rows)
     except CycleDetected as exc:
         raise NotEPartition("quotient relation is not antisymmetric") from exc
-    return q, proj
+    return q, tuple(proj)
 
 
 def is_pmorphism(p: Poset, q: Poset, f: Sequence[int]) -> bool:
@@ -175,14 +177,21 @@ def kernel(p: Poset, f: Sequence[int]) -> EPartition:
 # ----- single-pair moves ------------------------------------------------------
 
 
+def _check_pair(p: Poset, x: int, y: int) -> None:
+    if not (0 <= x < p.n and 0 <= y < p.n):
+        raise InvalidId(f"pair ({x}, {y}) outside 0..{p.n - 1}")
+
+
 def alpha_mergeable(p: Poset, x: int, y: int) -> bool:
     """x may be folded into y when y is x's only immediate successor."""
+    _check_pair(p, x, y)
     return x != y and p.covers_up(x) == (y,)
 
 
 def beta_mergeable(p: Poset, x: int, y: int) -> bool:
     """x and y have exactly the same immediate successors (maximal pairs
     included)."""
+    _check_pair(p, x, y)
     return x != y and p.covers_up(x) == p.covers_up(y)
 
 
@@ -198,8 +207,6 @@ class ReductionStep:
 
 def merge_step(p: Poset, kind: str, x: int, y: int) -> tuple[Poset, tuple[int, ...]]:
     """Apply one alpha or beta merge; returns (reduced poset, projection)."""
-    if not (0 <= x < p.n and 0 <= y < p.n):
-        raise InvalidId(f"pair ({x}, {y}) outside 0..{p.n - 1}")
     if kind == "alpha":
         ok = alpha_mergeable(p, x, y)
     elif kind == "beta":
@@ -248,8 +255,7 @@ class _Replay:
 
     def merge(self, kind: str, x: int, y: int) -> ReductionStep:
         """Merge the current elements holding original ids x and y."""
-        if not (0 <= x < self.base.n and 0 <= y < self.base.n):
-            raise InvalidId(f"pair ({x}, {y}) outside 0..{self.base.n - 1}")
+        _check_pair(self.base, x, y)
         bx, by = self.proj[x], self.proj[y]
         if bx == by:
             raise NotMergeable(f"pair {(x, y)} already identified")

@@ -54,6 +54,19 @@ def test_domain_errors_exit_2(capsys, tmp_path):
     assert code == 2 and err.startswith("error:")
 
 
+def test_deeply_nested_json_files_exit_2(capsys, tmp_path, chain2):
+    """json.load gives up on deep nesting with RecursionError; a poset or
+    coloring file nested that deep is bad input, not a falsified claim."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    for argv in (("convert", "--poset", str(deep), "--format", "json"),
+                 ("check-coloring", "--poset", chain2, "--coloring", str(deep))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error:") and "nests JSON too deeply" in err
+
+
 def test_list_shaped_poset_and_coloring_files(capsys, tmp_path):
     poset = write_json(tmp_path / "p.json",
                        {"n": 2, "covers": [[0, 1]], "labels": ["lo", "hi"]})

@@ -1,13 +1,16 @@
 import hashlib
+import itertools
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from esakiakit import (Coloring, CycleDetected, InvalidId, NotUpset, Poset, TooLarge,
-                       abomination_truncation, coarsest_color_respecting,
+                       abomination_truncation, alpha_mergeable, beta_mergeable,
+                       coarsest_color_respecting,
                        enumerate_posets, ids_of, ladder_truncation, mask_of,
                        max_antichain_size_brute, quotient)
 from esakiakit.poset import JSON_COVER_LIMIT
@@ -31,6 +34,45 @@ def test_from_covers_rejects_cycles():
         Poset.from_leq(2, [0b11, 0b11])
     with pytest.raises(CycleDetected):
         Poset.from_leq(3, [0b011, 0b110, 0b101])   # rows not closed
+
+
+def test_cycles_reached_late_or_deep_are_rejected():
+    """The stack walk meets a cycle only after everything before it has
+    closed: a cycle that only the last root reaches, and a cycle hanging off
+    the top of a long chain, in both id directions."""
+    late = [(0, 1), (1, 2), (5, 3), (3, 4), (4, 3)]
+    deep = [(i, i + 1) for i in range(1001)] + [(1001, 999)]
+    for n, covers in ((6, late), (1002, deep)):
+        for pairs in (covers, [(n - 1 - x, n - 1 - y) for x, y in covers]):
+            with pytest.raises(CycleDetected):
+                Poset.from_covers(n, pairs)
+            rows = [0] * n
+            for x, y in pairs:
+                rows[x] |= 1 << y
+            with pytest.raises(CycleDetected):
+                Poset.from_leq(n, rows)
+
+
+@pytest.mark.parametrize("shape", ["star", "chain", "fan"])
+def test_ten_thousand_element_shapes_build_in_both_id_directions(shape):
+    """A bottom below 9,999 maximal elements, a 10,000-chain and 9,999
+    minimal elements below one top. Each builds in about 0.1 s on 2 CPUs;
+    a walk that re-closes x after every pushed successor would take
+    minutes on the star."""
+    n = 10_000
+    covers = {"star": [(0, y) for y in range(1, n)],
+              "chain": [(i, i + 1) for i in range(n - 1)],
+              "fan": [(x, n - 1) for x in range(n - 1)]}[shape]
+    depths = {"star": [2] + [1] * (n - 1),
+              "chain": list(range(n, 0, -1)),
+              "fan": [2] * (n - 1) + [1]}[shape]
+    rev = [n - 1 - x for x in range(n)]
+    for perm in (range(n), rev):
+        start = time.monotonic()
+        p = Poset.from_covers(n, [(perm[x], perm[y]) for x, y in covers])
+        assert time.monotonic() - start < 10
+        assert p.covers == tuple(sorted((perm[x], perm[y]) for x, y in covers))
+        assert [p.depths()[perm[x]] for x in range(n)] == depths
 
 
 def test_from_covers_rejects_bad_ids():
@@ -135,32 +177,20 @@ def test_construction_is_pinned():
         "edfb9de994033cd684ab0f3b95b1f456a7fb505f5db3879e7ee487935d3a88f3")
 
 
-def test_both_top_down_routes_build_the_same_poset(monkeypatch):
-    """Rows that mask only lower ids are built in ascending id order
-    without a toposort. Reversing the ids of seeded posets switches routes
-    and must map covers, masks and depths onto each other; quotients
-    always take the shortcut."""
-    import esakiakit.poset as poset
-    sorts = 0
-    toposort = poset._toposort
-
-    def counted(n, above):
-        nonlocal sorts
-        sorts += 1
-        return toposort(n, above)
-
-    monkeypatch.setattr(poset, "_toposort", counted)
+def test_both_top_down_routes_build_the_same_poset():
+    """Rows that mask only lower ids close in ascending id order without a
+    push; rows that mask higher ids make the stack walk enter and push.
+    Reversing the ids of seeded posets switches between the two and must
+    map covers, masks, depths and cover order onto each other."""
     rng = random.Random(29)
     for _ in range(150):
         n = rng.randint(2, 24)
-        p = random_poset(rng, n)        # ids ascend upward: toposort route
+        p = random_poset(rng, n)        # ids ascend upward: the walk pushes
+        assert all(p.up_mask(x) & ((1 << x) - 1) == 0 for x in range(n))
         rev = [n - 1 - x for x in range(n)]
-        sorts = 0
-        r = p.permuted(rev)             # ids ascend downward: shortcut
-        assert sorts == 0
-        sorts = 0
+        r = p.permuted(rev)             # ids ascend downward: no push
+        assert all(r.up_mask(x) < 2 << x for x in range(n))
         back = r.permuted(rev)
-        assert sorts == (len(p.covers) > 0)
         assert back.covers == p.covers
         for x in range(n):
             assert r.up_mask(rev[x]) == mask_of(rev[y] for y in ids_of(p.up_mask(x)))
@@ -168,9 +198,8 @@ def test_both_top_down_routes_build_the_same_poset(monkeypatch):
             assert r.depths()[rev[x]] == p.depths()[x]
             assert list(r.covers_up(rev[x])) == sorted(rev[y] for y in p.covers_up(x))
         part = coarsest_color_respecting(p, random_weak_coloring(rng, p, 1))
-        sorts = 0
-        quotient(p, part)
-        assert sorts == 0
+        q, _ = quotient(p, part)        # blocks are numbered top down
+        assert all(q.up_mask(x) < 2 << x for x in range(q.n))
 
 
 def test_leq_and_masks_on_chain():
@@ -300,6 +329,31 @@ def test_canonical_form_is_permutation_invariant():
         assert p.isomorphic(q)
 
 
+def test_canonical_form_matches_the_brute_force_minimum():
+    """Every poset of 0-6 elements and two seeded relabellings of each: two
+    canonical forms are equal exactly when the least sorted cover list over
+    all n! relabellings (with n) is equal."""
+    rng = random.Random(23)
+    posets = []
+    for k in range(7):
+        for p in enumerate_posets(k):
+            posets.append(p)
+            for _ in range(2):
+                perm = list(range(k))
+                rng.shuffle(perm)
+                posets.append(p.permuted(perm))
+
+    def brute(p):
+        covers = p.covers
+        return (p.n, min(tuple(sorted((perm[x], perm[y]) for x, y in covers))
+                         for perm in itertools.permutations(range(p.n))))
+
+    keys = [brute(p) for p in posets]
+    forms = [p.canonical_form() for p in posets]
+    assert len(posets) == 3 * 406 and len(set(keys)) == 406
+    assert len(set(zip(keys, forms))) == len(set(forms)) == 406
+
+
 def test_non_isomorphic_posets_differ():
     assert not chain(3).isomorphic(v_poset())
     assert not chain(2).isomorphic(Poset.from_covers(2, []))
@@ -379,6 +433,22 @@ def test_dot_output_shape():
 def test_ids_and_mask_helpers():
     assert list(ids_of(0b1011)) == [0, 1, 3]
     assert mask_of([0, 1, 3]) == 0b1011
+    for ids in ([-1], [0, 2, -3]):
+        with pytest.raises(InvalidId, match="negative id"):
+            mask_of(ids)
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_element_accessors_reject_ids_outside_the_poset(bad):
+    """On the 3-element V, -1 must not name element 2 by Python's negative
+    indexing, and 3 must not reach a bare IndexError."""
+    v = v_poset()
+    for read in (v.up_mask, v.down_mask, v.covers_up, v.covers_down, v.depth,
+                 lambda x: v.leq(x, 2), lambda x: v.leq(2, x),
+                 lambda x: alpha_mergeable(v, x, 1), lambda x: alpha_mergeable(v, 1, x),
+                 lambda x: beta_mergeable(v, x, 1), lambda x: beta_mergeable(v, 1, x)):
+        with pytest.raises(InvalidId):
+            read(bad)
 
 
 def test_equality_and_hash():
