@@ -11,6 +11,7 @@ immediate successor sets are merged).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 from .errors import (CycleDetected, InvalidId, NotEPartition, NotMergeable,
@@ -238,53 +239,155 @@ def mergeable_pairs(p: Poset) -> list[tuple[str, int, int]]:
 
 
 class _Replay:
-    """A poset under a sequence of merges.
+    """A poset under a sequence of merges, updated in place.
 
-    Tracks the original -> current projection and, for each current
-    element, the original id that names it in recorded steps: the name of
-    its lowest-numbered preimage one merge back.
+    The state is kept per slot: the original id that names a current
+    element in recorded steps, the name of its lowest-numbered preimage
+    one merge back. Lists indexed by slot hold the reflexive `up` and
+    `down` masks, the cover masks `succ` and the `depth` of each live
+    slot, all over slots; `names` lists the live slots in current-id
+    order and `pos` is its inverse; `owner` maps each original id to the
+    slot of its current element. Current ids are those `quotient` gives:
+    after a merge they are re-sorted by (pre-merge depth, pre-merge id),
+    and the merged element takes the smaller of each and keeps the slot
+    of the lower current id.
+
+    Merging x and y into m, with S the strict up mask and D the strict
+    down mask of m: m's covers are y's for alpha and x's for beta. Every
+    member of S lies above both x and y and so above all of D, so the
+    masks of S and D already hold each other and the kept slot; the merge
+    only clears the dropped slot from the down masks of S and the up
+    masks of D, and sets m in the up masks of D. Each z in D loses x and
+    y as covers; no z in D covers a member of S, so none is lost there.
+    z gains m as a cover only when it covered x or y and no member of its
+    old strict up set lies in D. Only an alpha merge changes depths, and
+    only on D. The current poset `cur` is built once, when first asked
+    for, and `kernel` checks the accumulated kernel with `is_epartition`
+    (NotEPartition if it fails), since no quotient checks a merge.
     """
 
-    __slots__ = ("base", "cur", "proj", "names")
+    __slots__ = ("base", "_cur", "owner", "names", "pos", "up", "down",
+                 "succ", "depth")
 
     def __init__(self, p: Poset):
+        n = p.n
         self.base = p
-        self.cur = p
-        self.proj = list(range(p.n))
-        self.names = list(range(p.n))
+        self._cur = p
+        self.owner = list(range(n))
+        self.names = list(range(n))
+        self.pos = list(range(n))
+        self.up = [p.up_mask(x) for x in range(n)]
+        self.down = [p.down_mask(x) for x in range(n)]
+        self.succ = [mask_of(p.covers_up(x)) for x in range(n)]
+        self.depth = list(p.depths())
+
+    @property
+    def cur(self) -> Poset:
+        """The current poset, in current ids."""
+        if self._cur is None:
+            pos, succ = self.pos, self.succ
+            self._cur = Poset.from_leq(len(self.names), [
+                mask_of(pos[t] for t in ids_of(succ[s])) for s in self.names])
+        return self._cur
 
     def merge(self, kind: str, x: int, y: int) -> ReductionStep:
         """Merge the current elements holding original ids x and y."""
         _check_pair(self.base, x, y)
-        bx, by = self.proj[x], self.proj[y]
-        if bx == by:
+        sx, sy = self.owner[x], self.owner[y]
+        if sx == sy:
             raise NotMergeable(f"pair {(x, y)} already identified")
-        self.cur, pi = merge_step(self.cur, kind, bx, by)
-        names = [0] * self.cur.n
-        for z in reversed(range(len(pi))):      # lowest preimage written last
-            names[pi[z]] = self.names[z]
-        self.names = names
-        self.proj = [pi[v] for v in self.proj]
+        pos, up, down, succ, depth = (self.pos, self.up, self.down,
+                                      self.succ, self.depth)
+        if kind == "alpha":
+            ok = succ[sx] == 1 << sy
+        elif kind == "beta":
+            ok = succ[sx] == succ[sy]
+        else:
+            raise InvalidId(f"unknown step kind {kind!r}")
+        if not ok:
+            raise NotMergeable(
+                f"pair ({pos[sx]}, {pos[sy]}) is not {kind}-mergeable")
+        alpha = kind == "alpha"
+        keep, drop = (sx, sy) if pos[sx] < pos[sy] else (sy, sx)
+        pair = 1 << sx | 1 << sy
+        m = 1 << keep
+        above = (up[sx] | up[sy]) & ~pair
+        below = (down[sx] | down[sy]) & ~pair
+        succ[keep] = succ[sy] if alpha else succ[sx]
+        depth[keep] = min(depth[sx], depth[sy])
+        self.names.remove(drop)
+        self.names.sort(key=depth.__getitem__)  # stable: ties keep id order
+        for i, s in enumerate(self.names):
+            pos[s] = i
+        self.owner = [keep if s == drop else s for s in self.owner]
+        up[keep] = above | m
+        down[keep] = below | m
+        for w in ids_of(above):
+            down[w] &= ~(1 << drop)
+        lower = ids_of(below)
+        # An alpha merge shortens the chains through x by one. Walking D by
+        # ascending pre-merge depth reaches every cover of z before z, so z
+        # is recomputed when a cover of it was x or lost depth.
+        dirty = 1 << sx if alpha else 0
+        if alpha:
+            lower.sort(key=depth.__getitem__)
+        for z in lower:
+            old, c = up[z], succ[z]
+            up[z] = (old | m) & ~(1 << drop)
+            succ[z] = c & ~pair
+            if c & pair and not old & below & ~(1 << z):
+                succ[z] |= m
+            if c & dirty:
+                d = 1 + max(depth[t] for t in ids_of(succ[z]))
+                if d != depth[z]:
+                    depth[z] = d
+                    dirty |= 1 << z
+        self._cur = None
         return ReductionStep(kind, (x, y))
+
+    def candidates(self, values: Sequence) -> list:
+        """Same-valued single-pair moves as (depth, x, y, kind rank, kind)
+        in current ids, unsorted; sorted, they run in `mergeable_pairs`
+        order. Beta twins share their covers and so their depth."""
+        pos, succ, depth = self.pos, self.succ, self.depth
+        out = []
+        twins: dict[tuple[int, object], list[int]] = {}
+        for x, s in enumerate(self.names):
+            c, v = succ[s], values[s]
+            if c and not c & (c - 1):
+                t = c.bit_length() - 1
+                if values[t] == v:
+                    out.append((depth[s], x, pos[t], 0, "alpha"))
+            twins.setdefault((c, v), []).append(x)
+        for group in twins.values():
+            d = depth[self.names[group[0]]]
+            out.extend((d, x, y, 1, "beta") for x, y in combinations(group, 2))
+        return out
 
     def greedy(self, values: Sequence, order=None) -> list[ReductionStep]:
         """Merge same-valued pairs, first candidate first, until none remain.
         `values` is indexed by original id; only equal values are merged,
-        so a current element's value is the value of its name."""
+        so a current element's value is the value of its name. Candidates
+        come in `mergeable_pairs` order; `order` may rearrange that list."""
         steps = []
         while True:
-            cur_values = [values[v] for v in self.names]
-            cands = [(kind, x, y) for kind, x, y in mergeable_pairs(self.cur)
-                     if cur_values[x] == cur_values[y]]
+            cands = self.candidates(values)
             if not cands:
                 return steps
-            if order is not None:
-                cands = order(cands)
-            kind, x, y = cands[0]
+            if order is None:
+                _, x, y, _, kind = min(cands)
+            else:
+                cands.sort()
+                kind, x, y = order([(k, a, b) for _, a, b, _, k in cands])[0]
             steps.append(self.merge(kind, self.names[x], self.names[y]))
 
     def kernel(self) -> EPartition:
-        return kernel(self.base, self.proj)
+        """The kernel on the base poset of the merges so far."""
+        part = kernel(self.base, self.owner)
+        if not is_epartition(self.base, part):
+            raise NotEPartition("replayed merges ended on a kernel that fails "
+                                "the back-and-forth condition")
+        return part
 
 
 def decompose_pmorphism(p: Poset, q: Poset, f: Sequence[int]) -> list[ReductionStep]:
@@ -299,7 +402,7 @@ def decompose_pmorphism(p: Poset, q: Poset, f: Sequence[int]) -> list[ReductionS
         raise NotSurjective("image misses codomain elements")
     replay = _Replay(p)
     steps = replay.greedy(f)
-    if len({f[v] for v in replay.names}) != replay.cur.n:
+    if len({f[v] for v in replay.names}) != len(replay.names):
         raise NotPMorphism("no mergeable identified pair; factorization stuck")
     return steps
 
@@ -330,6 +433,19 @@ def coarsest_color_respecting(p: Poset, coloring, *,
 
 def color_respecting_reduction(p: Poset, coloring, *,
                                order=None) -> tuple[EPartition, list[ReductionStep]]:
+    """The greedy of `coarsest_color_respecting`, with its steps in
+    original ids.
+
+    Merges are replayed in place by `_Replay`: each slot (the original id
+    naming a current element) keeps its up, down and cover masks and its
+    depth, and a merge of x and y into m rewrites only m, the strict down
+    set D of m and the strict up set S of m. In the masks of D and S only
+    m replaces the dropped slot; members of D drop x and y as covers and
+    take m as a cover when nothing above them lies in D; an alpha merge
+    recomputes depths on D. No poset is built per merge, so the final
+    kernel is checked once with `is_epartition`; NotEPartition if it
+    fails.
+    """
     from .coloring import is_weak_coloring   # local import, no cycle at load
 
     if not is_weak_coloring(p, coloring):

@@ -1,0 +1,31 @@
+"""A wall-clock bound on every test, so a loop that never ends fails the
+run instead of hanging it."""
+
+import signal
+import threading
+
+import pytest
+
+TEST_TIME_LIMIT_S = 300
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail the test once it has run TEST_TIME_LIMIT_S seconds. SIGALRM
+    exists only on POSIX and is delivered only to the main thread; without
+    it the test runs unbounded."""
+    if not hasattr(signal, "SIGALRM") or \
+            threading.current_thread() is not threading.main_thread():
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail(f"test ran past its {TEST_TIME_LIMIT_S} s bound")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -114,7 +114,10 @@ def quotient_key(q, proj):
 def test_quotient_matches_the_up_set_formula(monkeypatch):
     """Same covers, down masks, depths and projection as the up-set rows,
     on every E-partition of every poset up to 6 elements and on every
-    merge of seeded greedy reductions of the suite's spaces."""
+    merge of seeded greedy reductions of the suite's spaces. The greedy
+    replays merges in place, so its steps are replayed again through
+    `merge_step`, which takes a quotient per merge; after every step the
+    in-place replay's current poset and projection must agree with it."""
     for k in range(7):
         for p in enumerate_posets(k):
             for part in all_epartitions(p):
@@ -141,6 +144,15 @@ def test_quotient_matches_the_up_set_formula(monkeypatch):
         _part, steps = color_respecting_reduction(
             z, random_weak_coloring(rng, z, n))
         total += len(steps)
+        replay = reduction._Replay(z)
+        p, proj = z, tuple(range(z.n))
+        for step in steps:
+            x, y = step.pair
+            p, pi = merge_step(p, step.kind, proj[x], proj[y])
+            proj = tuple(pi[v] for v in proj)
+            replay.merge(step.kind, x, y)
+            in_place = tuple(replay.pos[s] for s in replay.owner)
+            assert quotient_key(replay.cur, in_place) == quotient_key(p, proj)
     assert merges == total > 400
 
 

@@ -1,0 +1,211 @@
+"""The in-place merge replay against the per-merge replay it replaced.
+
+`ReferenceReplay` rebuilds the current poset through `merge_step` (and so
+`quotient`) after every merge and rescans it with `mergeable_pairs`. The
+replay in `esakiakit.reduction` updates masks, covers and depths in place
+and must give the same steps, kernels, final posets and errors."""
+
+import random
+from typing import Sequence
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import esakiakit.lemma as lemma
+import esakiakit.reduction as reduction
+from esakiakit import (Coloring, NotEPartition, Poset, ReductionStep,
+                       Schedule, abomination_truncation,
+                       color_respecting_reduction, compose_steps,
+                       decompose_pmorphism, delta_map, ladder_id,
+                       ladder_truncation, lift_schedule,
+                       schedule_beta_reductions)
+from esakiakit.errors import EsakiaKitError, NotMergeable
+from esakiakit.randgen import random_poset, random_weak_coloring
+from esakiakit.reduction import (EPartition, _check_pair, kernel, merge_step,
+                                 mergeable_pairs)
+
+
+class ReferenceReplay:
+    """A poset under a sequence of merges, one quotient per merge.
+
+    Tracks the original -> current projection and, for each current
+    element, the original id that names it in recorded steps: the name of
+    its lowest-numbered preimage one merge back.
+    """
+
+    def __init__(self, p: Poset):
+        self.base = p
+        self.cur = p
+        self.proj = list(range(p.n))
+        self.names = list(range(p.n))
+
+    def merge(self, kind: str, x: int, y: int) -> ReductionStep:
+        _check_pair(self.base, x, y)
+        bx, by = self.proj[x], self.proj[y]
+        if bx == by:
+            raise NotMergeable(f"pair {(x, y)} already identified")
+        self.cur, pi = merge_step(self.cur, kind, bx, by)
+        names = [0] * self.cur.n
+        for z in reversed(range(len(pi))):      # lowest preimage written last
+            names[pi[z]] = self.names[z]
+        self.names = names
+        self.proj = [pi[v] for v in self.proj]
+        return ReductionStep(kind, (x, y))
+
+    def greedy(self, values: Sequence, order=None) -> list[ReductionStep]:
+        steps = []
+        while True:
+            cur_values = [values[v] for v in self.names]
+            cands = [(kind, x, y) for kind, x, y in mergeable_pairs(self.cur)
+                     if cur_values[x] == cur_values[y]]
+            if not cands:
+                return steps
+            if order is not None:
+                cands = order(cands)
+            kind, x, y = cands[0]
+            steps.append(self.merge(kind, self.names[x], self.names[y]))
+
+    def kernel(self) -> EPartition:
+        return kernel(self.base, self.proj)
+
+
+def assert_same_greedy(p, values, seed=None):
+    """Both replays reduce p by `values`; with a seed, both scramble the
+    candidate lists with equally seeded generators, and must be handed
+    the same lists."""
+    runs = []
+    for cls in (reduction._Replay, ReferenceReplay):
+        order = seen = None
+        if seed is not None:
+            rng, seen = random.Random(seed), []
+
+            def order(cands, rng=rng, seen=seen):
+                seen.append(list(cands))
+                return sorted(cands, key=lambda _: rng.random())
+        replay = cls(p)
+        steps = replay.greedy(values, order)
+        cur = replay.cur
+        runs.append((steps, replay.kernel(), cur, cur.depths(), seen))
+    assert runs[0] == runs[1], (p, values)
+    return len(runs[0][0])
+
+
+def test_greedy_matches_the_reference_on_seeded_posets():
+    rng = random.Random(83)
+    steps = 0
+    for _ in range(3000):
+        p = random_poset(rng, rng.randint(0, 30))
+        f = random_weak_coloring(rng, p, rng.randint(1, 3))
+        steps += assert_same_greedy(p, f.colors)
+    assert steps > 25000
+
+
+@pytest.mark.parametrize("n,depth", [(2, 1), (2, 2), (3, 1)])
+def test_greedy_matches_the_reference_on_truncations(n, depth):
+    z = abomination_truncation(n, depth)
+    rng = random.Random(f"truncation {n} {depth}")
+    for _ in range(8):
+        assert assert_same_greedy(z, random_weak_coloring(rng, z, n).colors)
+
+
+def test_greedy_matches_the_reference_on_every_ladder():
+    rng = random.Random(89)
+    for n in (0, 1, 2):
+        for depth in range(6):
+            v = ladder_truncation(n, depth)
+            for order in range(n + 1):
+                for _ in range(3):
+                    assert_same_greedy(v, random_weak_coloring(rng, v, order).colors)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 24), st.integers(1, 3),
+       st.integers(0, 2**32 - 1))
+def test_scrambled_greedy_matches_the_reference(seed, n, order, scramble):
+    rng = random.Random(seed)
+    p = random_poset(rng, n)
+    assert_same_greedy(p, random_weak_coloring(rng, p, order).colors, scramble)
+
+
+def outcome(fn, *args):
+    """(exception type, message), or the result when nothing was raised."""
+    try:
+        return fn(*args)
+    except EsakiaKitError as exc:
+        return type(exc), str(exc)
+
+
+def chain(n):
+    return Poset.from_covers(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def error_outcomes():
+    """The error paths of the replay's callers, with ids renumbered by an
+    earlier merge where that shows in a message."""
+    v = Poset.from_covers(3, [(0, 1), (0, 2)])
+    c4 = chain(4)
+    out = []
+
+    def merges(p, *moves):
+        replay = reduction._Replay(p)
+        return [outcome(replay.merge, *move) for move in moves]
+
+    out += merges(v, ("beta", 1, 2), ("beta", 2, 1), ("gamma", 0, 1),
+                  ("beta", -1, 1), ("beta", 1, 3), ("alpha", 0, 1))
+    # After alpha (2, 3) the current ids of originals 0 and 1 are 2 and 1.
+    out += merges(c4, ("alpha", 2, 3), ("beta", 0, 1), ("alpha", 3, 2),
+                  ("gamma", 0, 3), ("alpha", 4, 0))
+    for pairs in ([("beta", (1, 2)), ("beta", (1, 2))], [("gamma", (1, 2))],
+                  [("beta", (-1, 1))], [("beta", (1, 3))], [("beta", (0, 1))]):
+        out.append(outcome(compose_steps, v, [ReductionStep(*s) for s in pairs]))
+    out.append(outcome(compose_steps, c4, [ReductionStep("alpha", (2, 3)),
+                                           ReductionStep("beta", (0, 1))]))
+    for p, q, f in ((v, chain(2), (0, 1, 0)), (chain(2), chain(2), (1, 1)),
+                    (v, chain(2), (0, 1)), (v, chain(2), (0, 1, 2)),
+                    (v, chain(2), (0, 1, 1))):
+        out.append(outcome(decompose_pmorphism, p, q, f))
+
+    z = abomination_truncation(2, 1)
+    delta = delta_map(2, 1, z)
+    f = Coloring.of(z, 2, [0] * z.n)
+    sched = schedule_beta_reductions(delta.source, Coloring.of(
+        delta.source, 2, [0] * delta.source.n))
+    first = sched.steps[:3]
+    apart = ReductionStep("beta", (ladder_id(2, 0, 0), ladder_id(2, 1, 0)))
+    for steps in (first + first[:1], first + (apart,)):
+        bad = Schedule(delta.source, steps,
+                       EPartition.from_pairs(delta.source, (s.pair for s in steps)))
+        out.append(outcome(lift_schedule, z, f, delta, bad))
+    return out
+
+
+def test_error_paths_match_the_reference(monkeypatch):
+    got = error_outcomes()
+    monkeypatch.setattr(reduction, "_Replay", ReferenceReplay)
+    monkeypatch.setattr(lemma, "_Replay", ReferenceReplay)
+    expected = error_outcomes()
+    assert got == expected
+    messages = [o[1] for o in got if isinstance(o, tuple) and len(o) == 2
+                and isinstance(o[0], type)]
+    assert "pair (2, 1) is not beta-mergeable" in messages
+    assert "pair (1, 2) already identified" in messages
+    assert "unknown step kind 'gamma'" in messages
+    assert sum("stopped being beta-valid" in m for m in messages) == 2
+
+
+def test_a_kernel_failing_the_final_check_is_refused(monkeypatch):
+    """Every caller of the replay's kernel gets the final check."""
+    p = chain(3)
+    f = Coloring.of(p, 1, [0, 0, 0])
+    z = abomination_truncation(2, 1)
+    delta = delta_map(2, 1, z)
+    sched = schedule_beta_reductions(delta.source, Coloring.of(
+        delta.source, 2, [0] * delta.source.n))
+    monkeypatch.setattr(reduction, "is_epartition", lambda q, part: False)
+    with pytest.raises(NotEPartition):
+        color_respecting_reduction(p, f)
+    with pytest.raises(NotEPartition):
+        compose_steps(p, [ReductionStep("alpha", (1, 2))])
+    with pytest.raises(NotEPartition):
+        lift_schedule(z, Coloring.of(z, 2, [0] * z.n), delta, sched)

@@ -4,7 +4,8 @@ from esakiakit import (InvalidId, OutOfRange, SpaceLabel, abomination_id,
                        abomination_level_ids, abomination_truncation,
                        canonical_coloring, ids_of, is_coloring, ladder_id,
                        ladder_truncation, level_size, mergeable_pairs,
-                       triple_table, verify_downset_claim, width_of)
+                       search_coloring, triple_table, verify_downset_claim,
+                       width_of)
 from esakiakit.poset import JSON_COVER_LIMIT
 from esakiakit.spaces import abomination_cover_count, ladder_cover_count
 
@@ -115,6 +116,13 @@ def test_canonical_coloring_is_strict_at_every_depth():
         f = canonical_coloring(2, M)
         assert f.n == 3
         assert is_coloring(f.base, f)
+
+
+@pytest.mark.parametrize("n,depth", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_no_strict_coloring_of_order_n(n, depth):
+    """The infinite side of the dichotomy at these sizes: exhaustive
+    search finds no strict coloring of order n on the truncation."""
+    assert search_coloring(abomination_truncation(n, depth), n) is None
 
 
 def test_downset_claim():
