@@ -238,6 +238,8 @@ class DeltaMap:
     mapping: tuple[int, ...]      # source element -> target element
 
     def __call__(self, x: int) -> int:
+        if not 0 <= x < self.source.n:
+            raise InvalidId(f"ladder id {x} outside 0..{self.source.n - 1}")
         return self.mapping[x]
 
 

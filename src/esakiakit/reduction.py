@@ -250,7 +250,12 @@ class _Replay:
     slot of its current element. Current ids are those `quotient` gives:
     after a merge they are re-sorted by (pre-merge depth, pre-merge id),
     and the merged element takes the smaller of each and keeps the slot
-    of the lower current id.
+    of the lower current id. Since they follow pre-merge depth, `names`
+    need not be in current-depth order.
+
+    The default greedy takes the least move in one pass over the live
+    slots (`least`); `candidates` lists every move and serves only an
+    `order` that rearranges them.
 
     Merging x and y into m, with S the strict up mask and D the strict
     down mask of m: m's covers are y's for alpha and x's for beta. Every
@@ -348,7 +353,8 @@ class _Replay:
     def candidates(self, values: Sequence) -> list:
         """Same-valued single-pair moves as (depth, x, y, kind rank, kind)
         in current ids, unsorted; sorted, they run in `mergeable_pairs`
-        order. Beta twins share their covers and so their depth."""
+        order. Beta twins share their covers and so their depth. Only an
+        `order` passed to `greedy` needs the whole list."""
         pos, succ, depth = self.pos, self.succ, self.depth
         out = []
         twins: dict[tuple[int, object], list[int]] = {}
@@ -364,21 +370,62 @@ class _Replay:
             out.extend((d, x, y, 1, "beta") for x, y in combinations(group, 2))
         return out
 
+    def least(self, values: Sequence) -> tuple[str, int, int] | None:
+        """The least move of `candidates` as (kind, x, y), or None, in one
+        pass over the live slots and without listing the moves.
+
+        A twin group's least pair is its first two members in current-id
+        order, so each group offers one beta move, found when its second
+        member is seen. Current ids follow pre-merge depth, not current
+        depth, so every slot is visited; a slot deeper than the best move
+        so far is skipped, since its moves and its twins' are deeper too.
+        An alpha move and a beta move from the same x are told apart by
+        their full keys."""
+        pos, succ, depth = self.pos, self.succ, self.depth
+        best = None
+        first: dict[tuple[int, object], int] = {}
+        for x, s in enumerate(self.names):
+            d = depth[s]
+            if best is not None and d > best[0]:
+                continue
+            c, v = succ[s], values[s]
+            if c and not c & (c - 1):
+                t = c.bit_length() - 1
+                if values[t] == v:
+                    key = (d, x, pos[t], 0)
+                    if best is None or key < best:
+                        best = key
+            w = first.setdefault((c, v), x)
+            if 0 <= w < x:
+                key = (d, w, x, 1)
+                if best is None or key < best:
+                    best = key
+                first[c, v] = -1    # later members give only larger pairs
+        if best is None:
+            return None
+        _, x, y, rank = best
+        return ("beta" if rank else "alpha"), x, y
+
     def greedy(self, values: Sequence, order=None) -> list[ReductionStep]:
-        """Merge same-valued pairs, first candidate first, until none remain.
+        """Merge same-valued pairs, least move first, until none remain.
         `values` is indexed by original id; only equal values are merged,
-        so a current element's value is the value of its name. Candidates
-        come in `mergeable_pairs` order; `order` may rearrange that list."""
+        so a current element's value is the value of its name. By default
+        each move is the least of `mergeable_pairs` order, found by `least`
+        in one pass; only with `order` is the whole `candidates` list built,
+        sorted and handed to `order`, whose first entry is merged."""
         steps = []
         while True:
-            cands = self.candidates(values)
-            if not cands:
-                return steps
             if order is None:
-                _, x, y, _, kind = min(cands)
+                move = self.least(values)
+                if move is None:
+                    return steps
             else:
+                cands = self.candidates(values)
+                if not cands:
+                    return steps
                 cands.sort()
-                kind, x, y = order([(k, a, b) for _, a, b, _, k in cands])[0]
+                move = order([(k, a, b) for _, a, b, _, k in cands])[0]
+            kind, x, y = move
             steps.append(self.merge(kind, self.names[x], self.names[y]))
 
     def kernel(self) -> EPartition:
@@ -425,7 +472,9 @@ def coarsest_color_respecting(p: Poset, coloring, *,
 
     Greedy fixpoint: merge same-colored alpha/beta pairs until none remain.
     The result is order independent; the default order is the deterministic
-    (depth, id, id) rule. `order` exists so tests can scramble it.
+    (depth, id, id) rule, whose least move is found in one pass without
+    listing the others. `order` exists so tests can scramble it; only then
+    is every candidate move listed.
     """
     part, _steps = color_respecting_reduction(p, coloring, order=order)
     return part

@@ -157,6 +157,20 @@ def test_reduce(capsys, tmp_path):
                   {"kind": "alpha", "pair": [0, 2]}]}
 
 
+def test_reduce_a_wide_twin_group(capsys, tmp_path):
+    n = 1500
+    poset = write_json(tmp_path / "p.json", {"n": n, "covers": []})
+    coloring = write_json(tmp_path / "f.json",
+                          {"n": 0, "colors": {str(i): "" for i in range(n)}})
+    code, out, _ = run(capsys, "reduce", "--poset", poset,
+                       "--coloring", coloring)
+    assert code == 0
+    data = json.loads(out)
+    assert data["partition"] == {"blocks": [list(range(n))]}
+    assert data["steps"] == [{"kind": "beta", "pair": [0, y]}
+                             for y in range(1, n)]
+
+
 def test_census_json_and_csv(capsys, chain2):
     code, out, _ = run(capsys, "census", "--poset", chain2, "--n", "1")
     assert code == 0

@@ -4,12 +4,12 @@ import pytest
 
 from esakiakit import (Coloring, EmbeddingMismatch, EPartition, InvalidId,
                        NotUpset, NotWeakColoring, OutOfRange, Poset,
-                       PropertyFalsified, QuotientNotColorable, Schedule,
-                       abomination_truncation, corollary_certificate,
-                       corollary_check, delta_map, full_c_levels, full_levels,
-                       ladder_id, ladder_truncation, lift_schedule,
-                       quotient_census, schedule_beta_reductions,
-                       verify_schedule)
+                       PropertyFalsified, QuotientNotColorable, ReductionStep,
+                       Schedule, abomination_truncation,
+                       corollary_certificate, corollary_check, delta_map,
+                       full_c_levels, full_levels, ladder_id,
+                       ladder_truncation, lift_schedule, quotient_census,
+                       schedule_beta_reductions, verify_schedule)
 from esakiakit.lemma import c_rows, merges_every_full_c_row
 from esakiakit.randgen import random_weak_coloring
 
@@ -110,6 +110,41 @@ def test_delta_map_images():
     for m, i, image in ((0, 3, "c0_3"), (1, 2, "d0_2"),
                         (2, 5, "ea0_5"), (3, 0, "c1_0")):
         assert z.labels[delta(ladder_id(2, m, i))] == image
+
+
+def test_delta_map_refuses_ids_outside_the_ladder():
+    z = abomination_truncation(2, 1)
+    delta = delta_map(2, 1, z)
+    n = delta.source.n
+    assert delta(0) == delta.mapping[0] and delta(n - 1) == delta.mapping[-1]
+    for x in (-1, n, -n):
+        with pytest.raises(InvalidId, match=f"ladder id {x} outside 0..{n - 1}"):
+            delta(x)
+
+
+def test_lift_refuses_steps_outside_the_ladder(monkeypatch):
+    """A step naming a ladder id outside the source is bad input: it is
+    refused before any merge, and never read as another ladder element."""
+    import esakiakit.lemma as lemma
+
+    merged = []
+
+    class Spy(lemma._Replay):
+        def merge(self, kind, x, y):
+            merged.append((kind, x, y))
+            return super().merge(kind, x, y)
+
+    monkeypatch.setattr(lemma, "_Replay", Spy)
+    z = abomination_truncation(2, 1)
+    delta = delta_map(2, 1, z)
+    n = delta.source.n
+    f = constant(z, 2)
+    for pair in ((-1, n - 2), (n, 0)):
+        bad = Schedule(delta.source, (ReductionStep("beta", pair),),
+                       EPartition.identity(delta.source))
+        with pytest.raises(InvalidId, match=f"ladder id {pair[0]} outside"):
+            lift_schedule(z, f, delta, bad)
+    assert merged == []
 
 
 def test_delta_map_mismatches():

@@ -279,6 +279,18 @@ def test_color_respecting_reduction_steps_replay():
     assert final.n == 2
 
 
+def test_a_wide_twin_group_is_merged_pair_by_pair():
+    # 1500 same-colored maximal elements form one twin group. Each round
+    # merges its first two members, so the run takes 1499 rounds, not a
+    # round per pair of the group.
+    n = 1500
+    p = Poset.from_covers(n, [])
+    part, steps = color_respecting_reduction(p, Coloring.of(p, 0, [0] * n))
+    assert [(s.kind, s.pair) for s in steps] == \
+        [("beta", (0, y)) for y in range(1, n)]
+    assert part.blocks == (tuple(range(n)),)
+
+
 def step_list(steps):
     return [[s.kind, list(s.pair)] for s in steps]
 

@@ -128,6 +128,58 @@ def test_scrambled_greedy_matches_the_reference(seed, n, order, scramble):
     assert_same_greedy(p, random_weak_coloring(rng, p, order).colors, scramble)
 
 
+def assert_least_is_the_least_candidate(p, values, rng):
+    """Stop the default greedy after a random number of merges; the
+    one-pass pick at the state reached, and at every state before it, is
+    the least entry of the full candidate list."""
+    replay = reduction._Replay(p)
+    merges = 0
+    stop = rng.randint(0, p.n)
+    while True:
+        cands = replay.candidates(values)
+        move = replay.least(values)
+        if not cands:
+            assert move is None
+            return merges
+        _, x, y, _, kind = min(cands)
+        assert move == (kind, x, y), (p, values, merges)
+        if merges == stop:
+            return merges
+        replay.merge(kind, replay.names[x], replay.names[y])
+        merges += 1
+
+
+def test_least_move_matches_the_candidate_list():
+    rng = random.Random(97)
+    states = 0
+    for _ in range(1500):
+        p = random_poset(rng, rng.randint(0, 30))
+        f = random_weak_coloring(rng, p, rng.randint(1, 3))
+        states += assert_least_is_the_least_candidate(p, f.colors, rng) + 1
+    for n, depth in ((2, 1), (2, 2), (3, 1)):
+        z = abomination_truncation(n, depth)
+        for _ in range(4):
+            f = random_weak_coloring(rng, z, n)
+            states += assert_least_is_the_least_candidate(z, f.colors, rng) + 1
+    assert states > 10000
+
+
+def test_the_default_greedy_lists_no_candidates(monkeypatch):
+    # Only an `order` needs the whole candidate list; the default greedy
+    # takes the least move in one pass.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the default greedy listed every candidate")
+    monkeypatch.setattr(reduction._Replay, "candidates", forbidden)
+    z = abomination_truncation(2, 1)
+    f = random_weak_coloring(random.Random(7), z, 2)
+    part, steps = color_respecting_reduction(z, f)
+    assert steps and compose_steps(z, steps)[1] == part
+    q, proj = reduction.quotient(z, part)
+    assert decompose_pmorphism(z, q, proj)
+    with pytest.raises(AssertionError, match="listed every candidate"):
+        color_respecting_reduction(z, f, order=list)
+
+
 def outcome(fn, *args):
     """(exception type, message), or the result when nothing was raised."""
     try:
