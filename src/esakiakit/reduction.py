@@ -11,6 +11,7 @@ immediate successor sets are merged).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
@@ -243,48 +244,60 @@ class _Replay:
 
     The state is kept per slot: the original id that names a current
     element in recorded steps, the name of its lowest-numbered preimage
-    one merge back. Lists indexed by slot hold the reflexive `up` and
-    `down` masks, the cover masks `succ` and the `depth` of each live
-    slot, all over slots; `names` lists the live slots in current-id
-    order and `pos` is its inverse; `owner` maps each original id to the
-    slot of its current element. Current ids are those `quotient` gives:
-    after a merge they are re-sorted by (pre-merge depth, pre-merge id),
-    and the merged element takes the smaller of each and keeps the slot
-    of the lower current id. Since they follow pre-merge depth, `names`
-    need not be in current-depth order.
+    one merge back. `live` masks the live slots. Lists indexed by slot
+    hold the reflexive `up` and `down` masks, the cover masks `succ` and
+    `pred` (each the transpose of the other) and the `depth` of each live
+    slot, all over slots, plus `members`, the originals a slot holds.
+    `names` lists the live slots in current-id order and `pos` is its
+    inverse; `owner` maps each original id to the slot of its current
+    element. A dropped slot is never cleared from the `up` and `down`
+    masks, so they are read through `live`; `succ` and `pred` name live
+    slots only. Current ids are those `quotient` gives: after a merge they
+    are re-sorted by (pre-merge depth, pre-merge id), and the merged
+    element takes the smaller of each and keeps the slot of the lower
+    current id. Since they follow pre-merge depth, `names` need not be in
+    current-depth order; it is, and no sort is needed, while no depth has
+    moved since the last sort.
 
     The default greedy takes the least move in one pass over the live
     slots (`least`); `candidates` lists every move and serves only an
     `order` that rearranges them.
 
-    Merging x and y into m, with S the strict up mask and D the strict
-    down mask of m: m's covers are y's for alpha and x's for beta. Every
-    member of S lies above both x and y and so above all of D, so the
-    masks of S and D already hold each other and the kept slot; the merge
-    only clears the dropped slot from the down masks of S and the up
-    masks of D, and sets m in the up masks of D. Each z in D loses x and
-    y as covers; no z in D covers a member of S, so none is lost there.
-    z gains m as a cover only when it covered x or y and no member of its
-    old strict up set lies in D. Only an alpha merge changes depths, and
-    only on D. The current poset `cur` is built once, when first asked
-    for, and `kernel` checks the accumulated kernel with `is_epartition`
-    (NotEPartition if it fails), since no quotient checks a merge.
+    Merging x and y into m, with D the strict down set of m: m's covers
+    are y's for alpha and x's for beta. Every member of m's strict up set
+    lies above both x and y and so above all of D, so only the members of
+    D below the dropped slot but not the kept one gain m in their up
+    masks. Only the immediate predecessors of x and y change covers: each
+    drops x and y and gains m when no member of its old strict up set
+    lies in D; those gaining m are m's `pred`. Only an alpha merge changes
+    depths, and only below x. The current poset `cur` is built once, when first
+    asked for, and `kernel` checks the accumulated kernel with
+    `is_epartition` (NotEPartition if it fails), since no quotient checks
+    a merge.
     """
 
-    __slots__ = ("base", "_cur", "owner", "names", "pos", "up", "down",
-                 "succ", "depth")
+    __slots__ = ("base", "_cur", "owner", "members", "names", "pos", "live",
+                 "up", "down", "succ", "pred", "depth", "_unsorted")
 
     def __init__(self, p: Poset):
         n = p.n
         self.base = p
         self._cur = p
         self.owner = list(range(n))
+        self.members = [[x] for x in range(n)]
         self.names = list(range(n))
         self.pos = list(range(n))
-        self.up = [p.up_mask(x) for x in range(n)]
-        self.down = [p.down_mask(x) for x in range(n)]
-        self.succ = [mask_of(p.covers_up(x)) for x in range(n)]
-        self.depth = list(p.depths())
+        self.live = (1 << n) - 1
+        self.up = list(p._up)
+        self.down = list(p._down)
+        self.depth = list(p._depths)
+        self.succ = succ = [0] * n
+        self.pred = pred = [0] * n
+        for x, ys in enumerate(p._succ):
+            for y in ys:
+                succ[x] |= 1 << y
+                pred[y] |= 1 << x
+        self._unsorted = True       # base ids need not follow depth
 
     @property
     def cur(self) -> Poset:
@@ -296,13 +309,21 @@ class _Replay:
         return self._cur
 
     def merge(self, kind: str, x: int, y: int) -> ReductionStep:
-        """Merge the current elements holding original ids x and y."""
+        """Merge the current elements holding original ids x and y.
+
+        Neither m's strict up set nor all of its strict down set is
+        visited: besides renumbering the current ids after the dropped
+        slot's (all of them, with a sort, when a depth has moved since the
+        last sort), a merge touches the covers and immediate predecessors
+        of x and y, the part of the down set below only the dropped slot,
+        the dropped slot's originals and, for alpha, the elements below x
+        whose depth moved and their immediate predecessors."""
         _check_pair(self.base, x, y)
         sx, sy = self.owner[x], self.owner[y]
         if sx == sy:
             raise NotMergeable(f"pair {(x, y)} already identified")
-        pos, up, down, succ, depth = (self.pos, self.up, self.down,
-                                      self.succ, self.depth)
+        pos, up, down, succ, pred, depth = (self.pos, self.up, self.down,
+                                            self.succ, self.pred, self.depth)
         if kind == "alpha":
             ok = succ[sx] == 1 << sy
         elif kind == "beta":
@@ -316,37 +337,71 @@ class _Replay:
         keep, drop = (sx, sy) if pos[sx] < pos[sy] else (sy, sx)
         pair = 1 << sx | 1 << sy
         m = 1 << keep
-        above = (up[sx] | up[sy]) & ~pair
-        below = (down[sx] | down[sy]) & ~pair
-        succ[keep] = succ[sy] if alpha else succ[sx]
-        depth[keep] = min(depth[sx], depth[sy])
-        self.names.remove(drop)
-        self.names.sort(key=depth.__getitem__)  # stable: ties keep id order
-        for i, s in enumerate(self.names):
-            pos[s] = i
-        self.owner = [keep if s == drop else s for s in self.owner]
-        up[keep] = above | m
-        down[keep] = below | m
-        for w in ids_of(above):
-            down[w] &= ~(1 << drop)
-        lower = ids_of(below)
-        # An alpha merge shortens the chains through x by one. Walking D by
-        # ascending pre-merge depth reaches every cover of z before z, so z
-        # is recomputed when a cover of it was x or lost depth.
-        dirty = 1 << sx if alpha else 0
-        if alpha:
-            lower.sort(key=depth.__getitem__)
-        for z in lower:
-            old, c = up[z], succ[z]
-            up[z] = (old | m) & ~(1 << drop)
-            succ[z] = c & ~pair
-            if c & pair and not old & below & ~(1 << z):
+        self.live = live = self.live & ~(1 << drop)
+        # The dropped slot's bits stay behind in the masks, read through
+        # `live`; what lay below it but not below the kept slot gains m.
+        for z in ids_of(down[drop] & ~down[keep] & live):
+            up[z] |= m
+        up[keep] |= up[drop]
+        down[keep] |= down[drop]
+        below = down[keep] & live & ~m
+        covered = (pred[sx] | pred[sy]) & ~pair
+        from_x = pred[sx]
+        succ[keep] = c = succ[sy] if alpha else succ[sx]
+        for t in ids_of(c):
+            pred[t] = pred[t] & ~pair | m
+        # The covers of x and y drop them and take m, unless a member of D
+        # lies between.
+        gained = 0
+        while covered:
+            low = covered & -covered
+            covered ^= low
+            z = low.bit_length() - 1
+            succ[z] &= ~pair
+            if not up[z] & below & ~low:
                 succ[z] |= m
-            if c & dirty:
-                d = 1 + max(depth[t] for t in ids_of(succ[z]))
+                gained |= low
+        pred[keep] = gained
+        depth[keep] = min(depth[sx], depth[sy])
+        names = self.names
+        if self._unsorted:
+            names.remove(drop)
+            names.sort(key=depth.__getitem__)  # stable: ties keep id order
+            start = 0
+            self._unsorted = False
+        else:
+            start = pos[drop]
+            del names[start]
+        for i in range(start, len(names)):
+            pos[names[i]] = i
+        owner, members = self.owner, self.members
+        for o in members[drop]:
+            owner[o] = keep
+        members[keep] += members[drop]
+        members[drop] = None
+        if alpha:
+            # An alpha merge shortens the chains through x by one. Popping
+            # by pre-merge depth settles every cover of z before z, so z is
+            # recomputed when a cover of it was x or lost depth.
+            heap = [(depth[z], z) for z in ids_of(from_x)]
+            heapify(heap)
+            queued = from_x
+            while heap:
+                _, z = heappop(heap)
+                rest, d = succ[z], 0
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    dt = depth[low.bit_length() - 1]
+                    if dt > d:
+                        d = dt
+                d += 1
                 if d != depth[z]:
                     depth[z] = d
-                    dirty |= 1 << z
+                    self._unsorted = True
+                    for w in ids_of(pred[z] & ~queued):
+                        heappush(heap, (depth[w], w))
+                    queued |= pred[z]
         self._cur = None
         return ReductionStep(kind, (x, y))
 
@@ -370,9 +425,11 @@ class _Replay:
             out.extend((d, x, y, 1, "beta") for x, y in combinations(group, 2))
         return out
 
-    def least(self, values: Sequence) -> tuple[str, int, int] | None:
+    def least(self, values: Sequence, floor: int = 0) -> tuple[str, int, int] | None:
         """The least move of `candidates` as (kind, x, y), or None, in one
-        pass over the live slots and without listing the moves.
+        pass over the live slots and without listing the moves. Slots
+        shallower than `floor` are skipped; `greedy` passes a floor that no
+        move lies above.
 
         A twin group's least pair is its first two members in current-id
         order, so each group offers one beta move, found when its second
@@ -386,7 +443,7 @@ class _Replay:
         first: dict[tuple[int, object], int] = {}
         for x, s in enumerate(self.names):
             d = depth[s]
-            if best is not None and d > best[0]:
+            if d < floor or best is not None and d > best[0]:
                 continue
             c, v = succ[s], values[s]
             if c and not c & (c - 1):
@@ -412,11 +469,19 @@ class _Replay:
         so a current element's value is the value of its name. By default
         each move is the least of `mergeable_pairs` order, found by `least`
         in one pass; only with `order` is the whole `candidates` list built,
-        sorted and handed to `order`, whose first entry is merged."""
+        sorted and handed to `order`, whose first entry is merged.
+
+        The default greedy passes `least` the depth d of the last move's
+        merged-from element, read before the merge, as its floor: the least
+        move's depth never decreases. m's moves were x's (beta) or y's
+        (alpha) and so not below d; an alpha merge leaves every member of
+        m's strict down set at depth d or deeper, and a beta merge moves no
+        depth; no other element changes its covers, depth or twins."""
         steps = []
+        floor = 0
         while True:
             if order is None:
-                move = self.least(values)
+                move = self.least(values, floor)
                 if move is None:
                     return steps
             else:
@@ -426,7 +491,9 @@ class _Replay:
                 cands.sort()
                 move = order([(k, a, b) for _, a, b, _, k in cands])[0]
             kind, x, y = move
-            steps.append(self.merge(kind, self.names[x], self.names[y]))
+            s = self.names[x]
+            floor = self.depth[s]
+            steps.append(self.merge(kind, s, self.names[y]))
 
     def kernel(self) -> EPartition:
         """The kernel on the base poset of the merges so far."""
@@ -487,13 +554,16 @@ def color_respecting_reduction(p: Poset, coloring, *,
 
     Merges are replayed in place by `_Replay`: each slot (the original id
     naming a current element) keeps its up, down and cover masks and its
-    depth, and a merge of x and y into m rewrites only m, the strict down
-    set D of m and the strict up set S of m. In the masks of D and S only
-    m replaces the dropped slot; members of D drop x and y as covers and
-    take m as a cover when nothing above them lies in D; an alpha merge
-    recomputes depths on D. No poset is built per merge, so the final
-    kernel is checked once with `is_epartition`; NotEPartition if it
-    fails.
+    depth. A merge of x and y into m visits neither m's strict up set nor
+    all of its strict down set D: it rewrites the cover masks of x's and
+    y's immediate successors and predecessors, adds m to the up masks of
+    the part of D below only the dropped slot, leaves the dropped slot's
+    bits in the masks to be read through the live mask, and an alpha
+    merge recomputes depths below x, starting at x's immediate
+    predecessors. Each round's least
+    move is searched from the depth of the last one, since that depth
+    never decreases. No poset is built per merge, so the final kernel is
+    checked once with `is_epartition`; NotEPartition if it fails.
     """
     from .coloring import is_weak_coloring   # local import, no cycle at load
 

@@ -3,7 +3,8 @@
 `ReferenceReplay` rebuilds the current poset through `merge_step` (and so
 `quotient`) after every merge and rescans it with `mergeable_pairs`. The
 replay in `esakiakit.reduction` updates masks, covers and depths in place
-and must give the same steps, kernels, final posets and errors."""
+and must give the same steps, kernels, final posets and errors; its
+per-slot state must describe the current poset after every merge."""
 
 import random
 from typing import Sequence
@@ -21,6 +22,7 @@ from esakiakit import (Coloring, NotEPartition, Poset, ReductionStep,
                        ladder_truncation, lift_schedule,
                        schedule_beta_reductions)
 from esakiakit.errors import EsakiaKitError, NotMergeable
+from esakiakit.poset import ids_of, mask_of
 from esakiakit.randgen import random_poset, random_weak_coloring
 from esakiakit.reduction import (EPartition, _check_pair, kernel, merge_step,
                                  mergeable_pairs)
@@ -128,6 +130,78 @@ def test_scrambled_greedy_matches_the_reference(seed, n, order, scramble):
     assert_same_greedy(p, random_weak_coloring(rng, p, order).colors, scramble)
 
 
+def assert_state_matches_cur(replay):
+    """Every live slot's masks, covers and depth, read through `live` and
+    mapped to current ids by `pos`, are those of `cur`; `pred` is the
+    transpose of `succ`; `members` holds exactly the originals a slot
+    owns; no dead slot is anyone's cover; and while no depth has moved
+    since the last sort, `names` is in depth order."""
+    cur, pos, live, names = replay.cur, replay.pos, replay.live, replay.names
+    up, down, succ, pred = replay.up, replay.down, replay.succ, replay.pred
+
+    def current(mask):
+        return mask_of(pos[t] for t in ids_of(mask))
+
+    owned = {}
+    for x, s in enumerate(replay.owner):
+        owned.setdefault(s, []).append(x)
+    assert live == mask_of(names) and sorted(owned) == sorted(names)
+    for s in names:
+        x = pos[s]
+        assert names[x] == s
+        assert current(up[s] & live) == cur.up_mask(x)
+        assert current(down[s] & live) == cur.down_mask(x)
+        assert not (succ[s] | pred[s]) & ~live
+        assert current(succ[s]) == mask_of(cur.covers_up(x))
+        assert current(pred[s]) == mask_of(cur.covers_down(x))
+        assert all(pred[t] >> s & 1 for t in ids_of(succ[s]))
+        assert replay.depth[s] == cur.depth(x)
+        assert sorted(replay.members[s]) == owned[s]
+    if not replay._unsorted:
+        depths = [replay.depth[s] for s in names]
+        assert depths == sorted(depths)
+
+
+def assert_state_holds_after_every_merge(p, values, rng=None):
+    """Merge by the least move, or with `rng` by a random candidate, and
+    check the replay's state after every merge."""
+    replay = reduction._Replay(p)
+    assert_state_matches_cur(replay)
+    while True:
+        if rng is None:
+            move = replay.least(values)
+        else:
+            cands = replay.candidates(values)
+            move = None
+            if cands:
+                _, x, y, _, kind = rng.choice(cands)
+                move = kind, x, y
+        if move is None:
+            return
+        kind, x, y = move
+        replay.merge(kind, replay.names[x], replay.names[y])
+        assert_state_matches_cur(replay)
+
+
+def test_replay_state_matches_the_current_poset():
+    rng = random.Random(101)
+    for i in range(400):
+        p = random_poset(rng, rng.randint(0, 30))
+        f = random_weak_coloring(rng, p, rng.randint(1, 3))
+        assert_state_holds_after_every_merge(p, f.colors, rng if i % 2 else None)
+    for n, depth in ((2, 1), (2, 2), (3, 1)):
+        z = abomination_truncation(n, depth)
+        for _ in range(2):
+            assert_state_holds_after_every_merge(
+                z, random_weak_coloring(rng, z, n).colors)
+    for n in (0, 1, 2):
+        for depth in range(6):
+            v = ladder_truncation(n, depth)
+            for order in range(n + 1):
+                assert_state_holds_after_every_merge(
+                    v, random_weak_coloring(rng, v, order).colors)
+
+
 def assert_least_is_the_least_candidate(p, values, rng):
     """Stop the default greedy after a random number of merges; the
     one-pass pick at the state reached, and at every state before it, is
@@ -149,19 +223,57 @@ def assert_least_is_the_least_candidate(p, values, rng):
         merges += 1
 
 
-def test_least_move_matches_the_candidate_list():
-    rng = random.Random(97)
-    states = 0
+def least_move_inputs(rng):
+    """Seeded posets and truncation colorings as (poset, values), drawn
+    lazily from `rng`, so a caller's own draws between inputs stay in
+    sequence."""
     for _ in range(1500):
         p = random_poset(rng, rng.randint(0, 30))
-        f = random_weak_coloring(rng, p, rng.randint(1, 3))
-        states += assert_least_is_the_least_candidate(p, f.colors, rng) + 1
+        yield p, random_weak_coloring(rng, p, rng.randint(1, 3)).colors
     for n, depth in ((2, 1), (2, 2), (3, 1)):
         z = abomination_truncation(n, depth)
         for _ in range(4):
-            f = random_weak_coloring(rng, z, n)
-            states += assert_least_is_the_least_candidate(z, f.colors, rng) + 1
+            yield z, random_weak_coloring(rng, z, n).colors
+
+
+def test_least_move_matches_the_candidate_list():
+    rng = random.Random(97)
+    states = 0
+    for p, values in least_move_inputs(rng):
+        states += assert_least_is_the_least_candidate(p, values, rng) + 1
     assert states > 10000
+
+
+class FloorCheckingReplay(reduction._Replay):
+    """Checks every floor the greedy passes to `least`: it skips no move
+    that the unfloored scan finds, and it is the depth of the move before."""
+
+    __slots__ = ("depths",)
+
+    def least(self, values, floor=0):
+        move = super().least(values)
+        assert super().least(values, floor) == move
+        assert floor == (self.depths[-1] if self.depths else 0)
+        if move is not None:
+            self.depths.append(self.depth[self.names[move[1]]])
+        return move
+
+
+def test_the_least_move_depth_never_decreases():
+    """The floor is sound: the default greedy's moves come in
+    non-decreasing depth, and `least` above the last move's depth finds
+    the same move as without a floor."""
+    rng = random.Random(97)
+    moves = 0
+    for p, values in least_move_inputs(rng):
+        rng.randint(0, p.n)     # the candidate-list test's stop draw
+        replay = FloorCheckingReplay(p)
+        replay.depths = []
+        steps = replay.greedy(values)
+        assert replay.depths == sorted(replay.depths)
+        assert len(steps) == len(replay.depths)
+        moves += len(steps)
+    assert moves > 10000
 
 
 def test_the_default_greedy_lists_no_candidates(monkeypatch):
