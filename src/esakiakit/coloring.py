@@ -97,10 +97,25 @@ class Coloring:
         return Coloring.of(base, n, cols)
 
 
-def is_weak_coloring(p: Poset, f: Coloring) -> bool:
-    if f.base != p or len(f.colors) != p.n:
+def _check_base(p: Poset, f: Coloring) -> None:
+    """InvalidId unless f colors p (or a poset equal to it)."""
+    if f.base is not p and f.base != p or len(f.colors) != p.n:
         raise InvalidId("coloring built on a different poset")
-    return all(color_leq(f.colors[x], f.colors[y]) for x, y in p.covers)
+
+
+def is_weak_coloring(p: Poset, f: Coloring) -> bool:
+    """Order preserving: `color_leq(colors[x], colors[y])` on every cover
+    x < y, read off the stored successor rows; False at the first cover
+    whose lower color has a bit the upper one lacks. InvalidId for a
+    coloring built on another poset."""
+    _check_base(p, f)
+    colors = f.colors
+    for x, ys in enumerate(p._succ):
+        c = colors[x]
+        for y in ys:
+            if c & ~colors[y]:
+                return False
+    return True
 
 
 def monochrome_mergeable_pair(p: Poset, f: Coloring) -> tuple[str, int, int] | None:

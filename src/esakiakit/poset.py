@@ -349,14 +349,19 @@ class Poset:
         if len(covers) > JSON_COVER_LIMIT:
             raise InvalidId(f"{len(covers)} covers exceed the poset JSON "
                             f"limit of {JSON_COVER_LIMIT}")
+        pairs = []
         for c in covers:
-            if not (isinstance(c, (list, tuple)) and len(c) == 2
-                    and _is_id(c[0]) and _is_id(c[1])):
-                raise InvalidId(f"cover {c!r} is not a pair of integers")
+            if isinstance(c, (list, tuple)) and len(c) == 2:
+                x, y = c
+                # A plain int is _is_id's common case, tried without a call.
+                if (type(x) is int or _is_id(x)) and (type(y) is int or _is_id(y)):
+                    pairs.append((x, y))
+                    continue
+            raise InvalidId(f"cover {c!r} is not a pair of integers")
         labels = d.get("labels") or None
         if labels is not None and not isinstance(labels, (Mapping, list)):
             raise InvalidId("labels must be a list or an id-to-label map")
-        return cls.from_covers(n, [tuple(c) for c in covers], labels)
+        return cls.from_covers(n, pairs, labels)
 
     def to_dot(self) -> str:
         """Cover-only DOT, drawn upward."""

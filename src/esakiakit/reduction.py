@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 from .errors import (CycleDetected, InvalidId, NotEPartition, NotMergeable,
                      NotPMorphism, NotSurjective, NotWeakColoring,
                      PropertyFalsified, TooLarge)
-from .poset import Poset, ids_of, mask_of
+from .poset import Poset, _is_id, ids_of, mask_of
 
 ALL_EPARTITIONS_LIMIT = 8
 # Sorted id tuple of every element mask all_epartitions can place.
@@ -35,13 +35,18 @@ class EPartition:
     @staticmethod
     def from_blocks(base: Poset, blocks: Iterable[Iterable[int]]) -> "EPartition":
         """Check and normalize blocks given from outside; partitions built
-        from a map go through `kernel`."""
+        from a map go through `kernel`. InvalidId on a member that is not an
+        integer (bools are not ids)."""
         seen = set()
         norm = []
         for b in blocks:
-            bb = tuple(sorted(b))
+            bb = tuple(b)
             if not bb:
                 raise InvalidId("empty block")
+            for x in bb:
+                if not _is_id(x):
+                    raise InvalidId(f"block member {x!r} is not an integer")
+            bb = tuple(sorted(bb))
             norm.append(bb)
             seen.update(bb)
         if seen != set(range(base.n)):
@@ -72,7 +77,7 @@ class EPartition:
         return kernel(base, [find(x) for x in range(base.n)])
 
     def block_of(self, x: int) -> int:
-        return self._lookup()[x]
+        return self._lookup()[self.base._id(x)]
 
     def _lookup(self) -> tuple[int, ...]:
         if not hasattr(self, "_cache"):
@@ -90,7 +95,10 @@ class EPartition:
         return len(self.blocks) == self.base.n
 
     def refines(self, other: "EPartition") -> bool:
-        """True when every block of self sits inside a block of other."""
+        """True when every block of self sits inside a block of other;
+        InvalidId when other is built on a different poset."""
+        if other.base is not self.base and other.base != self.base:
+            raise InvalidId("partitions built on different posets")
         look = other._lookup()
         return all(look[x] == look[b[0]] for b in self.blocks for x in b)
 
@@ -102,9 +110,16 @@ def is_epartition(p: Poset, part: EPartition) -> bool:
     The union of the blocks above x is x's up mask widened by every
     merged block it touches; blocks are disjoint, so equal unions mean
     equal sets of blocks. Singleton blocks pass trivially, so only
-    members of merged blocks are compared."""
+    members of merged blocks are compared.
+
+    Both objects are immutable, so the verdict is kept on `part` for
+    this very `p` (matched by identity) and a repeated call returns it;
+    an equal but distinct poset is checked afresh."""
     if part.base is not p and part.base != p:
         raise InvalidId("partition built on a different poset")
+    kept = getattr(part, "_verdict", None)
+    if kept is not None and kept[0] is p:
+        return kept[1]
     merged = [b for b in part.blocks if len(b) > 1]
     masks = [mask_of(b) for b in merged]
 
@@ -115,15 +130,23 @@ def is_epartition(p: Poset, part: EPartition) -> bool:
                 out |= m
         return out
 
-    return all(len({above(x) for x in b}) == 1 for b in merged)
+    ok = all(len({above(x) for x in b}) == 1 for b in merged)
+    object.__setattr__(part, "_verdict", (p, ok))
+    return ok
 
 
 def quotient(p: Poset, part: EPartition) -> tuple[Poset, tuple[int, ...]]:
     """Quotient poset plus the projection map (element -> new block id).
 
     Block ids are renumbered by (depth of the block's shallowest member,
-    smallest original id), so quotients are deterministic.
+    smallest original id), so quotients are deterministic. NotEPartition
+    when `is_epartition` rejects `part`, on every call. The result is kept
+    on `part` for this very `p` (matched by identity), so a repeated call
+    returns the same quotient without rebuilding it.
     """
+    kept = getattr(part, "_quotient", None)
+    if kept is not None and kept[0] is p:
+        return kept[1]
     if not is_epartition(p, part):
         raise NotEPartition("blocks fail the back-and-forth condition")
     depths = p.depths()
@@ -137,14 +160,18 @@ def quotient(p: Poset, part: EPartition) -> tuple[Poset, tuple[int, ...]]:
     # of C". Every x <= y is a chain of covers, so the projected covers have
     # the same closure and the same cycles between distinct blocks.
     rows = [0] * len(ranked)
-    for x in range(p.n):
-        for y in p.covers_up(x):
-            rows[proj[x]] |= 1 << proj[y]
+    for x, ys in enumerate(p._succ):
+        row = 0
+        for y in ys:
+            row |= 1 << proj[y]
+        rows[proj[x]] |= row
     try:
         q = Poset.from_leq(len(rows), rows)
     except CycleDetected as exc:
         raise NotEPartition("quotient relation is not antisymmetric") from exc
-    return q, tuple(proj)
+    out = q, tuple(proj)
+    object.__setattr__(part, "_quotient", (p, out))
+    return out
 
 
 def is_pmorphism(p: Poset, q: Poset, f: Sequence[int]) -> bool:
@@ -496,7 +523,9 @@ class _Replay:
             steps.append(self.merge(kind, s, self.names[y]))
 
     def kernel(self) -> EPartition:
-        """The kernel on the base poset of the merges so far."""
+        """The kernel on the base poset of the merges so far, checked with
+        `is_epartition`; the verdict stays on it, so a quotient of it on
+        the same base does not check it again."""
         part = kernel(self.base, self.owner)
         if not is_epartition(self.base, part):
             raise NotEPartition("replayed merges ended on a kernel that fails "
@@ -645,8 +674,12 @@ def _growth_key(blocks: tuple[tuple[int, ...], ...]) -> list[int]:
 def brute_coarsest_color_respecting(p: Poset, coloring) -> EPartition:
     """Reference oracle for coarsest_color_respecting: scan every
     E-partition, keep the ones with single-colored blocks, and return the
-    one that every other refines. TooLarge past the enumeration limit;
-    PropertyFalsified if no unique coarsest exists (it always should)."""
+    one that every other refines. InvalidId for a coloring built on
+    another poset; TooLarge past the enumeration limit; PropertyFalsified
+    if no unique coarsest exists (it always should)."""
+    from .coloring import _check_base   # local import, no cycle at load
+
+    _check_base(p, coloring)
     colors = coloring.colors
     candidates = [part for part in all_epartitions(p)
                   if all(colors[x] == colors[b[0]]

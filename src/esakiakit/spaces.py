@@ -15,6 +15,7 @@ when i != j.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -50,11 +51,21 @@ class SpaceLabel:
 
     @staticmethod
     def parse(text: str) -> "SpaceLabel":
-        m = _LABEL_RE.match(text) if isinstance(text, str) else None
-        if not m:
+        """The label `str` prints as `text`; InvalidId for anything else.
+        Parses of strings are cached: the result is a frozen value, and a
+        label that raises is never cached, so it raises again each time."""
+        if not isinstance(text, str):
             raise InvalidId(f"bad label {text!r}")
-        kind, level, index = m.group(1), int(m.group(2)), m.group(3)
-        return SpaceLabel(kind, level, None if index is None else int(index))
+        return _parse_label(text)
+
+
+@functools.lru_cache(maxsize=None)
+def _parse_label(text: str) -> SpaceLabel:
+    m = _LABEL_RE.match(text)
+    if not m:
+        raise InvalidId(f"bad label {text!r}")
+    kind, level, index = m.group(1), int(m.group(2)), m.group(3)
+    return SpaceLabel(kind, level, None if index is None else int(index))
 
 
 @dataclass(frozen=True)

@@ -279,6 +279,8 @@ def test_falsification_exits_1(capsys, monkeypatch, chain2):
     {"n": 2.0, "covers": []},
     {"n": 2, "covers": [[False, True]]},
     {"n": 2, "covers": [[0, 1.0]]},
+    {"n": 2, "covers": [[0, 1], [True, 1]]},   # a bad pair after a good one
+    {"n": 2, "covers": ["01"]},
     {"n": 3, "covers": [[0, 1, 2]]},           # covers are pairs
     {"n": 2, "covers": [[0]]},
     {"n": 2, "covers": [0, 1]},

@@ -79,6 +79,33 @@ def test_weakness_means_colors_grow_upward():
     assert not is_weak_coloring(p, Coloring.of(p, 1, [1, 0]))
 
 
+def test_weakness_matches_the_cover_definition():
+    """On seeded relabelled posets, with weak colorings, weak colorings
+    with one color redrawn, and arbitrary colorings of orders 1-3."""
+    rng = random.Random(89)
+    outcomes = [0, 0]
+    for _ in range(900):
+        n = rng.randint(0, 12)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        p = random_poset(rng, n).permuted(perm)
+        order = rng.randint(1, 3)
+        kind = rng.randrange(3)
+        colors = list(random_weak_coloring(rng, p, order).colors)
+        if kind == 1 and n:
+            colors[rng.randrange(n)] = rng.getrandbits(order)
+        elif kind == 2:
+            colors = [rng.getrandbits(order) for _ in range(n)]
+        f = Coloring.of(p, order, colors)
+        want = all(color_leq(colors[x], colors[y]) for x, y in p.covers)
+        assert is_weak_coloring(p, f) == want, (p.covers, colors)
+        outcomes[want] += 1
+    assert min(outcomes) > 200
+    for other in (chain(2), chain(4), v_poset()):
+        with pytest.raises(InvalidId):
+            is_weak_coloring(chain(3), Coloring.of(other, 1, [0] * other.n))
+
+
 def test_monochrome_pair_and_strictness():
     p = v_poset()
     weak_only = Coloring.of(p, 1, [0, 1, 1])

@@ -8,9 +8,10 @@ from esakiakit import (Coloring, EmbeddingMismatch, EPartition, InvalidId,
                        Schedule, abomination_truncation,
                        corollary_certificate, corollary_check, delta_map,
                        full_c_levels, full_levels, ladder_id,
-                       ladder_truncation, lift_schedule, quotient_census,
-                       schedule_beta_reductions, verify_schedule)
-from esakiakit.lemma import c_rows, merges_every_full_c_row
+                       ladder_truncation, lift_schedule, quotient,
+                       quotient_census, schedule_beta_reductions,
+                       verify_schedule)
+from esakiakit.lemma import _label_rows, c_rows, merges_every_full_c_row
 from esakiakit.randgen import random_weak_coloring
 
 
@@ -214,6 +215,19 @@ def test_corollary_check_on_census_partitions():
         assert corollary_check(z, entry.partition, 2, witness=entry.witness)
 
 
+def test_census_of_the_depth_one_truncation_is_pinned():
+    """Criterion 4's census: 79 partitions in 38 isomorphism classes at
+    seed 42, and each entry passes the corollary check, which takes the
+    quotient the census already built."""
+    z = abomination_truncation(2, 1)
+    census = quotient_census(z, 2, budget=80, seed=42)
+    assert len(census.partitions) == 79 and len(census.entries) == 38
+    for entry in census.entries:
+        assert corollary_check(z, entry.partition, 2, witness=entry.witness)
+        q, _proj = quotient(z, entry.partition)
+        assert q is entry.quotient
+
+
 def test_corollary_check_demands_colorable_quotient():
     z = abomination_truncation(2, 1)
     with pytest.raises(QuotientNotColorable):
@@ -256,6 +270,13 @@ def test_a_label_naming_two_elements_is_rejected():
         c_rows(relabelled)
     with pytest.raises(InvalidId):
         merges_every_full_c_row(relabelled, EPartition.identity(relabelled), 2)
+    rows = _label_rows(z, "c")
+    for _ in range(3):
+        with pytest.raises(InvalidId, match="'c0_0' names elements"):
+            _label_rows(relabelled, "c")
+        with pytest.raises(InvalidId, match="'y1_0' names elements 2 and 3"):
+            _label_rows(twice, "y")
+        assert _label_rows(z, "c") == rows
 
 
 def test_a_full_row_without_a_merged_pair_is_reported():

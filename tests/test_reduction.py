@@ -42,6 +42,45 @@ def test_epartition_validation():
     assert part.blocks[part.block_of(1)] == (1, 2)
 
 
+def test_epartition_accessors_reject_ids_outside_the_poset():
+    p = v_poset()
+    part = EPartition.from_blocks(p, [[1, 2], [0]])
+    for x in (-1, -3, 3, 10):
+        with pytest.raises(InvalidId):
+            part.block_of(x)
+        with pytest.raises(InvalidId):
+            part.same(x, 0)
+        with pytest.raises(InvalidId):
+            part.same(0, x)
+    for other in (chain(2), chain(4), Poset.from_covers(3, [])):
+        foreign = EPartition.identity(other)
+        with pytest.raises(InvalidId):
+            part.refines(foreign)
+        with pytest.raises(InvalidId):
+            foreign.refines(part)
+    twin = EPartition.from_blocks(v_poset(), [[0], [1, 2]])   # equal base
+    assert part.refines(twin) and twin.refines(part)
+
+
+def test_from_blocks_rejects_ids_that_are_not_integers():
+    p = Poset.from_covers(3, [])
+    for blocks in ([[0, 2], [True]], [[0, 1], [2.0]], [[False, 1], [2]],
+                   [[0, 1], ["2"]], [[0, 1], [None]], [[0, 1, 2, 1.5]]):
+        with pytest.raises(InvalidId):
+            EPartition.from_blocks(p, blocks)
+    assert EPartition.from_blocks(p, [[2, 0], [1]]).blocks == ((0, 2), (1,))
+
+
+def test_brute_coarsest_rejects_a_coloring_of_another_poset():
+    p = chain(3)
+    for other, colors in ((chain(2), [0, 1]), (chain(4), [0, 0, 1, 1]),
+                          (Poset.from_covers(3, []), [0, 1, 1])):
+        with pytest.raises(InvalidId):
+            brute_coarsest_color_respecting(p, Coloring.of(other, 1, colors))
+    same = Coloring.of(chain(3), 1, [0, 0, 1])     # equal base is accepted
+    assert brute_coarsest_color_respecting(p, same).blocks == ((0, 1), (2,))
+
+
 def test_epartition_from_pairs_closes_transitively():
     p = Poset.from_covers(4, [])
     part = EPartition.from_pairs(p, [(0, 1), (1, 2)])
@@ -380,22 +419,55 @@ def test_all_epartitions_does_not_use_the_greedy(monkeypatch):
         ((0, 2, 4, 6), (1, 3, 5, 7))
 
 
-def test_is_epartition_matches_block_set_definition():
-    # Reference: the set of block ids meeting the up set of x is constant
-    # on every block.
-    def reference(p, part):
-        above = [frozenset(part.block_of(z) for z in ids_of(p.up_mask(x)))
-                 for x in range(p.n)]
-        return all(above[x] == above[b[0]] for b in part.blocks for x in b)
+def block_set_is_epartition(p, part):
+    """Reference: the set of block ids meeting the up set of x is constant
+    on every block."""
+    above = [frozenset(part.block_of(z) for z in ids_of(p.up_mask(x)))
+             for x in range(p.n)]
+    return all(above[x] == above[b[0]] for b in part.blocks for x in b)
 
+
+def test_is_epartition_matches_block_set_definition():
     checked = 0
     for n in range(6):
         for p in enumerate_posets(n):
             for blocks in set_partitions(list(range(n))):
                 part = EPartition.from_blocks(p, blocks)
-                assert is_epartition(p, part) == reference(p, part), (p, blocks)
+                assert is_epartition(p, part) == \
+                    block_set_is_epartition(p, part), (p, blocks)
                 checked += 1
     assert checked == 3547     # sum of Bell(n) * A000112(n), n = 0..5
+
+
+def test_kept_verdicts_and_quotients_repeat_the_first_answer():
+    """`is_epartition` and `quotient` keep their answer on the partition
+    for the poset they were handed. On every set partition of every poset
+    up to 5 elements, repeated calls, a fresh partition with the same
+    blocks and an equal but distinct poset all give the reference answer:
+    a failing partition stays False and raises NotEPartition every time,
+    and a passing one yields the up-set quotient every time."""
+    checked = failing = 0
+    for n in range(6):
+        for p in enumerate_posets(n):
+            twin = Poset.from_covers(p.n, p.covers)
+            assert twin == p and twin is not p
+            for blocks in set_partitions(list(range(n))):
+                part = EPartition.from_blocks(p, blocks)
+                fresh = EPartition.from_blocks(p, blocks)
+                expected = block_set_is_epartition(p, fresh)
+                want = expected and quotient_key(*up_set_quotient(p, fresh))
+                for base in (p, p, twin, p, twin):
+                    assert is_epartition(base, part) == expected, (p, blocks)
+                    if expected:
+                        assert quotient_key(*quotient(base, part)) == want
+                    else:
+                        with pytest.raises(NotEPartition):
+                            quotient(base, part)
+                if expected:
+                    assert quotient(p, part)[0] is quotient(p, part)[0]
+                failing += not expected
+                checked += 1
+    assert checked == 3547 and failing == 3547 - 1385   # 1385 E-partitions
 
 
 def list_growth_key(blocks):

@@ -31,6 +31,16 @@ def test_label_validation():
         SpaceLabel("q", 0, 0)
 
 
+def test_label_parses_are_cached_and_bad_labels_raise_every_time():
+    for _ in range(3):
+        for bad in ("z1", "c3", "a2_3", "c-1_0", "", " c0_0", 7, None,
+                    ["c0_0"], b"c0_0"):
+            with pytest.raises(InvalidId):
+                SpaceLabel.parse(bad)
+        assert SpaceLabel.parse("c3_7") == SpaceLabel("c", 3, 7)
+    assert SpaceLabel.parse("eb2_1") is SpaceLabel.parse("eb2_1")
+
+
 def test_triple_table():
     table = triple_table(2)
     assert len(table.triples) == 336
