@@ -107,10 +107,10 @@ class UpsetAlgebra:
         return self.imp(i, self.bot)
 
 
-def upset_algebra(p: Poset, bound: int = SIZE_BOUND) -> UpsetAlgebra:
-    """Dual algebra of p. Raises TooLarge above the element bound."""
-    if p.n > bound:
-        raise TooLarge(f"poset has {p.n} elements, bound is {bound}")
+def upset_algebra(p: Poset) -> UpsetAlgebra:
+    """Dual algebra of p. Raises TooLarge above SIZE_BOUND elements."""
+    if p.n > SIZE_BOUND:
+        raise TooLarge(f"poset has {p.n} elements, bound is {SIZE_BOUND}")
     carrier = tuple(sorted(p.upsets(), key=lambda m: (bin(m).count("1"), m)))
     return UpsetAlgebra(p, carrier)
 

@@ -10,6 +10,7 @@ seed give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -135,7 +136,10 @@ def _cmd_convert(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: `parse_args` does not
+    change it, and the handlers look up what they call when they run."""
     root = argparse.ArgumentParser(
         prog="esakiakit",
         description="Finite duality toolkit: generate the level-structured "

@@ -50,17 +50,18 @@ class Coloring:
         return Coloring(base, n, cols)
 
     def color(self, x: int) -> int:
-        return self.colors[x]
+        return self.colors[self.base._id(x)]
 
     def bits(self, x: int) -> str:
-        return color_bits(self.colors[x], self.n)
+        return color_bits(self.color(x), self.n)
 
     def color_class(self, c: int) -> tuple[int, ...]:
         return tuple(x for x in range(self.base.n) if self.colors[x] == c)
 
     def to_json_dict(self) -> dict:
         return {"n": self.n,
-                "colors": {str(x): self.bits(x) for x in range(self.base.n)}}
+                "colors": {str(x): color_bits(c, self.n)
+                           for x, c in enumerate(self.colors)}}
 
     @staticmethod
     def from_json_dict(base: Poset, data: Mapping) -> "Coloring":
@@ -211,7 +212,7 @@ def promote_subspace_coloring(p: Poset, f: Coloring, x: int
     """
     if not is_coloring(p, f):
         raise NotColoring("promotion needs a coloring, not just a weak one")
-    base_color = f.colors[x]
+    base_color = f.color(x)
     sub, remap = p.principal_upset(x)
     new_colors = [0] * sub.n
     for old, new in remap.items():

@@ -263,16 +263,14 @@ class Poset:
         return self.induced(mask)
 
     def principal_upset(self, x: int) -> tuple["Poset", dict[int, int]]:
-        return self.induced(self._up[x])
+        return self.induced(self._up[self._id(x)])
 
-    def with_bottom(self, label: str | None = None) -> "Poset":
-        """Adjoin a fresh least element below everything, as id 0."""
+    def with_bottom(self) -> "Poset":
+        """Adjoin a fresh least element below everything, as id 0; on a
+        labeled poset it is unlabeled."""
         covers = [(x + 1, y + 1) for x, y in self.covers]
         covers.extend((0, x + 1) for x in ids_of(self.minimal_mask()))
-        labels = None
-        if self.labels is not None or label is not None:
-            old = self.labels or [None] * self.n
-            labels = [label] + list(old)
+        labels = None if self.labels is None else [None, *self.labels]
         return Poset.from_covers(self.n + 1, covers, labels)
 
     def permuted(self, perm: Sequence[int]) -> "Poset":

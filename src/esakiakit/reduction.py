@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (CycleDetected, InvalidId, NotEPartition, NotMergeable,
                      NotPMorphism, NotSurjective, NotWeakColoring,
@@ -61,7 +60,8 @@ class EPartition:
 
     @staticmethod
     def from_pairs(base: Poset, pairs: Iterable[Sequence[int]]) -> "EPartition":
-        """Finest partition identifying all the given pairs."""
+        """Finest partition identifying all the given pairs; InvalidId on
+        a member outside 0..n-1."""
         parent = list(range(base.n))
 
         def find(x):
@@ -71,7 +71,7 @@ class EPartition:
             return x
 
         for x, y in pairs:
-            rx, ry = find(x), find(y)
+            rx, ry = find(base._id(x)), find(base._id(y))
             if rx != ry:
                 parent[rx] = ry
         return kernel(base, [find(x) for x in range(base.n)])
@@ -176,12 +176,14 @@ def quotient(p: Poset, part: EPartition) -> tuple[Poset, tuple[int, ...]]:
 
 def is_pmorphism(p: Poset, q: Poset, f: Sequence[int]) -> bool:
     """Order preserving plus the back condition
-    (everything above f(x) is hit from above x)."""
+    (everything above f(x) is hit from above x). InvalidId for a map of
+    another length or an image that is not an element of q (bools are not
+    ids)."""
     if len(f) != p.n:
         raise InvalidId("map length mismatch")
     for v in f:
-        if not 0 <= v < q.n:
-            raise InvalidId(f"image {v} outside codomain")
+        if not (_is_id(v) and 0 <= v < q.n):
+            raise InvalidId(f"image {v!r} outside codomain")
     for x, y in p.covers:
         if not q.leq(f[x], f[y]):
             return False
@@ -286,9 +288,8 @@ class _Replay:
     current-depth order; it is, and no sort is needed, while no depth has
     moved since the last sort.
 
-    The default greedy takes the least move in one pass over the live
-    slots (`least`); `candidates` lists every move and serves only an
-    `order` that rearranges them.
+    The greedy takes the least move in one pass over the live slots
+    (`least`); no list of moves is ever built.
 
     Merging x and y into m, with D the strict down set of m: m's covers
     are y's for alpha and x's for beta. Every member of m's strict up set
@@ -432,39 +433,21 @@ class _Replay:
         self._cur = None
         return ReductionStep(kind, (x, y))
 
-    def candidates(self, values: Sequence) -> list:
-        """Same-valued single-pair moves as (depth, x, y, kind rank, kind)
-        in current ids, unsorted; sorted, they run in `mergeable_pairs`
-        order. Beta twins share their covers and so their depth. Only an
-        `order` passed to `greedy` needs the whole list."""
-        pos, succ, depth = self.pos, self.succ, self.depth
-        out = []
-        twins: dict[tuple[int, object], list[int]] = {}
-        for x, s in enumerate(self.names):
-            c, v = succ[s], values[s]
-            if c and not c & (c - 1):
-                t = c.bit_length() - 1
-                if values[t] == v:
-                    out.append((depth[s], x, pos[t], 0, "alpha"))
-            twins.setdefault((c, v), []).append(x)
-        for group in twins.values():
-            d = depth[self.names[group[0]]]
-            out.extend((d, x, y, 1, "beta") for x, y in combinations(group, 2))
-        return out
-
     def least(self, values: Sequence, floor: int = 0) -> tuple[str, int, int] | None:
-        """The least move of `candidates` as (kind, x, y), or None, in one
-        pass over the live slots and without listing the moves. Slots
-        shallower than `floor` are skipped; `greedy` passes a floor that no
-        move lies above.
+        """The least same-valued move in `mergeable_pairs` order (depth of
+        the merged-from element, ids, kind) as (kind, x, y) in current ids,
+        or None, found in one pass over the live slots without listing the
+        moves. Slots shallower than `floor` are skipped; `greedy` passes a
+        floor that no move lies above.
 
-        A twin group's least pair is its first two members in current-id
-        order, so each group offers one beta move, found when its second
-        member is seen. Current ids follow pre-merge depth, not current
-        depth, so every slot is visited; a slot deeper than the best move
-        so far is skipped, since its moves and its twins' are deeper too.
-        An alpha move and a beta move from the same x are told apart by
-        their full keys."""
+        Beta twins share their covers and so their depth. A twin group's
+        least pair is its first two members in current-id order, so each
+        group offers one beta move, found when its second member is seen.
+        Current ids follow pre-merge depth, not current depth, so every
+        slot is visited; a slot deeper than the best move so far is
+        skipped, since its moves and its twins' are deeper too. An alpha
+        move and a beta move from the same x are told apart by their full
+        keys."""
         pos, succ, depth = self.pos, self.succ, self.depth
         best = None
         first: dict[tuple[int, object], int] = {}
@@ -490,15 +473,12 @@ class _Replay:
         _, x, y, rank = best
         return ("beta" if rank else "alpha"), x, y
 
-    def greedy(self, values: Sequence, order=None) -> list[ReductionStep]:
+    def greedy(self, values: Sequence) -> list[ReductionStep]:
         """Merge same-valued pairs, least move first, until none remain.
         `values` is indexed by original id; only equal values are merged,
-        so a current element's value is the value of its name. By default
-        each move is the least of `mergeable_pairs` order, found by `least`
-        in one pass; only with `order` is the whole `candidates` list built,
-        sorted and handed to `order`, whose first entry is merged.
+        so a current element's value is the value of its name.
 
-        The default greedy passes `least` the depth d of the last move's
+        Each round passes `least` the depth d of the last move's
         merged-from element, read before the merge, as its floor: the least
         move's depth never decreases. m's moves were x's (beta) or y's
         (alpha) and so not below d; an alpha merge leaves every member of
@@ -506,21 +486,12 @@ class _Replay:
         depth; no other element changes its covers, depth or twins."""
         steps = []
         floor = 0
-        while True:
-            if order is None:
-                move = self.least(values, floor)
-                if move is None:
-                    return steps
-            else:
-                cands = self.candidates(values)
-                if not cands:
-                    return steps
-                cands.sort()
-                move = order([(k, a, b) for _, a, b, _, k in cands])[0]
+        while (move := self.least(values, floor)) is not None:
             kind, x, y = move
             s = self.names[x]
             floor = self.depth[s]
             steps.append(self.merge(kind, s, self.names[y]))
+        return steps
 
     def kernel(self) -> EPartition:
         """The kernel on the base poset of the merges so far, checked with
@@ -562,44 +533,32 @@ def compose_steps(p: Poset, steps: Iterable[ReductionStep]) -> tuple[Poset, EPar
 # ----- color-respecting reduction ------------------------------------------------
 
 
-def coarsest_color_respecting(p: Poset, coloring, *,
-                              order: Callable[[list], tuple] | None = None) -> EPartition:
+def coarsest_color_respecting(p: Poset, coloring) -> EPartition:
     """Largest E-partition that never merges two colors.
 
     Greedy fixpoint: merge same-colored alpha/beta pairs until none remain.
-    The result is order independent; the default order is the deterministic
-    (depth, id, id) rule, whose least move is found in one pass without
-    listing the others. `order` exists so tests can scramble it; only then
-    is every candidate move listed.
+    The fixpoint does not depend on the order of the merges; this one
+    takes the least move of `mergeable_pairs` order each round.
     """
-    part, _steps = color_respecting_reduction(p, coloring, order=order)
+    part, _steps = color_respecting_reduction(p, coloring)
     return part
 
 
-def color_respecting_reduction(p: Poset, coloring, *,
-                               order=None) -> tuple[EPartition, list[ReductionStep]]:
+def color_respecting_reduction(p: Poset, coloring) -> tuple[EPartition, list[ReductionStep]]:
     """The greedy of `coarsest_color_respecting`, with its steps in
-    original ids.
+    original ids. NotWeakColoring for a coloring that is not order
+    preserving.
 
-    Merges are replayed in place by `_Replay`: each slot (the original id
-    naming a current element) keeps its up, down and cover masks and its
-    depth. A merge of x and y into m visits neither m's strict up set nor
-    all of its strict down set D: it rewrites the cover masks of x's and
-    y's immediate successors and predecessors, adds m to the up masks of
-    the part of D below only the dropped slot, leaves the dropped slot's
-    bits in the masks to be read through the live mask, and an alpha
-    merge recomputes depths below x, starting at x's immediate
-    predecessors. Each round's least
-    move is searched from the depth of the last one, since that depth
-    never decreases. No poset is built per merge, so the final kernel is
-    checked once with `is_epartition`; NotEPartition if it fails.
+    The merges are replayed in place by `_Replay.greedy`, so no poset is
+    built per merge, and the final kernel is checked once with
+    `is_epartition`; NotEPartition if it fails.
     """
     from .coloring import is_weak_coloring   # local import, no cycle at load
 
     if not is_weak_coloring(p, coloring):
         raise NotWeakColoring("input coloring is not order preserving")
     replay = _Replay(p)
-    steps = replay.greedy(coloring.colors, order)
+    steps = replay.greedy(coloring.colors)
     return replay.kernel(), steps
 
 

@@ -7,7 +7,8 @@ from esakiakit import (Poset, TooLarge, TooManyAssignments, UnboundVariable,
                        all_epartitions, generated_subalgebra, is_si,
                        min_generators, parse_equation, parse_term,
                        subalgebras, upset_algebra, validates)
-from esakiakit.algebra import BOT, TOP, _close, evaluate, t_imp, t_not, var
+from esakiakit.algebra import (BOT, SIZE_BOUND, TOP, _close, evaluate, t_imp,
+                              t_not, var)
 from esakiakit.poset import ids_of, mask_of
 from esakiakit.probes import enumerate_posets
 from esakiakit.randgen import random_poset
@@ -31,7 +32,11 @@ def test_carrier_is_all_upsets_in_canonical_order():
 
 def test_size_guard():
     with pytest.raises(TooLarge):
-        upset_algebra(Poset.from_covers(25, []), bound=20)
+        upset_algebra(Poset.from_covers(25, []))
+    with pytest.raises(TooLarge):
+        upset_algebra(Poset.from_covers(SIZE_BOUND + 1, []))
+    chain = Poset.from_covers(SIZE_BOUND, [(i, i + 1) for i in range(SIZE_BOUND - 1)])
+    assert len(upset_algebra(chain)) == SIZE_BOUND + 1
 
 
 def test_lattice_ops_are_set_ops():

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import esakiakit.cli as cli
 from esakiakit import Coloring, InvalidId, Poset, PropertyFalsified
@@ -38,6 +44,21 @@ def test_usage_errors(capsys):
     assert cli.main(["gen-ladder"]) == 2
     assert cli.main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_the_parser_is_built_once_and_reused_cleanly(capsys, tmp_path):
+    assert cli._parser() is cli._parser()
+    poset = write_json(tmp_path / "p.json",
+                       {"n": 3, "covers": [[0, 1], [0, 2]]})
+    coloring = write_json(tmp_path / "f.json", {"n": 1, "colors": ["0", "1", "1"]})
+    argv = ["reduce", "--poset", poset, "--coloring", coloring]
+    fresh = subprocess.run([sys.executable, "-m", "esakiakit.cli", *argv],
+                           capture_output=True, timeout=60)
+    assert fresh.returncode == 0 and fresh.stdout
+    assert cli.main(argv[:3]) == 2      # --coloring missing
+    capsys.readouterr()
+    code, out, err = run(capsys, *argv)
+    assert (code, out.encode(), err.encode()) == (0, fresh.stdout, fresh.stderr)
 
 
 def test_domain_errors_exit_2(capsys, tmp_path):
@@ -361,3 +382,68 @@ def test_malformed_coloring_files_exit_2(capsys, tmp_path, chain2, doc):
         assert code == 2, (cmd, doc)
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+
+# ----- seeded fuzz of the exit-code contract ----------------------------------
+
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 8),
+                    st.sampled_from([2**31, -2**63, 10**30]), st.floats(),
+                    st.text(max_size=3))
+JUNK = st.recursive(
+    SCALARS, lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=3), kids, max_size=3), max_leaves=8)
+
+
+@st.composite
+def cli_files(draw):
+    """A poset file and a coloring file on at most 6 elements: JSON
+    documents of the right shape, each field, member or whole document
+    swapped for junk one time in eight, or, as often, raw bytes."""
+    def one_in_eight():
+        return draw(st.integers(0, 7)) == 3    # 0 and 7 are drawn more often
+
+    def spoil(value):
+        return draw(JUNK) if one_in_eight() else value
+
+    n = draw(st.integers(0, 6))
+    order = draw(st.integers(0, 3))
+    ids = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(ids, ids).map(sorted), max_size=8))
+    covers = [spoil(pair) for pair in pairs if pair[0] != pair[1]]
+    poset = {"n": spoil(n), "covers": spoil(covers)}
+    if draw(st.booleans()):
+        poset["labels"] = spoil(draw(st.lists(
+            st.text(max_size=2).map(spoil) | st.none(), min_size=n, max_size=n)))
+    bits = st.text("01", min_size=order, max_size=order).map(spoil)
+    colors = draw(st.lists(bits, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        colors = {str(x): c for x, c in enumerate(colors)}
+    coloring = {"n": spoil(order), "colors": spoil(colors)}
+    out = []
+    for doc in (poset, coloring):
+        text = json.dumps(spoil(doc)).encode()
+        out.append(draw(st.binary(max_size=40)) if one_in_eight() else text)
+    return out
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(cli_files(), st.sampled_from([1, 2, 0, 3, 70, -1]))
+def test_any_input_files_keep_the_exit_code_contract(files, order):
+    """check-coloring, reduce, census and convert on fuzzed files exit 0,
+    1, 2 or 3, and never raise."""
+    with tempfile.TemporaryDirectory() as tmp:
+        run_fuzzed(pathlib.Path(tmp), files, order)
+
+
+def run_fuzzed(tmp, files, order):
+    poset, coloring = tmp / "p.json", tmp / "f.json"
+    poset.write_bytes(files[0])
+    coloring.write_bytes(files[1])
+    for argv in (["check-coloring", "--poset", poset, "--coloring", coloring],
+                 ["reduce", "--poset", poset, "--coloring", coloring],
+                 ["census", "--poset", poset, "--n", order, "--budget", 3],
+                 ["convert", "--poset", poset, "--format", "json"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([str(a) for a in argv])
+        assert code in (0, 1, 2, 3), (argv[0], files, code)

@@ -180,6 +180,20 @@ def test_promotion_zeroes_matching_colors_and_stays_strict():
     assert g.colors == (0, 1)          # only f(x)-colored points are zeroed
     sub2, remap2, g2 = promote_subspace_coloring(p, f, 1)
     assert sub2.n == 1 and g2.colors == (0,)
+    for x in (-1, 2):          # -1 would alias the last element
+        with pytest.raises(InvalidId):
+            promote_subspace_coloring(p, f, x)
+
+
+def test_color_accessors_reject_ids_outside_the_poset():
+    f = Coloring.of(chain(3), 2, [0, 1, 3])
+    assert [f.color(x) for x in range(3)] == [0, 1, 3]
+    assert [f.bits(x) for x in range(3)] == ["00", "01", "11"]
+    for x in (-1, -3, 3):      # -1 would alias the last element
+        with pytest.raises(InvalidId):
+            f.color(x)
+        with pytest.raises(InvalidId):
+            f.bits(x)
 
 
 def test_promotion_theorem_on_seeded_strict_colorings():

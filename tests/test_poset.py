@@ -297,6 +297,10 @@ def test_with_bottom():
     p = v_poset().with_bottom()
     assert p.n == 4 and p.has_root() and p.root() == 0
     assert p.covers_up(0) == (1,)
+    assert p.labels is None
+    labeled = Poset.from_covers(2, [], labels=["a", "b"]).with_bottom()
+    assert labeled.covers == ((0, 1), (0, 2))
+    assert list(labeled.labels) == [None, "a", "b"]
 
 
 def test_principal_upset():
@@ -304,6 +308,9 @@ def test_principal_upset():
     sub, remap = p.principal_upset(1)
     assert sub.n == 2 and sub.covers == ((0, 1),)
     assert remap == {1: 0, 2: 1}
+    for x in (-1, -3, 3):      # -1 would alias the last element
+        with pytest.raises(InvalidId):
+            p.principal_upset(x)
 
 
 def test_upset_subposet_rejects_non_upsets():

@@ -19,7 +19,7 @@ from esakiakit.coloring import enumerate_weak_colorings
 from esakiakit.poset import ids_of, mask_of
 from esakiakit.probes import enumerate_posets
 from esakiakit.randgen import random_poset, random_weak_coloring
-from esakiakit.reduction import _growth_key
+from esakiakit.reduction import _Replay, _growth_key
 
 
 def v_poset():
@@ -85,6 +85,14 @@ def test_epartition_from_pairs_closes_transitively():
     p = Poset.from_covers(4, [])
     part = EPartition.from_pairs(p, [(0, 1), (1, 2)])
     assert part.blocks == ((0, 1, 2), (3,))
+
+
+def test_epartition_from_pairs_rejects_ids_outside_the_poset():
+    # -1 would alias the last element, 3 would index past the end.
+    p = Poset.from_covers(3, [])
+    for pairs in ([(-1, 0)], [(0, 3)], [(0, 1), (2, -3)]):
+        with pytest.raises(InvalidId):
+            EPartition.from_pairs(p, pairs)
 
 
 def test_non_epartition_detected():
@@ -209,6 +217,17 @@ def test_pmorphism_check_and_kernel():
     assert not is_pmorphism(chain(2), chain(2), (0, 0))
 
 
+def test_maps_with_non_id_images_are_refused():
+    # Floats, strings and None are not ids, and True is not the id 1.
+    p, q = v_poset(), chain(2)
+    for f in ((0, 1.0, 1), (0, True, 1), (0, "1", 1), (0, None, 1), (0, 1, -1)):
+        with pytest.raises(InvalidId):
+            is_pmorphism(p, q, f)
+        with pytest.raises(InvalidId):
+            decompose_pmorphism(p, q, f)
+    assert is_pmorphism(p, q, (0, 1, 1))
+
+
 def test_mergeable_predicates():
     p = v_poset()
     assert beta_mergeable(p, 1, 2)
@@ -298,15 +317,28 @@ def test_coarsest_matches_brute_force_on_seeded_instances():
             brute_coarsest_color_respecting(p, f)
 
 
+def scrambled_coarsest(p, f, rng):
+    """The greedy fixpoint by random moves: each state's move is drawn from
+    the same-colored moves of `mergeable_pairs` on the current poset and
+    merged with `_Replay.merge`."""
+    replay = _Replay(p)
+    while True:
+        colors = [f.colors[s] for s in replay.names]
+        moves = [(kind, x, y) for kind, x, y in mergeable_pairs(replay.cur)
+                 if colors[x] == colors[y]]
+        if not moves:
+            return replay.kernel()
+        kind, x, y = rng.choice(moves)
+        replay.merge(kind, replay.names[x], replay.names[y])
+
+
 def test_coarsest_is_order_independent():
     rng = random.Random(47)
     p = chain(4)
     f = Coloring.of(p, 1, [0, 0, 1, 1])
     baseline = coarsest_color_respecting(p, f)
     for _ in range(10):
-        scrambled = coarsest_color_respecting(
-            p, f, order=lambda cands: sorted(cands, key=lambda _: rng.random()))
-        assert scrambled == baseline
+        assert scrambled_coarsest(p, f, rng) == baseline
 
 
 def test_color_respecting_reduction_steps_replay():
@@ -602,17 +634,14 @@ def colored_posets(draw):
 @given(colored_posets(), st.randoms(use_true_random=False))
 def test_scrambled_greedy_equals_the_brute_force_oracle(case, rnd):
     p, f = case
-    got = coarsest_color_respecting(
-        p, f, order=lambda cands: sorted(cands, key=lambda _: rnd.random()))
-    assert got == brute_coarsest_color_respecting(p, f)
+    assert scrambled_coarsest(p, f, rnd) == brute_coarsest_color_respecting(p, f)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(colored_posets(), st.randoms(use_true_random=False))
 def test_decompose_then_compose_gives_back_the_kernel(case, rnd):
     p, f = case
-    part = coarsest_color_respecting(
-        p, f, order=lambda cands: sorted(cands, key=lambda _: rnd.random()))
+    part = scrambled_coarsest(p, f, rnd)
     q, proj = quotient(p, part)
     _final, ker = compose_steps(p, decompose_pmorphism(p, q, proj))
     assert ker == kernel(p, proj) == part

@@ -55,42 +55,67 @@ class ReferenceReplay:
         self.proj = [pi[v] for v in self.proj]
         return ReductionStep(kind, (x, y))
 
-    def greedy(self, values: Sequence, order=None) -> list[ReductionStep]:
+    def greedy(self, values: Sequence) -> list[ReductionStep]:
         steps = []
-        while True:
-            cur_values = [values[v] for v in self.names]
-            cands = [(kind, x, y) for kind, x, y in mergeable_pairs(self.cur)
-                     if cur_values[x] == cur_values[y]]
-            if not cands:
-                return steps
-            if order is not None:
-                cands = order(cands)
-            kind, x, y = cands[0]
+        while moves := same_valued_moves(self, values):
+            kind, x, y = moves[0]
             steps.append(self.merge(kind, self.names[x], self.names[y]))
+        return steps
 
     def kernel(self) -> EPartition:
         return kernel(self.base, self.proj)
 
 
-def assert_same_greedy(p, values, seed=None):
-    """Both replays reduce p by `values`; with a seed, both scramble the
-    candidate lists with equally seeded generators, and must be handed
-    the same lists."""
-    runs = []
-    for cls in (reduction._Replay, ReferenceReplay):
-        order = seen = None
-        if seed is not None:
-            rng, seen = random.Random(seed), []
+def same_valued_moves(ref, values):
+    """The reference's same-valued single-pair moves, in current ids and
+    in `mergeable_pairs` order."""
+    cur_values = [values[v] for v in ref.names]
+    return [(kind, x, y) for kind, x, y in mergeable_pairs(ref.cur)
+            if cur_values[x] == cur_values[y]]
 
-            def order(cands, rng=rng, seen=seen):
-                seen.append(list(cands))
-                return sorted(cands, key=lambda _: rng.random())
-        replay = cls(p)
-        steps = replay.greedy(values, order)
-        cur = replay.cur
-        runs.append((steps, replay.kernel(), cur, cur.depths(), seen))
-    assert runs[0] == runs[1], (p, values)
-    return len(runs[0][0])
+
+def lockstep(p, values, pick):
+    """Step the in-place replay and the reference on p together. At every
+    state `pick(replay, moves, merges)` gets the reference's same-valued
+    moves and the number of merges so far, and returns one of the moves,
+    or None to stop. At every state `least` must find the reference's
+    least move; after every merge both must record the same step and
+    name the same slots. Returns both replays and the number of merges."""
+    replay, ref = reduction._Replay(p), ReferenceReplay(p)
+    merges = 0
+    while True:
+        moves = same_valued_moves(ref, values)
+        assert replay.least(values) == (moves[0] if moves else None), \
+            (p, values, merges)
+        move = pick(replay, moves, merges)
+        if move is None:
+            return replay, ref, merges
+        kind, x, y = move
+        step = replay.merge(kind, replay.names[x], replay.names[y])
+        assert step == ref.merge(kind, ref.names[x], ref.names[y])
+        assert replay.names == ref.names
+        merges += 1
+
+
+def assert_same_greedy(p, values, seed=None):
+    """Both replays reduce p by `values` with their own greedy; with a
+    seed, both take the same moves, drawn at random from the reference's
+    same-valued moves, in lockstep. They must end on the same steps,
+    kernels and final posets."""
+    if seed is None:
+        runs = []
+        for cls in (reduction._Replay, ReferenceReplay):
+            replay = cls(p)
+            steps = replay.greedy(values)
+            runs.append((steps, replay.kernel(), replay.cur, replay.cur.depths()))
+        assert runs[0] == runs[1], (p, values)
+        return len(runs[0][0])
+    rng = random.Random(seed)
+    replay, ref, merges = lockstep(
+        p, values, lambda _replay, moves, _merges: rng.choice(moves) if moves else None)
+    assert (replay.kernel(), replay.cur, replay.cur.depths()) == \
+        (ref.kernel(), ref.cur, ref.cur.depths()), (p, values)
+    return merges
 
 
 def test_greedy_matches_the_reference_on_seeded_posets():
@@ -163,24 +188,15 @@ def assert_state_matches_cur(replay):
 
 
 def assert_state_holds_after_every_merge(p, values, rng=None):
-    """Merge by the least move, or with `rng` by a random candidate, and
-    check the replay's state after every merge."""
-    replay = reduction._Replay(p)
-    assert_state_matches_cur(replay)
-    while True:
-        if rng is None:
-            move = replay.least(values)
-        else:
-            cands = replay.candidates(values)
-            move = None
-            if cands:
-                _, x, y, _, kind = rng.choice(cands)
-                move = kind, x, y
-        if move is None:
-            return
-        kind, x, y = move
-        replay.merge(kind, replay.names[x], replay.names[y])
+    """Merge by the least move, or with `rng` by a random one of the
+    reference's same-valued moves, and check the replay's state after
+    every merge."""
+    def pick(replay, moves, _merges):
         assert_state_matches_cur(replay)
+        if not moves:
+            return None
+        return moves[0] if rng is None else rng.choice(moves)
+    lockstep(p, values, pick)
 
 
 def test_replay_state_matches_the_current_poset():
@@ -188,7 +204,8 @@ def test_replay_state_matches_the_current_poset():
     for i in range(400):
         p = random_poset(rng, rng.randint(0, 30))
         f = random_weak_coloring(rng, p, rng.randint(1, 3))
-        assert_state_holds_after_every_merge(p, f.colors, rng if i % 2 else None)
+        assert_state_holds_after_every_merge(
+            p, f.colors, random.Random(i) if i % 2 else None)
     for n, depth in ((2, 1), (2, 2), (3, 1)):
         z = abomination_truncation(n, depth)
         for _ in range(2):
@@ -203,24 +220,12 @@ def test_replay_state_matches_the_current_poset():
 
 
 def assert_least_is_the_least_candidate(p, values, rng):
-    """Stop the default greedy after a random number of merges; the
-    one-pass pick at the state reached, and at every state before it, is
-    the least entry of the full candidate list."""
-    replay = reduction._Replay(p)
-    merges = 0
+    """Stop the greedy after a random number of merges; the one-pass pick
+    at the state reached, and at every state before it, is the least of
+    the reference's same-valued moves."""
     stop = rng.randint(0, p.n)
-    while True:
-        cands = replay.candidates(values)
-        move = replay.least(values)
-        if not cands:
-            assert move is None
-            return merges
-        _, x, y, _, kind = min(cands)
-        assert move == (kind, x, y), (p, values, merges)
-        if merges == stop:
-            return merges
-        replay.merge(kind, replay.names[x], replay.names[y])
-        merges += 1
+    return lockstep(p, values, lambda _replay, moves, merges:
+                    None if merges == stop or not moves else moves[0])[2]
 
 
 def least_move_inputs(rng):
@@ -274,22 +279,6 @@ def test_the_least_move_depth_never_decreases():
         assert len(steps) == len(replay.depths)
         moves += len(steps)
     assert moves > 10000
-
-
-def test_the_default_greedy_lists_no_candidates(monkeypatch):
-    # Only an `order` needs the whole candidate list; the default greedy
-    # takes the least move in one pass.
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the default greedy listed every candidate")
-    monkeypatch.setattr(reduction._Replay, "candidates", forbidden)
-    z = abomination_truncation(2, 1)
-    f = random_weak_coloring(random.Random(7), z, 2)
-    part, steps = color_respecting_reduction(z, f)
-    assert steps and compose_steps(z, steps)[1] == part
-    q, proj = reduction.quotient(z, part)
-    assert decompose_pmorphism(z, q, proj)
-    with pytest.raises(AssertionError, match="listed every candidate"):
-        color_respecting_reduction(z, f, order=list)
 
 
 def outcome(fn, *args):
