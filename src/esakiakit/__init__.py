@@ -18,7 +18,7 @@ from .errors import (BudgetExceeded, CycleDetected, EmbeddingMismatch,
 from .lemma import (DeltaMap, LiftCertificate, Schedule, corollary_certificate,
                     corollary_check, delta_map, full_c_levels, full_levels,
                     lift_schedule, schedule_beta_reductions, verify_schedule)
-from .poset import Poset, ids_of, mask_of, max_antichain_size_brute
+from .poset import Poset, ids_of, mask_of
 from .probes import (BoundReport, GrowthReport, KcReport,
                      LocalFinitenessReport, QuotientCensus, bound_report,
                      enumerate_posets, enumerate_rooted_posets, growth_probe,
@@ -40,7 +40,7 @@ from .spaces import (SpaceLabel, TripleTable, abomination_id,
 from .suite import run_suite
 
 __all__ = [
-    "Poset", "ids_of", "mask_of", "max_antichain_size_brute",
+    "Poset", "ids_of", "mask_of",
     "UpsetAlgebra", "upset_algebra", "is_si", "parse_term", "parse_equation",
     "validates", "generated_subalgebra", "min_generators", "subalgebras",
     "EPartition", "ReductionStep", "is_epartition", "quotient",

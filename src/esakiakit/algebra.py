@@ -25,18 +25,25 @@ class UpsetAlgebra:
     """Carrier is every upset of the base poset, in a fixed canonical order
     (by popcount, then mask value). Elements are referred to by index.
 
-    The meet, join and implication tables are built together on first use;
-    an implication a -> b is read off the difference a & ~b, computed once
-    per distinct difference. Subalgebra closure works on index sets packed
-    into one int (bit i is carrier index i) and reads per-element operation
-    rows, also built once: ``_rows()[x][y]`` has the bits of meet(x, y),
+    Four k x k tables (meet, join, implication and order) are built
+    together, once, on the first call of any operation; construction only
+    indexes the carrier, so `len`, `mask`, `bot` and `top` cost no k^2
+    work. An implication a -> b is read off the difference a & ~b,
+    computed once per distinct difference, and a <= b holds when that
+    difference is empty. `meet`, `join`, `imp` and `leq` are unchecked
+    table reads, since they sit on the k^3 residuation sweep; `mask`
+    checks its index.
+
+    Subalgebra closure works on index sets packed into one int (bit i is
+    carrier index i) and reads per-element operation rows, derived from
+    the finished tables: ``_rows()[x][y]`` has the bits of meet(x, y),
     join(x, y), imp(x, y) and imp(y, x), so closing a set under all four
     operations for the pair (x, y) is one OR. `_close` takes a `stop` mask
     and gives up as soon as the closure would reach it; `subalgebras` uses
     that for the canonicity test of its Close-by-One search."""
 
     __slots__ = ("base", "carrier", "index", "_meet", "_join", "_imp",
-                 "_ops")
+                 "_le", "_ops")
 
     def __init__(self, base: Poset, carrier: tuple[int, ...]):
         self.base = base
@@ -45,6 +52,7 @@ class UpsetAlgebra:
         self._meet = None
         self._join = None
         self._imp = None
+        self._le = None
         self._ops = None
 
     @property
@@ -59,39 +67,33 @@ class UpsetAlgebra:
         return len(self.carrier)
 
     def mask(self, i: int) -> int:
+        if type(i) is not int or not 0 <= i < len(self.carrier):
+            raise InvalidId(f"carrier index {i!r}")
         return self.carrier[i]
-
-    def leq(self, i: int, j: int) -> bool:
-        return self.carrier[i] & ~self.carrier[j] == 0
 
     def _tables(self):
         if self._meet is None:
+            carrier = self.carrier
             idx = self.index
             full = self.base.full_mask()
             down_set = self.base.down_set
-            self._meet = [[idx[a & b] for b in self.carrier]
-                          for a in self.carrier]
-            self._join = [[idx[a | b] for b in self.carrier]
-                          for a in self.carrier]
-            # a -> b depends on a & ~b only, and those masks repeat a lot
-            imp_of: dict[int, int] = {}
-
-            def imp(d: int) -> int:
-                if d not in imp_of:
-                    imp_of[d] = idx[full & ~down_set(d)]
-                return imp_of[d]
-
-            self._imp = [[imp(a & ~b) for b in self.carrier]
-                         for a in self.carrier]
-        return self._meet, self._join, self._imp
+            self._meet = [[idx[a & b] for b in carrier] for a in carrier]
+            self._join = [[idx[a | b] for b in carrier] for a in carrier]
+            # a -> b and a <= b depend on a & ~b only, and those masks
+            # repeat a lot
+            diff = [[a & ~b for b in carrier] for a in carrier]
+            imp_of = {d: idx[full & ~down_set(d)] for d in set().union(*diff)}
+            self._imp = [[imp_of[d] for d in row] for row in diff]
+            self._le = [[not d for d in row] for row in diff]
+        return self._meet, self._join, self._imp, self._le
 
     def _rows(self) -> list[list[int]]:
         if self._ops is None:
-            meet, join, imp = self._tables()
-            k = len(self.carrier)
-            self._ops = [[(1 << meet[x][y]) | (1 << join[x][y])
-                          | (1 << imp[x][y]) | (1 << imp[y][x])
-                          for y in range(k)] for x in range(k)]
+            meet, join, imp, _ = self._tables()
+            # zip(*imp) yields the columns of imp: row x of it is imp(., x)
+            self._ops = [[(1 << m) | (1 << j) | (1 << i) | (1 << t)
+                          for m, j, i, t in zip(mr, jr, ir, tr)]
+                         for mr, jr, ir, tr in zip(meet, join, imp, zip(*imp))]
         return self._ops
 
     def meet(self, i: int, j: int) -> int:
@@ -102,6 +104,9 @@ class UpsetAlgebra:
 
     def imp(self, i: int, j: int) -> int:
         return (self._imp or self._tables()[2])[i][j]
+
+    def leq(self, i: int, j: int) -> bool:
+        return (self._le or self._tables()[3])[i][j]
 
     def neg(self, i: int) -> int:
         return self.imp(i, self.bot)

@@ -10,9 +10,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Mapping, Sequence
 
-from .errors import CycleDetected, InvalidId, NotUpset, TooLarge
+from .errors import CycleDetected, InvalidId, NotUpset
 
-BRUTE_FORCE_LIMIT = 20
 
 # Largest n a poset JSON file may declare. Twice probes.GROWTH_SIZE_CAP, so
 # every truncation the growth probe admits reads back; a dense order at the
@@ -152,9 +151,10 @@ class Poset:
         return tuple((x, y) for x in range(self.n) for y in self._succ[x])
 
     def _id(self, x: int) -> int:
-        """x itself when it names an element; InvalidId for any other int."""
-        if not 0 <= x < self.n:
-            raise InvalidId(f"element {x} outside 0..{self.n - 1}")
+        """x itself when it names an element; InvalidId for anything else,
+        bools and floats included."""
+        if type(x) is not int or not 0 <= x < self.n:
+            raise InvalidId(f"element {x!r} outside 0..{self.n - 1}")
         return x
 
     def leq(self, x: int, y: int) -> bool:
@@ -457,29 +457,6 @@ def _hopcroft_karp(n, adj):
             if match_l[u] == -1 and dfs(u):
                 matching += 1
     return matching
-
-
-def max_antichain_size_brute(p: Poset) -> int:
-    """Reference route: branch-and-bound maximum independent set in the
-    comparability graph. Only for small posets."""
-    if p.n > BRUTE_FORCE_LIMIT:
-        raise TooLarge(f"brute force limited to {BRUTE_FORCE_LIMIT} elements")
-    comp = [(p.up_mask(x) | p.down_mask(x)) & ~(1 << x) for x in range(p.n)]
-    best = 0
-
-    def rec(cand: int, size: int) -> None:
-        nonlocal best
-        if size + bin(cand).count("1") <= best:
-            return
-        if not cand:
-            best = max(best, size)
-            return
-        x = cand.bit_length() - 1
-        rec(cand & ~(1 << x) & ~comp[x], size + 1)
-        rec(cand & ~(1 << x), size)
-
-    rec(p.full_mask(), 0)
-    return best
 
 
 def _canonical_form(p: Poset):

@@ -209,8 +209,10 @@ def kernel(p: Poset, f: Sequence[int]) -> EPartition:
 
 
 def _check_pair(p: Poset, x: int, y: int) -> None:
-    if not (0 <= x < p.n and 0 <= y < p.n):
-        raise InvalidId(f"pair ({x}, {y}) outside 0..{p.n - 1}")
+    """InvalidId unless x and y are plain ints naming elements of p."""
+    if not (type(x) is int and type(y) is int
+            and 0 <= x < p.n and 0 <= y < p.n):
+        raise InvalidId(f"pair ({x!r}, {y!r}) outside 0..{p.n - 1}")
 
 
 def alpha_mergeable(p: Poset, x: int, y: int) -> bool:

@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from esakiakit import (Poset, TooLarge, TooManyAssignments, UnboundVariable,
-                       all_epartitions, generated_subalgebra, is_si,
-                       min_generators, parse_equation, parse_term,
+from esakiakit import (InvalidId, Poset, TooLarge, TooManyAssignments,
+                       UnboundVariable, all_epartitions, generated_subalgebra,
+                       is_si, min_generators, parse_equation, parse_term,
                        subalgebras, upset_algebra, validates)
 from esakiakit.algebra import (BOT, SIZE_BOUND, TOP, _close, evaluate, t_imp,
                               t_not, var)
@@ -75,20 +75,91 @@ def triple_loop_failures(a):
 
 def test_residuation_failures_match_the_triple_loop():
     """Zero on every algebra of a poset up to 6 elements; with one
-    implication entry corrupted, the same nonzero count both ways."""
+    implication entry corrupted, the same nonzero count both ways. With
+    one order entry corrupted the triple loop, which reads the order
+    table, fails, while the count from the masks stays zero."""
     algebras = [upset_algebra(p) for n in range(1, 7)
                 for p in enumerate_posets(n)]
     assert len(algebras) == 405
     for a in algebras:
         assert residuation_failures(a) == triple_loop_failures(a) == 0
     rng = random.Random(17)
-    for a in rng.sample([a for a in algebras if len(a) > 2], 50):
+    sample = rng.sample([a.base for a in algebras if len(a) > 2], 50)
+    for p in sample:
+        a = upset_algebra(p)
         imp = a._tables()[2]
         j, c = rng.randrange(len(a)), rng.randrange(len(a))
         imp[j][c] = rng.choice([v for v in range(len(a)) if v != imp[j][c]])
         bad = triple_loop_failures(a)
         assert bad > 0
         assert residuation_failures(a) == bad
+    for p in sample:
+        a = upset_algebra(p)
+        le = a._tables()[3]
+        # The sweep reads top <= c only against itself unless c = j -> c'
+        # for some j below top, which fails for one c in every algebra, so
+        # the corrupted entry lies below the top row.
+        i, j = rng.randrange(len(a) - 1), rng.randrange(len(a))
+        le[i][j] = not le[i][j]
+        assert triple_loop_failures(a) > 0
+        assert residuation_failures(a) == 0
+
+
+def test_leq_is_mask_containment():
+    """On every algebra of a poset up to 6 elements, read once with `leq`
+    itself forcing the table build and once after `meet` has."""
+    total = 0
+    for n in range(1, 7):
+        for p in enumerate_posets(n):
+            first, second = upset_algebra(p), upset_algebra(p)
+            second.meet(0, 0)
+            for a in (first, second):
+                for i, mi in enumerate(a.carrier):
+                    for j, mj in enumerate(a.carrier):
+                        assert a.leq(i, j) is (mi & ~mj == 0), (p, i, j)
+            total += 1
+    assert total == 405
+
+
+def test_rows_hold_the_four_operations():
+    rng = random.Random(23)
+    for _ in range(60):
+        a = upset_algebra(random_poset(rng, rng.randint(0, 6)))
+        rows = a._rows()
+        for x in range(len(a)):
+            for y in range(len(a)):
+                want = mask_of((a.meet(x, y), a.join(x, y), a.imp(x, y),
+                                a.imp(y, x)))
+                assert rows[x][y] == want, (a.base, x, y)
+
+
+def test_construction_builds_no_table():
+    """The carrier of a 12-element antichain has 4,096 upsets; its size,
+    masks and bounds are read without any k x k table."""
+    a = upset_algebra(Poset.from_covers(12, []))
+    assert len(a) == 4096
+    assert a.mask(a.bot) == 0 and a.mask(a.top) == 0xFFF
+    assert [a.mask(i) for i in range(1, 13)] == [1 << x for x in range(12)]
+    for name in ("_meet", "_join", "_imp", "_le", "_ops"):
+        assert getattr(a, name) is None, name
+
+
+def test_mask_rejects_indices_outside_the_carrier():
+    a = upset_algebra(v_poset())
+    for i in (-1, len(a), 10, True, 1.0):
+        with pytest.raises(InvalidId):
+            a.mask(i)
+    assert a.mask(len(a) - 1) == 0b111
+
+
+def test_evaluate_rejects_indices_outside_the_carrier():
+    a = upset_algebra(v_poset())
+    for v in (-1, len(a)):
+        with pytest.raises(InvalidId):
+            evaluate(a, var(0), {0: v})
+        with pytest.raises(InvalidId):
+            evaluate(a, t_imp(var(1), var(0)), {0: v, 1: 0})
+    assert evaluate(a, var(0), {0: len(a) - 1}) == a.top
 
 
 def test_negation_is_implication_to_bottom():

@@ -12,7 +12,7 @@ from esakiakit import (Coloring, CycleDetected, InvalidId, NotUpset, Poset, TooL
                        abomination_truncation, alpha_mergeable, beta_mergeable,
                        coarsest_color_respecting,
                        enumerate_posets, ids_of, ladder_truncation, mask_of,
-                       max_antichain_size_brute, quotient)
+                       quotient)
 from esakiakit.poset import JSON_COVER_LIMIT
 from esakiakit.randgen import random_poset, random_weak_coloring
 
@@ -23,6 +23,32 @@ def v_poset():
 
 def chain(n):
     return Poset.from_covers(n, [(i, i + 1) for i in range(n - 1)])
+
+
+BRUTE_FORCE_LIMIT = 20
+
+
+def max_antichain_size_brute(p: Poset) -> int:
+    """Reference for `Poset.max_antichain_size`: branch-and-bound maximum
+    independent set in the comparability graph. Only for small posets."""
+    if p.n > BRUTE_FORCE_LIMIT:
+        raise TooLarge(f"brute force limited to {BRUTE_FORCE_LIMIT} elements")
+    comp = [(p.up_mask(x) | p.down_mask(x)) & ~(1 << x) for x in range(p.n)]
+    best = 0
+
+    def rec(cand: int, size: int) -> None:
+        nonlocal best
+        if size + bin(cand).count("1") <= best:
+            return
+        if not cand:
+            best = max(best, size)
+            return
+        x = cand.bit_length() - 1
+        rec(cand & ~(1 << x) & ~comp[x], size + 1)
+        rec(cand & ~(1 << x), size)
+
+    rec(p.full_mask(), 0)
+    return best
 
 
 def test_from_covers_rejects_cycles():
@@ -236,6 +262,23 @@ def test_element_set_methods_reject_masks_outside_the_poset():
         with pytest.raises(InvalidId):
             p.upset_subposet(mask)
     assert p.induced(0)[0].n == 0 and p.upset_subposet(0b111)[0] == p
+
+
+def test_element_ids_must_be_plain_ints():
+    """Bools and floats are not ids, even when they equal one."""
+    p = v_poset()
+    for x in (True, False, 1.0, 0.0, "1", None):
+        with pytest.raises(InvalidId):
+            p.leq(x, 1)
+        with pytest.raises(InvalidId):
+            p.leq(0, x)
+        with pytest.raises(InvalidId):
+            p.up_mask(x)
+        with pytest.raises(InvalidId):
+            p.down_mask(x)
+        with pytest.raises(InvalidId):
+            p.covers_up(x)
+    assert p.leq(0, 1) and p.up_mask(1) == 0b010
 
 
 def test_upsets_counts():

@@ -71,6 +71,30 @@ def test_from_blocks_rejects_ids_that_are_not_integers():
     assert EPartition.from_blocks(p, [[2, 0], [1]]).blocks == ((0, 2), (1,))
 
 
+def test_pair_ids_must_be_plain_ints():
+    """Bools and floats are rejected by every pair entry point: the
+    partition built from pairs, both mergeability tests and the replay."""
+    p = chain(3)
+    for bad in (True, False, 1.0, 0.0):
+        with pytest.raises(InvalidId):
+            EPartition.from_pairs(p, [(bad, 2)])
+        with pytest.raises(InvalidId):
+            EPartition.from_pairs(p, [(2, bad)])
+        for check in (alpha_mergeable, beta_mergeable):
+            with pytest.raises(InvalidId):
+                check(p, bad, 1)
+            with pytest.raises(InvalidId):
+                check(p, 0, bad)
+        replay = _Replay(p)
+        with pytest.raises(InvalidId):
+            replay.merge("alpha", bad, 2)
+        with pytest.raises(InvalidId):
+            replay.merge("alpha", 0, bad)
+        assert replay.names == [0, 1, 2]
+    assert alpha_mergeable(p, 0, 1)
+    assert EPartition.from_pairs(p, [(1, 2)]).blocks == ((0,), (1, 2))
+
+
 def test_brute_coarsest_rejects_a_coloring_of_another_poset():
     p = chain(3)
     for other, colors in ((chain(2), [0, 1]), (chain(4), [0, 0, 1, 1]),
