@@ -309,14 +309,23 @@ class Poset:
     # ----- isomorphism -----------------------------------------------------------
 
     def canonical_form(self):
-        """Hashable key equal across isomorphic posets (refinement plus
-        individualization with twin pruning)."""
+        """Hashable key equal across isomorphic posets: (n, the least
+        sorted cover list) over the leaves of a search tree. Color
+        refinement splits cells by the colors of covers up and down;
+        individualization branches on each member of the first
+        non-singleton cell. Twin pruning skips a candidate with the covers
+        of one already tried; automorphism pruning skips one in the orbit
+        of a tried candidate under the automorphisms found so far (from
+        leaves with equal cover lists) that fix the individualized
+        prefix (McKay 1981; McKay & Piperno 2014)."""
         if self._canon is None:
             self._canon = _canonical_form(self)
         return self._canon
 
     def isomorphic(self, other: "Poset") -> bool:
-        return self.canonical_form() == other.canonical_form()
+        """False for anything but a Poset, as `==` answers."""
+        return (isinstance(other, Poset)
+                and self.canonical_form() == other.canonical_form())
 
     # ----- serialization ------------------------------------------------------------
 
@@ -460,58 +469,97 @@ def _hopcroft_karp(n, adj):
 
 
 def _canonical_form(p: Poset):
+    """Colors are always dense ranks 0..count-1, so a discrete coloring is
+    itself a leaf's order. A skipped candidate's subtree is the image of a
+    tried one under an automorphism fixing the node, so it holds the same
+    encodings and the least one is found without it."""
     n = p.n
     if n == 0:
         return (0, ())
     succ = p._succ
-    pred = [p.covers_down(x) for x in range(n)]
+    below = [[] for _ in range(n)]
+    for x in range(n):
+        for y in succ[x]:
+            below[y].append(x)
+    pred = [tuple(row) for row in below]
 
-    def refine(colors):
-        while True:
-            keys = [(colors[x], tuple(sorted(colors[y] for y in succ[x])),
-                     tuple(sorted(colors[y] for y in pred[x]))) for x in range(n)]
+    def refine(colors, count):
+        """Split cells by the sorted colors of covers up and down until a
+        pass splits none; the new ranks sort (color, ups, downs)."""
+        while count < n:
+            keys = [(colors[x], tuple(sorted([colors[y] for y in succ[x]])),
+                     tuple(sorted([colors[y] for y in pred[x]])))
+                    for x in range(n)]
             ranks = {k: i for i, k in enumerate(sorted(set(keys)))}
-            new = [ranks[k] for k in keys]
-            if new == colors:
-                return colors
-            colors = new
+            if len(ranks) == count:
+                break
+            colors = [ranks[k] for k in keys]
+            count = len(ranks)
+        return colors, count
 
-    depths = p.depths()
-    init = [(depths[x], len(succ[x]), len(pred[x]), p._up[x].bit_count(),
-             p._down[x].bit_count()) for x in range(n)]
+    depths, up, down = p._depths, p._up, p._down
+    init = [(depths[x], len(succ[x]), len(pred[x]), up[x].bit_count(),
+             down[x].bit_count()) for x in range(n)]
     ranks = {k: i for i, k in enumerate(sorted(set(init)))}
-    colors = refine([ranks[k] for k in init])
-
     best = None
-    covers = p.covers
+    first_leaf: dict = {}           # encoding -> the first leaf giving it
+    autos: list[list[int]] = []     # automorphisms, as image lists
 
-    def encode(order):
-        pos = {x: i for i, x in enumerate(order)}
-        return tuple(sorted((pos[x], pos[y]) for x, y in covers))
-
-    def search(colors):
+    def search(colors, count, prefix):
         nonlocal best
-        cells: dict[int, list[int]] = {}
-        for x in range(n):
-            cells.setdefault(colors[x], []).append(x)
-        cell_list = [cells[c] for c in sorted(cells)]
-        target = next((cell for cell in cell_list if len(cell) > 1), None)
-        if target is None:
-            order = [cell[0] for cell in cell_list]
-            enc = encode(order)
-            if best is None or enc < best:
-                best = enc
+        if count == n:
+            enc = tuple(sorted([(colors[x], colors[y])
+                                for x in range(n) for y in succ[x]]))
+            first = first_leaf.setdefault(enc, colors)
+            if first is colors:
+                if best is None or enc < best:
+                    best = enc
+            else:
+                at = [0] * n
+                for x, c in enumerate(colors):
+                    at[c] = x
+                autos.append([at[c] for c in first])
             return
-        fresh = max(colors) + 1
+        sizes = [0] * count
+        for c in colors:
+            sizes[c] += 1
+        t = next(c for c in range(count) if sizes[c] > 1)
+        target = [x for x in range(n) if colors[x] == t]
+        gens = []
+        seen = 0                    # autos already read at this node
+        tried = 0                   # orbits of the candidates tried so far
         tried_twins = []
         for v in target:
             key = (succ[v], pred[v])        # sorted tuples, equal as sets
             if key in tried_twins:
                 continue  # swapping twin candidates is an automorphism
+            if seen < len(autos):
+                fixing = [g for g in autos[seen:]
+                          if all(g[u] == u for u in prefix)]
+                seen = len(autos)
+                if fixing:
+                    gens += fixing
+                    tried = _orbit(tried, gens)
+            if tried >> v & 1:
+                continue
             tried_twins.append(key)
-            branched = list(colors)
-            branched[v] = fresh
-            search(refine(branched))
+            tried = _orbit(tried | 1 << v, gens)
+            branched = colors[:]
+            branched[v] = count
+            search(*refine(branched, count + 1), prefix + [v])
 
-    search(colors)
+    search(*refine([ranks[k] for k in init], len(ranks)), [])
     return (n, best)
+
+
+def _orbit(mask, gens):
+    """Close an element mask under a list of permutations."""
+    todo = ids_of(mask)
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            y = g[x]
+            if not mask >> y & 1:
+                mask |= 1 << y
+                todo.append(y)
+    return mask

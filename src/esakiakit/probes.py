@@ -35,16 +35,17 @@ EXHAUSTIVE_CENSUS_LIMIT = 100_000
 # ----- poset enumeration up to isomorphism ----------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def enumerate_posets(n: int) -> tuple[Poset, ...]:
     """All posets with exactly n elements, one per isomorphism class.
 
     Each class representative is grown by planting a new maximal element
     over every downset of every (n-1)-element representative, then
-    deduplicated by canonical form.
+    deduplicated by canonical form. OutOfRange unless n is a plain int
+    >= 0; the cache is typed, so True never reads the entry of 1.
     """
-    if n < 0:
-        raise OutOfRange("need n >= 0")
+    if type(n) is not int or n < 0:
+        raise OutOfRange(f"need an int n >= 0, got {n!r}")
     if n == 0:
         return (Poset.from_covers(0, []),)
     found: dict = {}
@@ -62,7 +63,10 @@ def enumerate_posets(n: int) -> tuple[Poset, ...]:
 def enumerate_rooted_posets(max_n: int) -> tuple[Poset, ...]:
     """All rooted posets with 1..max_n elements, one per isomorphism
     class: a rooted poset is its root-complement with a bottom added, so
-    the classes are in bijection with arbitrary posets one size down."""
+    the classes are in bijection with arbitrary posets one size down.
+    OutOfRange unless max_n is a plain int >= 0."""
+    if type(max_n) is not int or max_n < 0:
+        raise OutOfRange(f"need an int max_n >= 0, got {max_n!r}")
     out = []
     for n in range(max_n):
         for q in enumerate_posets(n):

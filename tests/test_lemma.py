@@ -15,6 +15,9 @@ from esakiakit.lemma import _label_rows, c_rows, merges_every_full_c_row
 from esakiakit.randgen import random_weak_coloring
 
 
+CENSUS_4_SEED = 0
+
+
 def constant(p, n):
     return Coloring.of(p, n, [0] * p.n)
 
@@ -246,6 +249,27 @@ def test_census_collapse_at_order_3():
     for entry in census.entries:
         assert corollary_check(z, entry.partition, 3, witness=entry.witness)
     assert all(merges_every_full_c_row(z, part, 3)
+               for part in census.partitions)
+
+
+def test_census_collapse_at_order_4():
+    """The census claim at n = 4 on the 260-element depth-1 truncation,
+    with the full budget of 80 seeded colorings: 80 distinct partitions in
+    61 quotient classes, the largest quotient of 90 elements, and every
+    partition merges a pair in both full c-rows. About 9 s on a 2-CPU
+    host: 5.9 s is the strict search spending STRICT_SEARCH_BUDGET before
+    it gives up (no strict coloring of order 4 exists), 2.1 s the 80
+    canonical forms. With twin pruning alone the census took 86 s."""
+    z = abomination_truncation(4, 1)
+    assert full_c_levels(z, 4) == [0, 1]
+    census = quotient_census(z, 4, budget=80, seed=CENSUS_4_SEED)
+    assert census.record["examined"] == 80
+    assert len(census.partitions) == 80
+    assert len(census.entries) == 61
+    assert max(e.quotient.n for e in census.entries) == 90
+    for entry in census.entries:
+        assert corollary_check(z, entry.partition, 4, witness=entry.witness)
+    assert all(merges_every_full_c_row(z, part, 4)
                for part in census.partitions)
 
 

@@ -409,6 +409,12 @@ def test_non_isomorphic_posets_differ():
     assert not chain(2).isomorphic(Poset.from_covers(2, []))
 
 
+@pytest.mark.parametrize("other", [None, 3, "x", (3, ())])
+def test_a_non_poset_is_not_isomorphic(other):
+    assert not chain(3).isomorphic(other)
+    assert chain(3) != other
+
+
 def test_json_roundtrip_with_labels():
     p = Poset.from_covers(3, [(0, 1), (0, 2)], labels=["r", "a", "b"])
     d = p.to_json_dict()

@@ -18,6 +18,16 @@ def test_poset_counts_up_to_isomorphism():
         enumerate_posets(-1)
 
 
+@pytest.mark.parametrize("size", [True, False, 2.0, "3", None, -1])
+def test_enumerations_take_only_plain_int_sizes(size):
+    """A bool is not a size: True must not read the cached entry of 1."""
+    enumerate_posets(1)
+    with pytest.raises(OutOfRange):
+        enumerate_posets(size)
+    with pytest.raises(OutOfRange):
+        enumerate_rooted_posets(size)
+
+
 def test_enumeration_yields_distinct_classes():
     reps = enumerate_posets(4)
     canons = {p.canonical_form() for p in reps}
