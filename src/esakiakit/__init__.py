@@ -19,11 +19,10 @@ from .lemma import (DeltaMap, LiftCertificate, Schedule, corollary_certificate,
                     corollary_check, delta_map, full_c_levels, full_levels,
                     lift_schedule, schedule_beta_reductions, verify_schedule)
 from .poset import Poset, ids_of, mask_of
-from .probes import (BoundReport, GrowthReport, KcReport,
-                     LocalFinitenessReport, QuotientCensus, bound_report,
+from .probes import (GrowthReport, KcReport, QuotientCensus,
                      enumerate_posets, enumerate_rooted_posets, growth_probe,
-                     kc_probe, local_finiteness_probe, quotient_census,
-                     size_bound, size_bound_by_levels)
+                     kc_probe, quotient_census, size_bound,
+                     size_bound_by_levels)
 from .randgen import random_poset, random_weak_coloring
 from .reduction import (EPartition, ReductionStep, all_epartitions,
                         alpha_mergeable, beta_mergeable,
@@ -31,7 +30,7 @@ from .reduction import (EPartition, ReductionStep, all_epartitions,
                         coarsest_color_respecting,
                         color_respecting_reduction, compose_steps,
                         decompose_pmorphism, is_epartition, is_pmorphism,
-                        kernel, merge_step, mergeable_pairs, quotient)
+                        kernel, mergeable_pairs, quotient)
 from .spaces import (SpaceLabel, TripleTable, abomination_id,
                      abomination_level_ids, abomination_truncation,
                      canonical_coloring, ladder_id, ladder_truncation,
@@ -45,7 +44,7 @@ __all__ = [
     "validates", "generated_subalgebra", "min_generators", "subalgebras",
     "EPartition", "ReductionStep", "is_epartition", "quotient",
     "is_pmorphism", "kernel", "alpha_mergeable", "beta_mergeable",
-    "merge_step", "mergeable_pairs", "decompose_pmorphism", "compose_steps",
+    "mergeable_pairs", "decompose_pmorphism", "compose_steps",
     "coarsest_color_respecting", "color_respecting_reduction",
     "brute_coarsest_color_respecting", "all_epartitions",
     "Coloring", "color_leq", "color_bits", "is_weak_coloring",
@@ -60,9 +59,8 @@ __all__ = [
     "DeltaMap", "delta_map", "LiftCertificate", "lift_schedule",
     "corollary_certificate", "corollary_check", "full_c_levels",
     "QuotientCensus", "quotient_census", "size_bound", "size_bound_by_levels",
-    "BoundReport", "bound_report", "KcReport", "kc_probe",
-    "LocalFinitenessReport", "local_finiteness_probe", "GrowthReport",
-    "growth_probe", "enumerate_posets", "enumerate_rooted_posets",
+    "KcReport", "kc_probe", "GrowthReport", "growth_probe",
+    "enumerate_posets", "enumerate_rooted_posets",
     "random_poset", "random_weak_coloring", "run_suite",
     "BudgetExceeded", "CycleDetected", "EmbeddingMismatch", "EsakiaKitError",
     "InvalidId", "NotColoring", "NotEPartition", "NotMergeable",

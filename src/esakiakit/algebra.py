@@ -108,9 +108,6 @@ class UpsetAlgebra:
     def leq(self, i: int, j: int) -> bool:
         return (self._le or self._tables()[3])[i][j]
 
-    def neg(self, i: int) -> int:
-        return self.imp(i, self.bot)
-
 
 def upset_algebra(p: Poset) -> UpsetAlgebra:
     """Dual algebra of p. Raises TooLarge above SIZE_BOUND elements."""

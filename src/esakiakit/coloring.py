@@ -55,9 +55,6 @@ class Coloring:
     def bits(self, x: int) -> str:
         return color_bits(self.color(x), self.n)
 
-    def color_class(self, c: int) -> tuple[int, ...]:
-        return tuple(x for x in range(self.base.n) if self.colors[x] == c)
-
     def to_json_dict(self) -> dict:
         return {"n": self.n,
                 "colors": {str(x): color_bits(c, self.n)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Mapping, Sequence
 
-from .errors import CycleDetected, InvalidId, NotUpset
+from .errors import CycleDetected, InvalidId
 
 
 # Largest n a poset JSON file may declare. Twice probes.GROWTH_SIZE_CAP, so
@@ -211,21 +211,12 @@ class Poset:
         m = self.minimal_mask()
         return self.n > 0 and m & (m - 1) == 0 and m != 0
 
-    def root(self) -> int:
-        if not self.has_root():
-            raise ValueError("poset has no least element")
-        return ids_of(self.minimal_mask())[0]
-
     def depth(self, x: int) -> int:
         """Number of elements in the longest chain inside the upset of x."""
         return self._depths[self._id(x)]
 
     def depths(self) -> tuple[int, ...]:
         return self._depths
-
-    def height(self) -> int:
-        """Elements in the longest chain of the whole poset."""
-        return max(self.depths(), default=0)
 
     # ----- antichains and width ---------------------------------------------
 
@@ -255,12 +246,6 @@ class Poset:
                 for x in keep]
         labels = None if self.labels is None else [self.labels[x] for x in keep]
         return Poset.from_leq(len(keep), rows, labels), remap
-
-    def upset_subposet(self, mask: int) -> tuple["Poset", dict[int, int]]:
-        """Induced subposet on an upward-closed mask; NotUpset otherwise."""
-        if not self.is_upset(mask):
-            raise NotUpset("element set is not upward closed")
-        return self.induced(mask)
 
     def principal_upset(self, x: int) -> tuple["Poset", dict[int, int]]:
         return self.induced(self._up[self._id(x)])

@@ -1,7 +1,6 @@
 """Desk-scale probes: censuses of colorable quotients, the size-bound
-arithmetic, the excluded-middle cardinality probe, bounded
-local-finiteness and growth measurements, and exact enumeration of
-small posets up to isomorphism.
+arithmetic, the excluded-middle cardinality probe, growth measurements,
+and exact enumeration of small posets up to isomorphism.
 
 Negative or boundedness observations never rest silently on truncated
 search: every report says whether its sweep was exhaustive.
@@ -20,8 +19,7 @@ from .errors import (BudgetExceeded, OutOfRange, Overflow,
                      PropertyFalsified)
 from .poset import Poset
 from .randgen import random_weak_coloring
-from .reduction import (ALL_EPARTITIONS_LIMIT, EPartition, all_epartitions,
-                        coarsest_color_respecting, quotient)
+from .reduction import EPartition, coarsest_color_respecting, quotient
 from .spaces import abomination_truncation, canonical_coloring, level_size
 
 INT_CAP = 2**63 - 1
@@ -196,26 +194,6 @@ def size_bound_by_levels(n: int, k: int, t: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    n: int
-    k: int
-    t: int
-    bound: int
-    observed_max: int
-
-    def __post_init__(self):
-        if self.bound != size_bound(self.n, self.k, self.t):
-            raise PropertyFalsified("bound does not match its components")
-
-
-def bound_report(n: int, k: int, t: int,
-                 census: QuotientCensus | None = None) -> BoundReport:
-    observed = max((e.quotient.n for e in census.entries), default=0) \
-        if census is not None else 0
-    return BoundReport(n, k, t, size_bound(n, k, t), observed)
-
-
 # ----- excluded-middle probe --------------------------------------------------
 
 
@@ -245,41 +223,6 @@ def kc_probe(max_size: int) -> KcReport:
             entries.append((p.n, len(a)))
     entries.sort()
     return KcReport(max_size, max(size for _, size in entries), tuple(entries))
-
-
-# ----- bounded local finiteness -----------------------------------------------
-
-
-@dataclass(frozen=True)
-class LocalFinitenessReport:
-    n: int
-    size_cap: int
-    count: int
-    partial: bool
-
-
-def local_finiteness_probe(p: Poset, n: int,
-                           size_cap: int) -> LocalFinitenessReport:
-    """Count the rooted quotients of upsets of p that admit a coloring
-    of order n, up to isomorphism and up to size_cap elements. Upsets too
-    large for exhaustive partition enumeration are skipped and the
-    report is marked partial instead of failing."""
-    seen = set()
-    partial = False
-    for mask in sorted(p.upsets()):
-        if not mask:
-            continue
-        u, _ = p.upset_subposet(mask)
-        if u.n > ALL_EPARTITIONS_LIMIT:
-            partial = True
-            continue
-        for part in all_epartitions(u):
-            q, _ = quotient(u, part)
-            if q.n > size_cap or not q.has_root():
-                continue
-            if is_n_colorable(q, n):
-                seen.add(q.canonical_form())
-    return LocalFinitenessReport(n, size_cap, len(seen), partial)
 
 
 # ----- growth of truncations --------------------------------------------------

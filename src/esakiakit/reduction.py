@@ -91,9 +91,6 @@ class EPartition:
     def same(self, x: int, y: int) -> bool:
         return self.block_of(x) == self.block_of(y)
 
-    def is_identity(self) -> bool:
-        return len(self.blocks) == self.base.n
-
     def refines(self, other: "EPartition") -> bool:
         """True when every block of self sits inside a block of other;
         InvalidId when other is built on a different poset."""
@@ -236,19 +233,6 @@ class ReductionStep:
 
     kind: str                    # 'alpha' or 'beta'
     pair: tuple[int, int]
-
-
-def merge_step(p: Poset, kind: str, x: int, y: int) -> tuple[Poset, tuple[int, ...]]:
-    """Apply one alpha or beta merge; returns (reduced poset, projection)."""
-    if kind == "alpha":
-        ok = alpha_mergeable(p, x, y)
-    elif kind == "beta":
-        ok = beta_mergeable(p, x, y)
-    else:
-        raise InvalidId(f"unknown step kind {kind!r}")
-    if not ok:
-        raise NotMergeable(f"pair ({x}, {y}) is not {kind}-mergeable")
-    return quotient(p, kernel(p, [x if z == y else z for z in range(p.n)]))
 
 
 def mergeable_pairs(p: Poset) -> list[tuple[str, int, int]]:

@@ -162,12 +162,6 @@ def test_evaluate_rejects_indices_outside_the_carrier():
     assert evaluate(a, var(0), {0: len(a) - 1}) == a.top
 
 
-def test_negation_is_implication_to_bottom():
-    a = upset_algebra(v_poset())
-    for i in range(len(a)):
-        assert a.neg(i) == a.imp(i, a.bot)
-
-
 def test_si_means_rooted():
     assert is_si(upset_algebra(v_poset()))
     assert not is_si(upset_algebra(Poset.from_covers(2, [])))

@@ -435,15 +435,50 @@ def test_any_input_files_keep_the_exit_code_contract(files, order):
         run_fuzzed(pathlib.Path(tmp), files, order)
 
 
-def run_fuzzed(tmp, files, order):
+def fuzzed_argvs(tmp, files, order):
+    """Write the two fuzzed files under tmp; returns the argv lists of
+    check-coloring, reduce, census and convert on them."""
     poset, coloring = tmp / "p.json", tmp / "f.json"
     poset.write_bytes(files[0])
     coloring.write_bytes(files[1])
-    for argv in (["check-coloring", "--poset", poset, "--coloring", coloring],
-                 ["reduce", "--poset", poset, "--coloring", coloring],
-                 ["census", "--poset", poset, "--n", order, "--budget", 3],
-                 ["convert", "--poset", poset, "--format", "json"]):
+    return [[str(a) for a in argv] for argv in (
+        ["check-coloring", "--poset", poset, "--coloring", coloring],
+        ["reduce", "--poset", poset, "--coloring", coloring],
+        ["census", "--poset", poset, "--n", order, "--budget", 3],
+        ["convert", "--poset", poset, "--format", "json"])]
+
+
+def run_fuzzed(tmp, files, order):
+    for argv in fuzzed_argvs(tmp, files, order):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main([str(a) for a in argv])
+            code = cli.main(argv)
         assert code in (0, 1, 2, 3), (argv[0], files, code)
+
+
+# Runs each argv list of its JSON argument through `cli.main` and prints
+# the exit codes as one JSON line; the commands' own stdout is dropped.
+FUZZ_SCRIPT = """
+import contextlib, io, json, sys
+import esakiakit.cli as cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+print(json.dumps(codes))
+"""
+
+
+@settings(derandomize=True, max_examples=20, deadline=None, database=None)
+@given(cli_files(), st.sampled_from([1, 2, 0, 3, 70, -1]))
+def test_fuzzed_files_exit_in_bounded_time(files, order):
+    """The same four commands in a fresh interpreter with a 60 s timeout,
+    so that a hang fails as well: the in-process fuzz cannot catch one."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argvs = fuzzed_argvs(pathlib.Path(tmp), files, order)
+        done = subprocess.run(
+            [sys.executable, "-c", FUZZ_SCRIPT, json.dumps(argvs)],
+            capture_output=True, text=True, timeout=60)
+    assert "Traceback" not in done.stderr, (files, done.stderr)
+    codes = json.loads(done.stdout)
+    assert len(codes) == 4 and set(codes) <= {0, 1, 2, 3}, (files, codes)

@@ -45,7 +45,6 @@ def test_coloring_of_validates():
     p = v_poset()
     f = Coloring.of(p, 2, [0, 1, 2])
     assert f.color(2) == 2 and f.bits(1) == "01"
-    assert f.color_class(0) == (0,)
     with pytest.raises(OutOfRange):
         Coloring.of(p, 1, [0, 2, 0])
     with pytest.raises(InvalidId):

@@ -1,11 +1,10 @@
 import pytest
 
-from esakiakit import (BoundReport, BudgetExceeded, EPartition, OutOfRange,
-                       Overflow, Poset, PropertyFalsified,
-                       abomination_truncation, bound_report, enumerate_posets,
+from esakiakit import (BudgetExceeded, EPartition, OutOfRange, Overflow,
+                       Poset, abomination_truncation, enumerate_posets,
                        enumerate_rooted_posets, growth_probe, is_coloring,
-                       kc_probe, local_finiteness_probe, quotient_census,
-                       size_bound, size_bound_by_levels)
+                       kc_probe, quotient_census, size_bound,
+                       size_bound_by_levels)
 
 
 def chain(n):
@@ -97,15 +96,6 @@ def test_size_bound_guards():
         size_bound_by_levels(2, 0, 2**60)
 
 
-def test_bound_report_revalidates():
-    report = BoundReport(2, 0, 335, 11493, 0)
-    assert report.bound == 11493
-    with pytest.raises(PropertyFalsified):
-        BoundReport(2, 0, 335, 11494, 0)
-    census = quotient_census(chain(2), 1)
-    assert bound_report(2, 0, 335, census).observed_max == 2
-
-
 def test_kc_probe():
     report = kc_probe(6)
     assert report.maximum == 3
@@ -115,21 +105,6 @@ def test_kc_probe():
         kc_probe(0)
     with pytest.raises(OutOfRange):
         kc_probe(8)
-
-
-def test_local_finiteness_counts():
-    report = local_finiteness_probe(chain(2), 1, 10)
-    assert report.count == 2 and not report.partial
-    hat = Poset.from_covers(3, []).with_bottom()
-    assert local_finiteness_probe(hat, 1, 10).count == 3
-    assert local_finiteness_probe(hat, 1, 1).count == 1
-    assert local_finiteness_probe(hat, 1, 2).count == 2
-
-
-def test_local_finiteness_skips_oversized_upsets():
-    report = local_finiteness_probe(chain(9), 1, 10)
-    assert report.partial
-    assert report.count == 2
 
 
 def test_growth_probe_rows():

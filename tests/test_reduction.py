@@ -13,13 +13,15 @@ from esakiakit import (Coloring, EPartition, InvalidId, NotEPartition,
                        beta_mergeable, brute_coarsest_color_respecting,
                        coarsest_color_respecting, color_respecting_reduction,
                        compose_steps, decompose_pmorphism, is_epartition,
-                       is_pmorphism, kernel, merge_step, mergeable_pairs,
+                       is_pmorphism, kernel, mergeable_pairs,
                        ladder_truncation, quotient)
 from esakiakit.coloring import enumerate_weak_colorings
 from esakiakit.poset import ids_of, mask_of
 from esakiakit.probes import enumerate_posets
 from esakiakit.randgen import random_poset, random_weak_coloring
 from esakiakit.reduction import _Replay, _growth_key
+
+from test_replay import merge_step
 
 
 def v_poset():
@@ -186,8 +188,8 @@ def test_quotient_matches_the_up_set_formula(monkeypatch):
     """Same covers, down masks, depths and projection as the up-set rows,
     on every E-partition of every poset up to 6 elements and on every
     merge of seeded greedy reductions of the suite's spaces. The greedy
-    replays merges in place, so its steps are replayed again through
-    `merge_step`, which takes a quotient per merge; after every step the
+    replays merges in place, so its steps are replayed again through the
+    tests' `merge_step`, which takes a quotient per merge; after every step the
     in-place replay's current poset and projection must agree with it."""
     for k in range(7):
         for p in enumerate_posets(k):
@@ -225,6 +227,50 @@ def test_quotient_matches_the_up_set_formula(monkeypatch):
             in_place = tuple(replay.pos[s] for s in replay.owner)
             assert quotient_key(replay.cur, in_place) == quotient_key(p, proj)
     assert merges == total > 400
+
+
+def inherited_order(p, proj, k):
+    """Up-set rows, over the k blocks named by proj, of the transitive
+    closure of "a member of one block lies below a member of the other"
+    in p."""
+    rows = [1 << i for i in range(k)]
+    for x in range(p.n):
+        for y in ids_of(p.up_mask(x)):
+            rows[proj[x]] |= 1 << proj[y]
+    grown = True
+    while grown:
+        grown = False
+        for i in range(k):
+            row = rows[i]
+            for j in ids_of(rows[i]):
+                row |= rows[j]
+            grown |= row != rows[i]
+            rows[i] = row
+    return rows
+
+
+@st.composite
+def partitioned_posets(draw):
+    """A relabelled `random_poset` of 7 or 8 elements and one of its
+    E-partitions, drawn from `all_epartitions`."""
+    n = draw(st.integers(7, 8))
+    p = random_poset(draw(st.randoms(use_true_random=False)), n)
+    p = p.permuted(draw(st.permutations(range(n))))
+    return p, draw(st.sampled_from(all_epartitions(p)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(partitioned_posets())
+def test_quotient_is_a_poset(case):
+    """The quotient by an E-partition equals the up-set formula, and the
+    order the blocks inherit from p has no cycle and is its order."""
+    p, part = case
+    q, proj = quotient(p, part)
+    assert quotient_key(q, proj) == quotient_key(*up_set_quotient(p, part))
+    rows = inherited_order(p, proj, q.n)
+    assert not any(rows[i] >> j & 1 and rows[j] >> i & 1
+                   for i in range(q.n) for j in range(i))
+    assert [q.up_mask(i) for i in range(q.n)] == rows
 
 
 def test_pmorphism_check_and_kernel():
@@ -329,7 +375,7 @@ def test_coarsest_color_respecting_examples():
     part = coarsest_color_respecting(p, const)
     assert part.blocks == ((0, 1, 2),)
     strict = Coloring.of(p, 1, [0, 0, 1])
-    assert coarsest_color_respecting(p, strict).is_identity()
+    assert coarsest_color_respecting(p, strict).blocks == ((0,), (1,), (2,))
 
 
 def test_coarsest_matches_brute_force_on_seeded_instances():
@@ -465,8 +511,7 @@ def test_all_epartitions_does_not_use_the_greedy(monkeypatch):
 
     def forbidden(*args, **kwargs):
         raise AssertionError("all_epartitions reached the greedy")
-    for name in ("coarsest_color_respecting", "mergeable_pairs",
-                 "merge_step", "_Replay"):
+    for name in ("coarsest_color_respecting", "mergeable_pairs", "_Replay"):
         monkeypatch.setattr(reduction, name, forbidden)
     p = Poset.from_covers(8, [])
     assert len(all_epartitions(p)) == 4140   # Bell(8)

@@ -1,7 +1,8 @@
 """The in-place merge replay against the per-merge replay it replaced.
 
-`ReferenceReplay` rebuilds the current poset through `merge_step` (and so
-`quotient`) after every merge and rescans it with `mergeable_pairs`. The
+`ReferenceReplay` rebuilds the current poset through `merge_step` below
+(and so `quotient`) after every merge and rescans it with
+`mergeable_pairs`. The
 replay in `esakiakit.reduction` updates masks, covers and depths in place
 and must give the same steps, kernels, final posets and errors; its
 per-slot state must describe the current poset after every merge."""
@@ -21,11 +22,27 @@ from esakiakit import (Coloring, NotEPartition, Poset, ReductionStep,
                        decompose_pmorphism, delta_map, ladder_id,
                        ladder_truncation, lift_schedule,
                        schedule_beta_reductions)
-from esakiakit.errors import EsakiaKitError, NotMergeable
+from esakiakit.errors import EsakiaKitError, InvalidId, NotMergeable
 from esakiakit.poset import ids_of, mask_of
 from esakiakit.randgen import random_poset, random_weak_coloring
-from esakiakit.reduction import (EPartition, _check_pair, kernel, merge_step,
-                                 mergeable_pairs)
+from esakiakit.reduction import (EPartition, _check_pair, alpha_mergeable,
+                                 beta_mergeable, kernel, mergeable_pairs)
+
+
+def merge_step(p: Poset, kind: str, x: int, y: int) -> tuple[Poset, tuple[int, ...]]:
+    """Apply one alpha or beta merge by taking a quotient; returns (reduced
+    poset, projection). `quotient` is looked up on the module at call time,
+    so a test that patches `reduction.quotient` sees these calls."""
+    if kind == "alpha":
+        ok = alpha_mergeable(p, x, y)
+    elif kind == "beta":
+        ok = beta_mergeable(p, x, y)
+    else:
+        raise InvalidId(f"unknown step kind {kind!r}")
+    if not ok:
+        raise NotMergeable(f"pair ({x}, {y}) is not {kind}-mergeable")
+    return reduction.quotient(
+        p, kernel(p, [x if z == y else z for z in range(p.n)]))
 
 
 class ReferenceReplay:
