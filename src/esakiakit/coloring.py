@@ -139,37 +139,50 @@ def _weak_walk(p: Poset, n: int, partners: Sequence[Sequence[int]],
     """Depth-first over the weak colorings of order n along the top-down
     order, yielding the color list at each leaf. Each element tries the
     submasks of its upper covers' color meet in ascending order (Knuth,
-    TAOCP 4A 7.1.3), skipping its colored partners' colors."""
+    TAOCP 4A 7.1.3), skipping its colored partners' colors. The walk keeps
+    one candidate and one ceiling per placed element on its own lists, so
+    its depth is not bounded by the interpreter's recursion limit."""
     if n < 0:
         raise OutOfRange("negative color order")
     order = _color_order(p)
+    size = len(order)
     colors = [-1] * p.n
     full = (1 << n) - 1
-    spent = 0
+    cands = [0] * size
+    ceilings = [0] * size
 
-    def rec(i: int) -> Iterator[list[int]]:
-        nonlocal spent
-        if i == len(order):
-            yield colors
-            return
-        x = order[i]
-        ceiling = full
-        for y in p.covers_up(x):
-            ceiling &= colors[y]
-        cand = 0
-        while True:
-            if all(colors[y] != cand for y in partners[x]):
-                if budget is not None and spent >= budget:
-                    raise BudgetExceeded(f"coloring search budget {budget}")
-                spent += 1
-                colors[x] = cand
-                yield from rec(i + 1)
-            cand = ((cand | ~ceiling) + 1) & ceiling
-            if not cand:
-                break
-        colors[x] = -1
+    def walk() -> Iterator[list[int]]:
+        spent = 0
+        i, entered = 0, True    # entered: order[i] has tried no candidate
+        while i >= 0:
+            if i == size:
+                yield colors
+                i, entered = i - 1, False
+                continue
+            x = order[i]
+            if entered:
+                ceiling = full
+                for y in p.covers_up(x):
+                    ceiling &= colors[y]
+                ceilings[i] = ceiling
+                cand = 0
+            else:
+                ceiling = ceilings[i]
+                cand = ((cands[i] | ~ceiling) + 1) & ceiling or -1
+            # -1: the submasks wrapped round to 0, so all have been tried
+            while cand >= 0 and any(colors[y] == cand for y in partners[x]):
+                cand = ((cand | ~ceiling) + 1) & ceiling or -1
+            if cand < 0:
+                colors[x] = -1
+                i, entered = i - 1, False
+                continue
+            if budget is not None and spent >= budget:
+                raise BudgetExceeded(f"coloring search budget {budget}")
+            spent += 1
+            colors[x] = cands[i] = cand
+            i, entered = i + 1, True
 
-    return rec(0)
+    return walk()
 
 
 def search_coloring(p: Poset, n: int, budget: int | None = None) -> Coloring | None:

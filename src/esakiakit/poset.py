@@ -490,21 +490,9 @@ def _canonical_form(p: Poset):
     first_leaf: dict = {}           # encoding -> the first leaf giving it
     autos: list[list[int]] = []     # automorphisms, as image lists
 
-    def search(colors, count, prefix):
-        nonlocal best
-        if count == n:
-            enc = tuple(sorted([(colors[x], colors[y])
-                                for x in range(n) for y in succ[x]]))
-            first = first_leaf.setdefault(enc, colors)
-            if first is colors:
-                if best is None or enc < best:
-                    best = enc
-            else:
-                at = [0] * n
-                for x, c in enumerate(colors):
-                    at[c] = x
-                autos.append([at[c] for c in first])
-            return
+    def children(colors, count, prefix):
+        """The refined children of an inner node, one at a time, so each
+        candidate reads the automorphisms found under the ones before."""
         sizes = [0] * count
         for c in colors:
             sizes[c] += 1
@@ -531,9 +519,32 @@ def _canonical_form(p: Poset):
             tried = _orbit(tried | 1 << v, gens)
             branched = colors[:]
             branched[v] = count
-            search(*refine(branched, count + 1), prefix + [v])
+            yield (*refine(branched, count + 1), prefix + [v])
 
-    search(*refine([ranks[k] for k in init], len(ranks)), [])
+    # Depth first on a stack of child iterators, one per open node, the
+    # root the one child of the bottom entry: the search goes one level
+    # deeper per individualized element.
+    stack = [iter([(*refine([ranks[k] for k in init], len(ranks)), [])])]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            continue
+        colors, count, prefix = node
+        if count < n:
+            stack.append(children(colors, count, prefix))
+            continue
+        enc = tuple(sorted([(colors[x], colors[y])
+                            for x in range(n) for y in succ[x]]))
+        first = first_leaf.setdefault(enc, colors)
+        if first is colors:
+            if best is None or enc < best:
+                best = enc
+        else:
+            at = [0] * n
+            for x, c in enumerate(colors):
+                at[c] = x
+            autos.append([at[c] for c in first])
     return (n, best)
 
 

@@ -260,38 +260,41 @@ class _Replay:
     The state is kept per slot: the original id that names a current
     element in recorded steps, the name of its lowest-numbered preimage
     one merge back. `live` masks the live slots. Lists indexed by slot
-    hold the reflexive `up` and `down` masks, the cover masks `succ` and
-    `pred` (each the transpose of the other) and the `depth` of each live
-    slot, all over slots, plus `members`, the originals a slot holds.
-    `names` lists the live slots in current-id order and `pos` is its
-    inverse; `owner` maps each original id to the slot of its current
-    element. A dropped slot is never cleared from the `up` and `down`
-    masks, so they are read through `live`; `succ` and `pred` name live
-    slots only. Current ids are those `quotient` gives: after a merge they
-    are re-sorted by (pre-merge depth, pre-merge id), and the merged
-    element takes the smaller of each and keeps the slot of the lower
-    current id. Since they follow pre-merge depth, `names` need not be in
-    current-depth order; it is, and no sort is needed, while no depth has
-    moved since the last sort.
+    hold the reflexive `down` masks, the cover masks `succ` and `pred`
+    (each the transpose of the other) and the `depth` of each live slot,
+    all over slots, plus `members`, the originals a slot holds; `level[d]`
+    masks the live slots at depth d. `names` lists the live slots in
+    current-id order and `pos` is its inverse; `owner` maps each original
+    id to the slot of its current element. A dropped slot is never
+    cleared from the `down` masks, so they are read through `live`;
+    `succ`, `pred` and `level` name live slots only. Current ids are those
+    `quotient` gives: after a merge they are re-sorted by (pre-merge
+    depth, pre-merge id), and the merged element takes the smaller of each
+    and keeps the slot of the lower current id. Since they follow
+    pre-merge depth, `names` need not be in current-depth order; it is,
+    and no sort is needed, while no depth has moved since the last sort.
 
     The greedy takes the least move in one pass over the live slots
     (`least`); no list of moves is ever built.
 
     Merging x and y into m, with D the strict down set of m: m's covers
-    are y's for alpha and x's for beta. Every member of m's strict up set
-    lies above both x and y and so above all of D, so only the members of
-    D below the dropped slot but not the kept one gain m in their up
-    masks. Only the immediate predecessors of x and y change covers: each
-    drops x and y and gains m when no member of its old strict up set
-    lies in D; those gaining m are m's `pred`. Only an alpha merge changes
-    depths, and only below x. The current poset `cur` is built once, when first
-    asked for, and `kernel` checks the accumulated kernel with
-    `is_epartition` (NotEPartition if it fails), since no quotient checks
-    a merge.
+    are y's for alpha and x's for beta. Only the immediate predecessors
+    of x and y change covers: each drops x and y, and it covers m unless
+    another of its covers lies in D. A predecessor that covers both x and
+    y (beta), or y (alpha), has no other cover in D, since that cover
+    would lie between it and x or y; so only the predecessors of x but not
+    y, or of y but not x (beta), are checked. Those covering m are m's
+    `pred`. Only an alpha merge changes depths, and only below x. It
+    shortens a chain by at most one, the one step from x to y, so a depth
+    falls by one or not at all: a slot z keeps its depth when `succ[z]`
+    meets `level[depth[z] - 1]`, and falls by one when it does not. The
+    current poset `cur` is built once, when first asked for, and `kernel`
+    checks the accumulated kernel with `is_epartition` (NotEPartition if
+    it fails), since no quotient checks a merge.
     """
 
     __slots__ = ("base", "_cur", "owner", "members", "names", "pos", "live",
-                 "up", "down", "succ", "pred", "depth", "_unsorted")
+                 "down", "succ", "pred", "depth", "level", "_unsorted")
 
     def __init__(self, p: Poset):
         n = p.n
@@ -302,12 +305,13 @@ class _Replay:
         self.names = list(range(n))
         self.pos = list(range(n))
         self.live = (1 << n) - 1
-        self.up = list(p._up)
         self.down = list(p._down)
-        self.depth = list(p._depths)
+        self.depth = depth = list(p._depths)
+        self.level = level = [0] * (n + 1)     # depths run 1..n
         self.succ = succ = [0] * n
         self.pred = pred = [0] * n
         for x, ys in enumerate(p._succ):
+            level[depth[x]] |= 1 << x
             for y in ys:
                 succ[x] |= 1 << y
                 pred[y] |= 1 << x
@@ -325,19 +329,18 @@ class _Replay:
     def merge(self, kind: str, x: int, y: int) -> ReductionStep:
         """Merge the current elements holding original ids x and y.
 
-        Neither m's strict up set nor all of its strict down set is
-        visited: besides renumbering the current ids after the dropped
-        slot's (all of them, with a sort, when a depth has moved since the
-        last sort), a merge touches the covers and immediate predecessors
-        of x and y, the part of the down set below only the dropped slot,
+        Neither m's strict up set nor its strict down set is visited:
+        besides renumbering the current ids after the dropped slot's (all
+        of them, with a sort, when a depth has moved since the last sort),
+        a merge touches the covers and immediate predecessors of x and y,
         the dropped slot's originals and, for alpha, the elements below x
         whose depth moved and their immediate predecessors."""
         _check_pair(self.base, x, y)
         sx, sy = self.owner[x], self.owner[y]
         if sx == sy:
             raise NotMergeable(f"pair {(x, y)} already identified")
-        pos, up, down, succ, pred, depth = (self.pos, self.up, self.down,
-                                            self.succ, self.pred, self.depth)
+        pos, down, succ, pred, depth, level = (self.pos, self.down, self.succ,
+                                               self.pred, self.depth, self.level)
         if kind == "alpha":
             ok = succ[sx] == 1 << sy
         elif kind == "beta":
@@ -351,32 +354,37 @@ class _Replay:
         keep, drop = (sx, sy) if pos[sx] < pos[sy] else (sy, sx)
         pair = 1 << sx | 1 << sy
         m = 1 << keep
-        self.live = live = self.live & ~(1 << drop)
-        # The dropped slot's bits stay behind in the masks, read through
-        # `live`; what lay below it but not below the kept slot gains m.
-        for z in ids_of(down[drop] & ~down[keep] & live):
-            up[z] |= m
-        up[keep] |= up[drop]
+        self.live &= ~(1 << drop)
+        # The dropped slot's bits stay behind in the down masks, which are
+        # read through `live`.
         down[keep] |= down[drop]
-        below = down[keep] & live & ~m
-        covered = (pred[sx] | pred[sy]) & ~pair
+        below = down[keep] & ~pair
         from_x = pred[sx]
+        if alpha:
+            kept, checked = pred[sy] & ~pair, from_x
+        else:
+            kept, checked = pred[sx] & pred[sy], pred[sx] ^ pred[sy]
         succ[keep] = c = succ[sy] if alpha else succ[sx]
-        for t in ids_of(c):
-            pred[t] = pred[t] & ~pair | m
-        # The covers of x and y drop them and take m, unless a member of D
-        # lies between.
-        gained = 0
-        while covered:
-            low = covered & -covered
-            covered ^= low
+        if not alpha or drop == sy:     # m's covers still name the dropped slot
+            for t in ids_of(c):
+                pred[t] = pred[t] & ~pair | m
+        for z in ids_of(kept & pred[drop]):    # kept, but named the dropped slot
+            succ[z] = succ[z] & ~pair | m
+        # The others drop x and y and take m, unless another cover lies in D.
+        while checked:
+            low = checked & -checked
+            checked ^= low
             z = low.bit_length() - 1
             succ[z] &= ~pair
-            if not up[z] & below & ~low:
+            if not succ[z] & below:
                 succ[z] |= m
-                gained |= low
-        pred[keep] = gained
-        depth[keep] = min(depth[sx], depth[sy])
+                kept |= low
+        pred[keep] = kept
+        level[depth[drop]] &= ~(1 << drop)
+        if depth[keep] > depth[drop]:       # alpha, with x the lower current id
+            level[depth[keep]] &= ~m
+            level[depth[drop]] |= m
+            depth[keep] = depth[drop]
         names = self.names
         if self._unsorted:
             names.remove(drop)
@@ -394,28 +402,25 @@ class _Replay:
         members[keep] += members[drop]
         members[drop] = None
         if alpha:
-            # An alpha merge shortens the chains through x by one. Popping
-            # by pre-merge depth settles every cover of z before z, so z is
-            # recomputed when a cover of it was x or lost depth.
+            # An alpha merge shortens the chains through x by one, so a
+            # depth falls by one or not at all. Popping by pre-merge depth
+            # settles every cover of z before z, so z is checked when a
+            # cover of it was x or lost depth.
             heap = [(depth[z], z) for z in ids_of(from_x)]
             heapify(heap)
             queued = from_x
             while heap:
-                _, z = heappop(heap)
-                rest, d = succ[z], 0
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    dt = depth[low.bit_length() - 1]
-                    if dt > d:
-                        d = dt
-                d += 1
-                if d != depth[z]:
-                    depth[z] = d
-                    self._unsorted = True
-                    for w in ids_of(pred[z] & ~queued):
-                        heappush(heap, (depth[w], w))
-                    queued |= pred[z]
+                d, z = heappop(heap)
+                if succ[z] & level[d - 1]:
+                    continue
+                low = 1 << z
+                level[d] ^= low
+                level[d - 1] |= low
+                depth[z] = d - 1
+                self._unsorted = True
+                for w in ids_of(pred[z] & ~queued):
+                    heappush(heap, (depth[w], w))
+                queued |= pred[z]
         self._cur = None
         return ReductionStep(kind, (x, y))
 

@@ -186,3 +186,9 @@ def test_orbit_pruning_reads_only_automorphisms_fixing_the_prefix():
     rng = random.Random(41)
     for _ in range(10):
         assert relabelled(rng, p).canonical_form() == form
+
+
+def test_a_wide_antichain_needs_no_recursion():
+    """The search individualizes one element per level, 1,099 levels deep
+    here, past the interpreter's default recursion limit of 1,000."""
+    assert Poset.from_covers(1100, []).canonical_form() == (1100, ())

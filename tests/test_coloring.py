@@ -7,7 +7,8 @@ import time
 import pytest
 
 from esakiakit import (BudgetExceeded, Coloring, InvalidId, NotColoring,
-                       OutOfRange, Poset, color_bits, color_leq,
+                       OutOfRange, Poset, abomination_truncation,
+                       color_bits, color_leq,
                        enumerate_weak_colorings, is_coloring, is_n_colorable,
                        is_weak_coloring, monochrome_mergeable_pair,
                        promote_subspace_coloring, search_coloring)
@@ -302,3 +303,41 @@ def test_census_at_a_high_order_stays_fast(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert time.monotonic() - start < 10
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_the_order_2_truncation_has_no_strict_coloring_in_64_assignments(depth):
+    """Criterion 4's strict search: every injective coloring of four of the
+    eight pairwise beta-mergeable maximal elements by the four colors,
+    the sum over k = 1..4 of 4!/(4 - k)!, 64 assignments, then None."""
+    z = abomination_truncation(2, depth)
+    assert search_coloring(z, 2, budget=64) is None
+    with pytest.raises(BudgetExceeded, match="budget 63"):
+        search_coloring(z, 2, budget=63)
+
+
+def test_deep_walks_and_censuses_need_no_recursion(tmp_path):
+    """Under a recursion limit of 100, a fresh interpreter walks the 301
+    weak colorings of order 1 of a 300-element chain, each a leaf 300
+    elements deep, and runs the CLI census on a 300-element antichain:
+    its strict coloring is 300 elements deep, and so is the canonical
+    form of its identity quotient."""
+    poset = tmp_path / "antichain.json"
+    poset.write_text('{"n": 300, "covers": []}', encoding="utf-8")
+    script = f"""if True:
+        import sys
+        sys.setrecursionlimit(100)
+        from esakiakit import Poset, enumerate_weak_colorings
+        from esakiakit.cli import main
+        chain = Poset.from_covers(300, [(i, i + 1) for i in range(299)])
+        print(sum(1 for _ in enumerate_weak_colorings(chain, 1)))
+        sys.exit(main(["census", "--poset", {str(poset)!r}, "--n", "9",
+                       "--budget", "1"]))
+    """
+    done = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    count, census = done.stdout.split("\n", 1)
+    assert count == "301"
+    assert census.startswith('{"distinct_partitions":2,')

@@ -449,6 +449,20 @@ def test_reduction_step_names_are_pinned():
     assert compose_steps(p, steps)[1] == part
 
 
+def test_reduction_step_names_are_pinned_on_the_depth_2_truncation():
+    # The 102-element truncation's greedy ends on a run of 51 consecutive
+    # alpha merges, each settling depths below the merged pair.
+    p = abomination_truncation(2, 2)
+    f = random_weak_coloring(random.Random(0), p, 2)
+    part, steps = color_respecting_reduction(p, f)
+    kinds = "".join("a" if s.kind == "alpha" else "b" for s in steps)
+    assert (len(steps), kinds.count("a")) == (88, 53)
+    assert max(len(run) for run in kinds.split("b")) == 51
+    assert hashlib.sha256(json.dumps(step_list(steps)).encode()).hexdigest() == \
+        "210110f1f4c07f9dfbd3daedcbd79672fd1023759ed81fa2498c7297ba3b1765"
+    assert compose_steps(p, steps)[1] == part
+
+
 def test_decompose_step_names_are_pinned():
     rng = random.Random(3)
     p = random_poset(rng, 16)

@@ -173,13 +173,15 @@ def test_scrambled_greedy_matches_the_reference(seed, n, order, scramble):
 
 
 def assert_state_matches_cur(replay):
-    """Every live slot's masks, covers and depth, read through `live` and
-    mapped to current ids by `pos`, are those of `cur`; `pred` is the
+    """Every live slot's down mask, covers and depth, read through `live`
+    and mapped to current ids by `pos`, are those of `cur`; `pred` is the
     transpose of `succ`; `members` holds exactly the originals a slot
-    owns; no dead slot is anyone's cover; and while no depth has moved
-    since the last sort, `names` is in depth order."""
+    owns; no dead slot is anyone's cover; every live slot lies in the
+    level of its depth and in no other, and the levels together are
+    `live`; and while no depth has moved since the last sort, `names` is
+    in depth order."""
     cur, pos, live, names = replay.cur, replay.pos, replay.live, replay.names
-    up, down, succ, pred = replay.up, replay.down, replay.succ, replay.pred
+    down, succ, pred, level = replay.down, replay.succ, replay.pred, replay.level
 
     def current(mask):
         return mask_of(pos[t] for t in ids_of(mask))
@@ -191,14 +193,18 @@ def assert_state_matches_cur(replay):
     for s in names:
         x = pos[s]
         assert names[x] == s
-        assert current(up[s] & live) == cur.up_mask(x)
         assert current(down[s] & live) == cur.down_mask(x)
         assert not (succ[s] | pred[s]) & ~live
         assert current(succ[s]) == mask_of(cur.covers_up(x))
         assert current(pred[s]) == mask_of(cur.covers_down(x))
         assert all(pred[t] >> s & 1 for t in ids_of(succ[s]))
         assert replay.depth[s] == cur.depth(x)
+        assert [d for d, row in enumerate(level) if row >> s & 1] == [cur.depth(x)]
         assert sorted(replay.members[s]) == owned[s]
+    union = 0
+    for row in level:
+        union |= row
+    assert union == live
     if not replay._unsorted:
         depths = [replay.depth[s] for s in names]
         assert depths == sorted(depths)
