@@ -30,7 +30,7 @@ from .reduction import (EPartition, ReductionStep, all_epartitions,
                         coarsest_color_respecting,
                         color_respecting_reduction, compose_steps,
                         decompose_pmorphism, is_epartition, is_pmorphism,
-                        kernel, mergeable_pairs, quotient)
+                        kernel, quotient)
 from .spaces import (SpaceLabel, TripleTable, abomination_id,
                      abomination_level_ids, abomination_truncation,
                      canonical_coloring, ladder_id, ladder_truncation,
@@ -44,7 +44,7 @@ __all__ = [
     "validates", "generated_subalgebra", "min_generators", "subalgebras",
     "EPartition", "ReductionStep", "is_epartition", "quotient",
     "is_pmorphism", "kernel", "alpha_mergeable", "beta_mergeable",
-    "mergeable_pairs", "decompose_pmorphism", "compose_steps",
+    "decompose_pmorphism", "compose_steps",
     "coarsest_color_respecting", "color_respecting_reduction",
     "brute_coarsest_color_respecting", "all_epartitions",
     "Coloring", "color_leq", "color_bits", "is_weak_coloring",

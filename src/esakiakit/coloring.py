@@ -16,7 +16,7 @@ from typing import Iterator, Mapping, Sequence
 from .errors import (BudgetExceeded, InvalidId, NotColoring, OutOfRange,
                      PropertyFalsified)
 from .poset import Poset, _is_id
-from .reduction import mergeable_pairs
+from .reduction import _Replay
 
 
 def color_leq(a: int, b: int) -> bool:
@@ -117,10 +117,10 @@ def is_weak_coloring(p: Poset, f: Coloring) -> bool:
 
 
 def monochrome_mergeable_pair(p: Poset, f: Coloring) -> tuple[str, int, int] | None:
-    for kind, x, y in mergeable_pairs(p):
-        if f.colors[x] == f.colors[y]:
-            return kind, x, y
-    return None
+    """The least same-colored move (kind, x, y), in `_Replay.least` order,
+    or None; InvalidId for a coloring built on another poset."""
+    _check_base(p, f)
+    return _Replay(p).least(f.colors)
 
 
 def is_coloring(p: Poset, f: Coloring) -> bool:
@@ -134,22 +134,28 @@ def _color_order(p: Poset) -> list[int]:
     return sorted(range(p.n), key=lambda x: (depths[x], x))
 
 
-def _weak_walk(p: Poset, n: int, partners: Sequence[Sequence[int]],
+def _weak_walk(p: Poset, n: int, groups: Sequence[int] | None,
                budget: int | None) -> Iterator[list[int]]:
     """Depth-first over the weak colorings of order n along the top-down
     order, yielding the color list at each leaf. Each element tries the
     submasks of its upper covers' color meet in ascending order (Knuth,
-    TAOCP 4A 7.1.3), skipping its colored partners' colors. The walk keeps
-    one candidate and one ceiling per placed element on its own lists, so
-    its depth is not bounded by the interpreter's recursion limit."""
+    TAOCP 4A 7.1.3). Given `groups`, a twin-group id per element (twins
+    share their upper covers), the walk is strict: one mask per group holds
+    the colors of its placed members, and an element skips those and the
+    color of its only upper cover; its other partners come later in the
+    order. The walk keeps one candidate and one ceiling per placed element
+    on its own lists, so its depth is not bounded by the interpreter's
+    recursion limit."""
     if n < 0:
         raise OutOfRange("negative color order")
     order = _color_order(p)
     size = len(order)
+    succ = p._succ
     colors = [-1] * p.n
     full = (1 << n) - 1
     cands = [0] * size
     ceilings = [0] * size
+    used = [0] * p.n            # per twin group: a bit per color held
 
     def walk() -> Iterator[list[int]]:
         spent = 0
@@ -162,16 +168,22 @@ def _weak_walk(p: Poset, n: int, partners: Sequence[Sequence[int]],
             x = order[i]
             if entered:
                 ceiling = full
-                for y in p.covers_up(x):
+                for y in succ[x]:
                     ceiling &= colors[y]
                 ceilings[i] = ceiling
                 cand = 0
             else:
                 ceiling = ceilings[i]
                 cand = ((cands[i] | ~ceiling) + 1) & ceiling or -1
-            # -1: the submasks wrapped round to 0, so all have been tried
-            while cand >= 0 and any(colors[y] == cand for y in partners[x]):
-                cand = ((cand | ~ceiling) + 1) & ceiling or -1
+                # -1: the submasks wrapped round to 0, so all have been tried
+            if groups is not None:
+                g = groups[x]
+                if not entered:
+                    used[g] ^= 1 << cands[i]
+                # An only upper cover's color is the ceiling itself.
+                skip = used[g] | (1 << ceiling if len(succ[x]) == 1 else 0)
+                while cand >= 0 and skip >> cand & 1:
+                    cand = ((cand | ~ceiling) + 1) & ceiling or -1
             if cand < 0:
                 colors[x] = -1
                 i, entered = i - 1, False
@@ -180,6 +192,8 @@ def _weak_walk(p: Poset, n: int, partners: Sequence[Sequence[int]],
                 raise BudgetExceeded(f"coloring search budget {budget}")
             spent += 1
             colors[x] = cands[i] = cand
+            if groups is not None:
+                used[g] |= 1 << cand
             i, entered = i + 1, True
 
     return walk()
@@ -192,11 +206,9 @@ def search_coloring(p: Poset, n: int, budget: int | None = None) -> Coloring | N
     order, or None. A budget bounds the number of color assignments
     tried; exhausting it raises BudgetExceeded rather than answering.
     """
-    partners: list[list[int]] = [[] for _ in range(p.n)]
-    for _, x, y in mergeable_pairs(p):
-        partners[x].append(y)
-        partners[y].append(x)
-    colors = next(_weak_walk(p, n, partners, budget), None)
+    ids: dict[tuple[int, ...], int] = {}
+    groups = [ids.setdefault(ys, len(ids)) for ys in p._succ]
+    colors = next(_weak_walk(p, n, groups, budget), None)
     return None if colors is None else Coloring.of(p, n, colors)
 
 
@@ -207,7 +219,7 @@ def is_n_colorable(p: Poset, n: int, budget: int | None = None) -> bool:
 def enumerate_weak_colorings(p: Poset, n: int) -> Iterator[Coloring]:
     """All weak colorings of order n, in deterministic order. The count
     grows exponentially; consumers are expected to impose their own cap."""
-    walk = _weak_walk(p, n, [()] * p.n, None)
+    walk = _weak_walk(p, n, None, None)
     return (Coloring.of(p, n, colors) for colors in walk)
 
 

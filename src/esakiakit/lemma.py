@@ -370,12 +370,11 @@ def corollary_certificate(z: Poset, f: Coloring, n: int) -> LiftCertificate:
 
 
 def corollary_check(z: Poset, part: EPartition, n: int,
-                    witness: Coloring | None = None,
-                    budget: int | None = None) -> bool:
+                    witness: Coloring | None = None) -> bool:
     """Does every full c-row of z contain a pair merged by `part`?
 
     The quotient by `part` must admit a coloring of order n (pass one as
-    `witness`, or let a bounded search find it). The structural claim is
+    `witness`, or let an unbounded search find it). The structural claim is
     that the answer is always yes; callers treat a False as a
     falsification event.
     """
@@ -385,6 +384,6 @@ def corollary_check(z: Poset, part: EPartition, n: int,
         if not is_coloring(quot, induced):
             raise QuotientNotColorable("provided witness is not a valid coloring")
     else:
-        if search_coloring(quot, n, budget) is None:
+        if search_coloring(quot, n) is None:
             raise QuotientNotColorable(f"no coloring of order {n} found")
     return merges_every_full_c_row(z, part, n)

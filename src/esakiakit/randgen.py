@@ -12,16 +12,19 @@ from .coloring import Coloring
 from .errors import OutOfRange
 from .poset import Poset
 
+RELATION_PROBABILITY = 0.35     # of each pair i < j in random_poset
 
-def random_poset(rng: random.Random, n: int, p: float = 0.35) -> Poset:
+
+def random_poset(rng: random.Random, n: int) -> Poset:
     """Random n-element poset: ids are a topological order and each pair
-    i < j is related with probability p, then closed transitively."""
+    i < j is related with probability `RELATION_PROBABILITY`, then closed
+    transitively."""
     if n < 0:
         raise OutOfRange("need n >= 0")
     rows = [1 << x for x in range(n)]
     for i in range(n - 1, -1, -1):
         for j in range(i + 1, n):
-            if rng.random() < p:
+            if rng.random() < RELATION_PROBABILITY:
                 rows[i] |= rows[j]
     return Poset.from_leq(n, rows)
 

@@ -235,25 +235,6 @@ class ReductionStep:
     pair: tuple[int, int]
 
 
-def mergeable_pairs(p: Poset) -> list[tuple[str, int, int]]:
-    """Every single-pair move, deterministically ordered by
-    (depth of the merged-from element, ids, kind)."""
-    depths = p.depths()
-    out = []
-    twins: dict[tuple[int, ...], list[int]] = {}
-    for x in range(p.n):
-        succ = p.covers_up(x)
-        if len(succ) == 1:
-            out.append((depths[x], x, succ[0], 0, "alpha"))
-        twins.setdefault(succ, []).append(x)
-    for group in twins.values():
-        for i, x in enumerate(group):
-            for y in group[i + 1:]:
-                out.append((depths[x], x, y, 1, "beta"))
-    out.sort()
-    return [(kind, x, y) for _, x, y, _, kind in out]
-
-
 class _Replay:
     """A poset under a sequence of merges, updated in place.
 
@@ -425,11 +406,11 @@ class _Replay:
         return ReductionStep(kind, (x, y))
 
     def least(self, values: Sequence, floor: int = 0) -> tuple[str, int, int] | None:
-        """The least same-valued move in `mergeable_pairs` order (depth of
-        the merged-from element, ids, kind) as (kind, x, y) in current ids,
-        or None, found in one pass over the live slots without listing the
-        moves. Slots shallower than `floor` are skipped; `greedy` passes a
-        floor that no move lies above.
+        """The least same-valued move by (depth of the merged-from element,
+        ids, kind: alpha first) as (kind, x, y) in current ids, or None,
+        found in one pass over the live slots without listing the moves.
+        Slots shallower than `floor` are skipped; `greedy` passes a floor
+        that no move lies above.
 
         Beta twins share their covers and so their depth. A twin group's
         least pair is its first two members in current-id order, so each
@@ -529,7 +510,7 @@ def coarsest_color_respecting(p: Poset, coloring) -> EPartition:
 
     Greedy fixpoint: merge same-colored alpha/beta pairs until none remain.
     The fixpoint does not depend on the order of the merges; this one
-    takes the least move of `mergeable_pairs` order each round.
+    takes the least move of `_Replay.least` each round.
     """
     part, _steps = color_respecting_reduction(p, coloring)
     return part

@@ -10,12 +10,14 @@ from esakiakit import (BudgetExceeded, Coloring, InvalidId, NotColoring,
                        OutOfRange, Poset, abomination_truncation,
                        color_bits, color_leq,
                        enumerate_weak_colorings, is_coloring, is_n_colorable,
-                       is_weak_coloring, monochrome_mergeable_pair,
-                       promote_subspace_coloring, search_coloring)
+                       is_weak_coloring, ladder_truncation,
+                       monochrome_mergeable_pair, promote_subspace_coloring,
+                       search_coloring)
 from esakiakit.coloring import _color_order
 from esakiakit.probes import enumerate_posets
 from esakiakit.randgen import random_poset, random_weak_coloring
-from esakiakit.reduction import mergeable_pairs
+
+from test_replay import mergeable_pairs
 
 
 def v_poset():
@@ -114,6 +116,41 @@ def test_monochrome_pair_and_strictness():
     strict = Coloring.of(p, 1, [0, 0, 1])
     assert monochrome_mergeable_pair(p, strict) is None
     assert is_coloring(p, strict)
+
+
+def test_monochrome_pair_rejects_a_coloring_of_another_poset():
+    """InvalidId, not a bare IndexError for a shorter coloring, nor a pair
+    read off a longer one (on the 3-antichain, [0, 1, 1, 0] would give
+    ('beta', 1, 2))."""
+    p = Poset.from_covers(3, [])
+    for other in (Poset.from_covers(2, []), Poset.from_covers(4, [])):
+        f = Coloring.of(other, 1, [0, 1, 1, 0][:other.n])
+        with pytest.raises(InvalidId):
+            monochrome_mergeable_pair(p, f)
+        with pytest.raises(InvalidId):
+            is_coloring(p, f)
+
+
+def first_same_colored_move(p, f):
+    """The reference: the first move of the full sorted list whose two
+    elements share a color."""
+    return next(((kind, x, y) for kind, x, y in mergeable_pairs(p)
+                 if f.colors[x] == f.colors[y]), None)
+
+
+def test_monochrome_pair_is_the_reference_first_same_colored_move():
+    rng = random.Random(71)
+    posets = [random_poset(rng, rng.randint(0, 14)) for _ in range(300)]
+    posets += [ladder_truncation(n, depth) for n in range(3) for depth in range(4)]
+    posets += [abomination_truncation(n, depth) for n in (2, 3) for depth in (0, 1)]
+    hits = 0
+    for p in posets:
+        for n in range(4):
+            f = random_weak_coloring(rng, p, n)
+            want = first_same_colored_move(p, f)
+            assert monochrome_mergeable_pair(p, f) == want, (p, f.colors)
+            hits += want is not None
+    assert hits > len(posets)
 
 
 def test_search_coloring_returns_least_witness():
@@ -269,20 +306,54 @@ def scan_enumerate(p, n):
     return out
 
 
+def assert_search_matches_the_scan(p, n):
+    """The same least solution, or None, and the same number of
+    assignments, pinned through the budget: `spent` answers and one less
+    raises."""
+    found, spent = scan_search(p, n)
+    got = search_coloring(p, n, budget=spent)
+    assert (got and got.colors) == found, (p, n)
+    if spent:
+        with pytest.raises(BudgetExceeded):
+            search_coloring(p, n, budget=spent - 1)
+
+
 def test_submask_steps_match_the_full_color_scan():
-    """Same colorings in the same order, the same least solution, and the
-    same number of assignments (pinned through the budget)."""
+    """Same colorings in the same order on every poset of up to 5
+    elements, and the strict search pinned to the scan there and on
+    twin-heavy inputs, where the search skips the colors a twin group's
+    placed members hold: seeded posets of 6-12 elements, ladders, whose
+    levels are twin groups, and the depth-0 order-2 truncation, whose 8
+    maximal elements are pairwise twins (64 assignments at order 2)."""
     for k in range(6):
         for p in enumerate_posets(k):
             for n in range(4):
                 listed = [f.colors for f in enumerate_weak_colorings(p, n)]
                 assert listed == scan_enumerate(p, n)
-                found, spent = scan_search(p, n)
-                got = search_coloring(p, n, budget=spent)
-                assert (got and got.colors) == found
-                if spent:
-                    with pytest.raises(BudgetExceeded):
-                        search_coloring(p, n, budget=spent - 1)
+                assert_search_matches_the_scan(p, n)
+    rng = random.Random(61)
+    for _ in range(200):
+        p = random_poset(rng, rng.randint(6, 12))
+        for n in range(4):
+            assert_search_matches_the_scan(p, n)
+    for n in range(2):
+        for depth in range(4):
+            p = ladder_truncation(n, depth)
+            for order in range(n + 2):
+                assert_search_matches_the_scan(p, order)
+    z = abomination_truncation(2, 0)
+    for order in (2, 3):
+        assert_search_matches_the_scan(z, order)
+
+
+def test_a_wide_twin_group_costs_one_assignment_per_element():
+    """The 600 elements of an antichain are pairwise twins: the search
+    gives them the colors 0..599 in order, one assignment each."""
+    p = Poset.from_covers(600, [])
+    f = search_coloring(p, 10, budget=600)
+    assert f.colors == tuple(range(600))
+    with pytest.raises(BudgetExceeded, match="budget 599"):
+        search_coloring(p, 10, budget=599)
 
 
 def test_negative_color_order_is_out_of_range():

@@ -13,15 +13,14 @@ from esakiakit import (Coloring, EPartition, InvalidId, NotEPartition,
                        beta_mergeable, brute_coarsest_color_respecting,
                        coarsest_color_respecting, color_respecting_reduction,
                        compose_steps, decompose_pmorphism, is_epartition,
-                       is_pmorphism, kernel, mergeable_pairs,
-                       ladder_truncation, quotient)
+                       is_pmorphism, kernel, ladder_truncation, quotient)
 from esakiakit.coloring import enumerate_weak_colorings
 from esakiakit.poset import ids_of, mask_of
 from esakiakit.probes import enumerate_posets
 from esakiakit.randgen import random_poset, random_weak_coloring
 from esakiakit.reduction import _Replay, _growth_key
 
-from test_replay import merge_step
+from test_replay import merge_step, mergeable_pairs
 
 
 def v_poset():
@@ -525,7 +524,7 @@ def test_all_epartitions_does_not_use_the_greedy(monkeypatch):
 
     def forbidden(*args, **kwargs):
         raise AssertionError("all_epartitions reached the greedy")
-    for name in ("coarsest_color_respecting", "mergeable_pairs", "_Replay"):
+    for name in ("coarsest_color_respecting", "_Replay"):
         monkeypatch.setattr(reduction, name, forbidden)
     p = Poset.from_covers(8, [])
     assert len(all_epartitions(p)) == 4140   # Bell(8)

@@ -2,10 +2,11 @@
 
 `ReferenceReplay` rebuilds the current poset through `merge_step` below
 (and so `quotient`) after every merge and rescans it with
-`mergeable_pairs`. The
-replay in `esakiakit.reduction` updates masks, covers and depths in place
-and must give the same steps, kernels, final posets and errors; its
-per-slot state must describe the current poset after every merge."""
+`mergeable_pairs`, the full sorted list of moves, also below. The replay
+in `esakiakit.reduction` updates masks, covers and depths in place and
+must give the same steps, kernels, final posets and errors; its per-slot
+state must describe the current poset after every merge. Other test
+modules import both references from here."""
 
 import random
 from typing import Sequence
@@ -26,7 +27,26 @@ from esakiakit.errors import EsakiaKitError, InvalidId, NotMergeable
 from esakiakit.poset import ids_of, mask_of
 from esakiakit.randgen import random_poset, random_weak_coloring
 from esakiakit.reduction import (EPartition, _check_pair, alpha_mergeable,
-                                 beta_mergeable, kernel, mergeable_pairs)
+                                 beta_mergeable, kernel)
+
+
+def mergeable_pairs(p: Poset) -> list[tuple[str, int, int]]:
+    """Every single-pair move, deterministically ordered by
+    (depth of the merged-from element, ids, kind)."""
+    depths = p.depths()
+    out = []
+    twins: dict[tuple[int, ...], list[int]] = {}
+    for x in range(p.n):
+        succ = p.covers_up(x)
+        if len(succ) == 1:
+            out.append((depths[x], x, succ[0], 0, "alpha"))
+        twins.setdefault(succ, []).append(x)
+    for group in twins.values():
+        for i, x in enumerate(group):
+            for y in group[i + 1:]:
+                out.append((depths[x], x, y, 1, "beta"))
+    out.sort()
+    return [(kind, x, y) for _, x, y, _, kind in out]
 
 
 def merge_step(p: Poset, kind: str, x: int, y: int) -> tuple[Poset, tuple[int, ...]]:

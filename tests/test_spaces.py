@@ -3,11 +3,13 @@ import pytest
 from esakiakit import (InvalidId, OutOfRange, SpaceLabel, abomination_id,
                        abomination_level_ids, abomination_truncation,
                        canonical_coloring, ids_of, is_coloring, ladder_id,
-                       ladder_truncation, level_size, mergeable_pairs,
-                       search_coloring, triple_table, verify_downset_claim,
-                       width_of)
+                       ladder_truncation, level_size,
+                       monochrome_mergeable_pair, search_coloring,
+                       triple_table, verify_downset_claim, width_of)
 from esakiakit.poset import JSON_COVER_LIMIT
 from esakiakit.spaces import abomination_cover_count, ladder_cover_count
+
+from test_replay import mergeable_pairs
 
 
 def test_label_parse_and_str_roundtrip():
@@ -122,10 +124,12 @@ def test_cover_count_and_mergeable_pairs():
 
 
 def test_canonical_coloring_is_strict_at_every_depth():
-    for M in (0, 1, 2):
-        f = canonical_coloring(2, M)
-        assert f.n == 3
-        assert is_coloring(f.base, f)
+    for n in (2, 3, 4):
+        for M in (0, 1, 2):
+            f = canonical_coloring(n, M)
+            assert f.n == n + 1
+            assert is_coloring(f.base, f)
+            assert monochrome_mergeable_pair(f.base, f) is None
 
 
 @pytest.mark.parametrize("n,depth", [(2, 1), (2, 2), (3, 1), (3, 2)])
