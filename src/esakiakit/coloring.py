@@ -189,7 +189,8 @@ def _weak_walk(p: Poset, n: int, groups: Sequence[int] | None,
                 i, entered = i - 1, False
                 continue
             if budget is not None and spent >= budget:
-                raise BudgetExceeded(f"coloring search budget {budget}")
+                raise BudgetExceeded(f"coloring search spent {spent}/{budget} "
+                                     "assignments")
             spent += 1
             colors[x] = cands[i] = cand
             if groups is not None:

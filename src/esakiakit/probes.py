@@ -250,7 +250,8 @@ def growth_probe(n: int, depths: list[int]) -> GrowthReport:
     for depth in depths:
         size = (depth + 1) * level_size(n)
         if size > GROWTH_SIZE_CAP:
-            raise BudgetExceeded(f"truncation of {size} elements over cap")
+            raise BudgetExceeded(f"truncation of {size} elements over "
+                                 f"GROWTH_SIZE_CAP {GROWTH_SIZE_CAP}")
         x = abomination_truncation(n, depth)
         if x.n != size:
             raise PropertyFalsified("generator size disagrees with arithmetic")

@@ -506,20 +506,56 @@ def compose_steps(p: Poset, steps: Iterable[ReductionStep]) -> tuple[Poset, EPar
 
 
 def coarsest_color_respecting(p: Poset, coloring) -> EPartition:
-    """Largest E-partition that never merges two colors.
+    """Largest E-partition that never merges two colors. NotWeakColoring
+    for a coloring that is not order preserving, InvalidId for a coloring
+    of another poset.
 
-    Greedy fixpoint: merge same-colored alpha/beta pairs until none remain.
-    The fixpoint does not depend on the order of the merges; this one
-    takes the least move of `_Replay.least` each round.
+    Partition refinement (Paige & Tarjan 1987; Kanellakis & Smolka 1990),
+    starting from the color classes. Each round takes, top down, the set
+    `sig[x]` of current blocks that x's up set meets: x's own block and
+    its covers' sets. It then splits every block by that set, and stops
+    when a round splits none. Every single-colored E-partition refines
+    each round's blocks, and blocks no round splits form an E-partition,
+    so the last is the coarsest. It equals the kernel of the merge greedy
+    `color_respecting_reduction`, which alone gives the steps; the two
+    share only `kernel` and `is_epartition`. The result is checked once
+    with `is_epartition` (NotEPartition if it fails), and the verdict
+    stays on it, so a quotient of it does not check it again.
     """
-    part, _steps = color_respecting_reduction(p, coloring)
+    from .coloring import is_weak_coloring   # local import, no cycle at load
+
+    if not is_weak_coloring(p, coloring):
+        raise NotWeakColoring("input coloring is not order preserving")
+    succ, depths = p._succ, p._depths
+    order = sorted(range(p.n), key=depths.__getitem__)   # covers first
+    ids: dict = {}
+    label = [ids.setdefault(c, len(ids)) for c in coloring.colors]
+    sig = [0] * p.n
+    count = 0
+    while len(ids) > count:
+        count = len(ids)
+        for x in order:
+            s = 1 << label[x]
+            for y in succ[x]:
+                s |= sig[y]
+            sig[x] = s
+        ids = {}
+        label = [ids.setdefault(key, len(ids)) for key in zip(label, sig)]
+    part = kernel(p, label)
+    if not is_epartition(p, part):
+        raise NotEPartition("refined color classes fail the back-and-forth "
+                            "condition")
     return part
 
 
 def color_respecting_reduction(p: Poset, coloring) -> tuple[EPartition, list[ReductionStep]]:
-    """The greedy of `coarsest_color_respecting`, with its steps in
-    original ids. NotWeakColoring for a coloring that is not order
-    preserving.
+    """The coarsest color-respecting partition by the merge greedy, with
+    its steps in original ids: same-colored alpha/beta pairs are merged,
+    least move of `_Replay.least` first, until none remain. The fixpoint
+    does not depend on the order of the merges, and its kernel equals
+    the refinement of `coarsest_color_respecting`, which is the library's
+    path when no steps are needed. NotWeakColoring for a coloring that is
+    not order preserving.
 
     The merges are replayed in place by `_Replay.greedy`, so no poset is
     built per merge, and the final kernel is checked once with

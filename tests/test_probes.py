@@ -122,5 +122,7 @@ def test_growth_probe_guards():
         growth_probe(2, [0, 0])
     with pytest.raises(OutOfRange):
         growth_probe(2, [-1])
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded,
+                       match=r"^truncation of 5032 elements over "
+                             r"GROWTH_SIZE_CAP 5000$"):
         growth_probe(2, [147])

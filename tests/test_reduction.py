@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from esakiakit import (Coloring, EPartition, InvalidId, NotEPartition,
-                       NotMergeable, NotPMorphism, NotSurjective, Poset,
+                       NotMergeable, NotPMorphism, NotSurjective,
+                       NotWeakColoring, Poset,
                        PropertyFalsified, TooLarge, abomination_truncation,
                        all_epartitions, alpha_mergeable,
                        beta_mergeable, brute_coarsest_color_respecting,
@@ -16,7 +17,7 @@ from esakiakit import (Coloring, EPartition, InvalidId, NotEPartition,
                        is_pmorphism, kernel, ladder_truncation, quotient)
 from esakiakit.coloring import enumerate_weak_colorings
 from esakiakit.poset import ids_of, mask_of
-from esakiakit.probes import enumerate_posets
+from esakiakit.probes import enumerate_posets, quotient_census
 from esakiakit.randgen import random_poset, random_weak_coloring
 from esakiakit.reduction import _Replay, _growth_key
 
@@ -386,6 +387,110 @@ def test_coarsest_matches_brute_force_on_seeded_instances():
             brute_coarsest_color_respecting(p, f)
 
 
+def test_refinement_takes_more_than_one_round():
+    # x < p < t and y < q, y < t2; x, y, p, q share color 0 and t, t2 have
+    # color 1. The first round puts x, y and p in one block (each sees
+    # both colors), and only the second splits y off: y sees q's block,
+    # which p does not.
+    x, y, p_, q, t, t2 = range(6)
+    p = Poset.from_covers(6, [(x, p_), (p_, t), (y, q), (y, t2)])
+    f = Coloring.of(p, 1, [0, 0, 0, 0, 1, 1])
+    want = ((x, p_), (y,), (q,), (t, t2))
+    assert coarsest_color_respecting(p, f).blocks == want
+    assert color_respecting_reduction(p, f)[0].blocks == want
+    # 0 and 1 merge although their covers have different colors: the up
+    # set of 0 reaches 2 through 1.
+    c = chain(3)
+    assert coarsest_color_respecting(c, Coloring.of(c, 1, [0, 0, 1])).blocks \
+        == ((0, 1), (2,))
+
+
+def test_refinement_rejects_colorings_the_greedy_rejects():
+    p = v_poset()
+    empty = Poset.from_covers(0, [])
+    for coarsest in (coarsest_color_respecting,
+                     lambda p, f: color_respecting_reduction(p, f)[0]):
+        with pytest.raises(NotWeakColoring):
+            coarsest(p, Coloring.of(p, 1, [1, 0, 0]))
+        with pytest.raises(InvalidId):
+            coarsest(p, Coloring.of(chain(3), 1, [0, 0, 0]))
+        assert coarsest(empty, Coloring.of(empty, 0, [])).blocks == ()
+
+
+def assert_greedy_is_the_refinement(p, f):
+    part = coarsest_color_respecting(p, f)
+    assert color_respecting_reduction(p, f)[0] == part, (p, f.colors)
+    assert is_epartition(p, part)
+
+
+# Seeds of the greedy-against-refinement checks past ALL_EPARTITIONS_LIMIT.
+LARGE_REDUCTION_SEED = 79
+TRUNCATION_SEED = 83
+LADDER_SEED = 89
+SEEDED_POSETS_SEED = 97
+
+
+def test_greedy_equals_refinement_on_the_large_reduction_truncations():
+    """160 order-2 weak colorings each of the 68- and 102-element
+    truncations, the spaces of the large-reduction benchmark."""
+    rng = random.Random(LARGE_REDUCTION_SEED)
+    for depth in (1, 2):
+        z = abomination_truncation(2, depth)
+        for _ in range(160):
+            assert_greedy_is_the_refinement(z, random_weak_coloring(rng, z, 2))
+
+
+@pytest.mark.parametrize("n,depth", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1)])
+def test_greedy_equals_refinement_on_truncations(n, depth):
+    rng = random.Random(TRUNCATION_SEED)
+    z = abomination_truncation(n, depth)
+    for _ in range(8):
+        assert_greedy_is_the_refinement(z, random_weak_coloring(rng, z, n))
+
+
+def test_greedy_equals_refinement_on_ladders():
+    """20 weak colorings of order n on each ladder with n <= 2 and depth
+    <= 5: 360 colorings."""
+    rng = random.Random(LADDER_SEED)
+    for n in range(3):
+        for depth in range(6):
+            v = ladder_truncation(n, depth)
+            for _ in range(20):
+                assert_greedy_is_the_refinement(v, random_weak_coloring(rng, v, n))
+
+
+def test_greedy_equals_refinement_on_seeded_posets():
+    """2,000 seeded posets of 0-30 elements at orders 0-3."""
+    rng = random.Random(SEEDED_POSETS_SEED)
+    for _ in range(2000):
+        p = random_poset(rng, rng.randint(0, 30))
+        assert_greedy_is_the_refinement(
+            p, random_weak_coloring(rng, p, rng.randint(0, 3)))
+
+
+def test_the_partition_path_does_not_replay_merges(monkeypatch):
+    # The coarsest partition and the census that reads it must not drift
+    # back onto the merge replay, which only `color_respecting_reduction`
+    # and the factorizations need.
+    import esakiakit.reduction as reduction
+
+    z = abomination_truncation(2, 1)
+    f = random_weak_coloring(random.Random(0), z, 2)
+    part = coarsest_color_respecting(z, f)
+    census = quotient_census(z, 2, budget=10)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the partition path reached the merge replay")
+    monkeypatch.setattr(reduction, "_Replay", forbidden)
+    assert coarsest_color_respecting(z, f) == part
+    again = quotient_census(z, 2, budget=10)
+    assert again.partitions == census.partitions
+    assert [e.quotient.n for e in again.entries] == \
+        [e.quotient.n for e in census.entries]
+    with pytest.raises(AssertionError, match="merge replay"):
+        color_respecting_reduction(z, f)
+
+
 def scrambled_coarsest(p, f, rng):
     """The greedy fixpoint by random moves: each state's move is drawn from
     the same-colored moves of `mergeable_pairs` on the current poset and
@@ -518,14 +623,24 @@ def test_all_epartitions_matches_bell_filter():
 
 
 def test_all_epartitions_does_not_use_the_greedy(monkeypatch):
-    # The brute-force oracle must stay independent of the merge-based
-    # greedy it checks.
+    # The brute-force oracle must stay independent of the merge greedy and
+    # of the refinement it checks: every function and class of `reduction`
+    # outside the oracle's own is replaced, so a helper added later for
+    # either is forbidden too.
     import esakiakit.reduction as reduction
 
     def forbidden(*args, **kwargs):
         raise AssertionError("all_epartitions reached the greedy")
-    for name in ("coarsest_color_respecting", "_Replay"):
-        monkeypatch.setattr(reduction, name, forbidden)
+    oracle = {"all_epartitions", "_growth_key",
+              "brute_coarsest_color_respecting", "EPartition"}
+    replaced = set()
+    for name, obj in vars(reduction).copy().items():
+        if callable(obj) and getattr(obj, "__module__", None) == \
+                reduction.__name__ and name not in oracle:
+            monkeypatch.setattr(reduction, name, forbidden)
+            replaced.add(name)
+    assert {"coarsest_color_respecting", "color_respecting_reduction",
+            "_Replay", "kernel", "is_epartition"} <= replaced
     p = Poset.from_covers(8, [])
     assert len(all_epartitions(p)) == 4140   # Bell(8)
     f = Coloring.of(p, 1, [0, 1, 0, 1, 0, 1, 0, 1])
