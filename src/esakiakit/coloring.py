@@ -15,7 +15,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .errors import (BudgetExceeded, InvalidId, NotColoring, OutOfRange,
                      PropertyFalsified)
-from .poset import Poset, _is_id
+from .poset import Poset, _is_id, _top_down
 from .reduction import _Replay
 
 
@@ -39,14 +39,17 @@ class Coloring:
 
     @staticmethod
     def of(base: Poset, n: int, colors: Sequence[int]) -> "Coloring":
-        if n < 0:
-            raise OutOfRange("negative color order")
+        """A checked coloring: OutOfRange unless the order and every color
+        are plain ints (no bools or floats), each color below 2^n."""
+        if type(n) is not int or n < 0:
+            raise OutOfRange(f"color order {n!r} is not a non-negative int")
         cols = tuple(colors)
         if len(cols) != base.n:
             raise InvalidId("one color per element required")
+        top = 1 << n
         for c in cols:
-            if not 0 <= c < (1 << n):
-                raise OutOfRange(f"color {c} outside order {n}")
+            if type(c) is not int or not 0 <= c < top:
+                raise OutOfRange(f"color {c!r} outside order {n}")
         return Coloring(base, n, cols)
 
     def color(self, x: int) -> int:
@@ -128,12 +131,6 @@ def is_coloring(p: Poset, f: Coloring) -> bool:
     return is_weak_coloring(p, f) and monochrome_mergeable_pair(p, f) is None
 
 
-def _color_order(p: Poset) -> list[int]:
-    """Top down: every element comes after all its covers."""
-    depths = p.depths()
-    return sorted(range(p.n), key=lambda x: (depths[x], x))
-
-
 def _weak_walk(p: Poset, n: int, groups: Sequence[int] | None,
                budget: int | None) -> Iterator[list[int]]:
     """Depth-first over the weak colorings of order n along the top-down
@@ -146,9 +143,9 @@ def _weak_walk(p: Poset, n: int, groups: Sequence[int] | None,
     order. The walk keeps one candidate and one ceiling per placed element
     on its own lists, so its depth is not bounded by the interpreter's
     recursion limit."""
-    if n < 0:
-        raise OutOfRange("negative color order")
-    order = _color_order(p)
+    if type(n) is not int or n < 0:
+        raise OutOfRange(f"color order {n!r} is not a non-negative int")
+    order = _top_down(p)
     size = len(order)
     succ = p._succ
     colors = [-1] * p.n

@@ -67,14 +67,16 @@ class Poset:
         """Build a poset from cover pairs (x, y) meaning x < y.
 
         The input may contain transitively redundant pairs; they are dropped.
-        A pair (x, x) or any directed cycle raises CycleDetected.
+        A pair (x, x) or any directed cycle raises CycleDetected; a size or
+        endpoint that is not a plain int (a bool, a float) raises InvalidId.
         """
-        if n < 0:
-            raise InvalidId(f"negative size {n}")
+        if type(n) is not int or n < 0:
+            raise InvalidId(f"size {n!r} is not a non-negative int")
         above = [0] * n
         for x, y in covers:
-            if not (0 <= x < n and 0 <= y < n):
-                raise InvalidId(f"cover ({x}, {y}) outside 0..{n - 1}")
+            if not (type(x) is int and type(y) is int
+                    and 0 <= x < n and 0 <= y < n):
+                raise InvalidId(f"cover ({x!r}, {y!r}) outside 0..{n - 1}")
             above[x] |= 1 << y
         return cls._from_above(n, above, labels)
 
@@ -86,6 +88,8 @@ class Poset:
         A row need not be reflexive or transitively closed; a cycle raises
         CycleDetected.
         """
+        if type(n) is not int:
+            raise InvalidId(f"size {n!r} is not an int")
         if len(leq_rows) != n or any(row >> n for row in leq_rows):
             raise InvalidId(f"rows must be {n} masks over 0..{n - 1}")
         return cls._from_above(
@@ -221,20 +225,25 @@ class Poset:
     # ----- antichains and width ---------------------------------------------
 
     def max_antichain_size(self) -> int:
-        """Largest antichain, via Dilworth: n minus a maximum matching on
-        the strict comparability bipartite graph."""
-        if self.n == 0:
-            return 0
-        adj = [ids_of(self._up[x] & ~(1 << x)) for x in range(self.n)]
-        return self.n - _hopcroft_karp(self.n, adj)
+        """Largest antichain of the whole poset."""
+        return self._antichain_in(self.full_mask())
 
     def width(self) -> int:
-        """Max over elements x of the largest antichain inside the upset of x."""
-        best = 0
-        for x in range(self.n):
-            sub, _ = self.induced(self._up[x])
-            best = max(best, sub.max_antichain_size())
-        return best
+        """Max over elements x of the largest antichain inside the upset of
+        x. If y <= x then up(x) is inside up(y), so the maximum is reached
+        at a minimal element, and only those are tried."""
+        return max((self._antichain_in(self._up[r])
+                    for r in ids_of(self.minimal_mask())), default=0)
+
+    def _antichain_in(self, mask: int) -> int:
+        """Largest antichain inside an upset mask, via Dilworth: its size
+        minus a maximum matching on the strict comparabilities (Fulkerson
+        1956). A member's strict up set lies in the upset, so its edges are
+        read straight off its up mask; other elements get none."""
+        up = self._up
+        adj = [ids_of(up[x] ^ 1 << x) if mask >> x & 1 else ()
+               for x in range(self.n)]
+        return mask.bit_count() - _hopcroft_karp(self.n, adj)
 
     # ----- subposets and rebuilds --------------------------------------------
 
@@ -385,6 +394,13 @@ class Poset:
 
 def _is_id(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _top_down(p: Poset) -> list[int]:
+    """The ids by (depth, id), so every element comes after all its
+    covers: the one top-down order of the library. The sort is stable, so
+    ids break the depth ties."""
+    return sorted(range(p.n), key=p._depths.__getitem__)
 
 
 def _norm_labels(n, labels):

@@ -10,7 +10,7 @@ import random
 
 from .coloring import Coloring
 from .errors import OutOfRange
-from .poset import Poset
+from .poset import Poset, _top_down
 
 RELATION_PROBABILITY = 0.35     # of each pair i < j in random_poset
 
@@ -34,8 +34,7 @@ def random_weak_coloring(rng: random.Random, p: Poset, n: int) -> Coloring:
     drawing each color as a random submask of the meet of the colors
     already placed on the immediate successors."""
     colors = [0] * p.n
-    order = sorted(range(p.n), key=lambda x: (p.depth(x), x))
-    for x in order:
+    for x in _top_down(p):
         ceiling = (1 << n) - 1
         for y in p.covers_up(x):
             ceiling &= colors[y]

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 from .errors import (CycleDetected, InvalidId, NotEPartition, NotMergeable,
                      NotPMorphism, NotSurjective, NotWeakColoring,
                      PropertyFalsified, TooLarge)
-from .poset import Poset, _is_id, ids_of, mask_of
+from .poset import Poset, _is_id, _top_down, ids_of, mask_of
 
 ALL_EPARTITIONS_LIMIT = 8
 # Sorted id tuple of every element mask all_epartitions can place.
@@ -526,8 +526,8 @@ def coarsest_color_respecting(p: Poset, coloring) -> EPartition:
 
     if not is_weak_coloring(p, coloring):
         raise NotWeakColoring("input coloring is not order preserving")
-    succ, depths = p._succ, p._depths
-    order = sorted(range(p.n), key=depths.__getitem__)   # covers first
+    succ = p._succ
+    order = _top_down(p)                    # covers first
     ids: dict = {}
     label = [ids.setdefault(c, len(ids)) for c in coloring.colors]
     sig = [0] * p.n
@@ -586,8 +586,7 @@ def all_epartitions(p: Poset) -> list[EPartition]:
     """
     if p.n > ALL_EPARTITIONS_LIMIT:
         raise TooLarge(f"all_epartitions limited to {ALL_EPARTITIONS_LIMIT}")
-    depths = p.depths()
-    order = sorted(range(p.n), key=lambda x: (depths[x], x))
+    order = _top_down(p)
     above = [p.up_mask(x) & ~(1 << x) for x in range(p.n)]
     members: list[int] = []     # element mask per open block
     sigs: list[int] = []        # block-index mask each block's members see

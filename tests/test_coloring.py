@@ -13,7 +13,7 @@ from esakiakit import (BudgetExceeded, Coloring, InvalidId, NotColoring,
                        is_weak_coloring, ladder_truncation,
                        monochrome_mergeable_pair, promote_subspace_coloring,
                        search_coloring)
-from esakiakit.coloring import _color_order
+from esakiakit.poset import _top_down
 from esakiakit.probes import enumerate_posets
 from esakiakit.randgen import random_poset, random_weak_coloring
 
@@ -254,7 +254,7 @@ def test_promotion_theorem_on_seeded_strict_colorings():
 def scan_search(p, n):
     """The search as a scan of every color below 2^n; returns the colors
     found (or None) and the number of assignments tried."""
-    order = _color_order(p)
+    order = _top_down(p)
     partners = [[] for _ in range(p.n)]
     for _, x, y in mergeable_pairs(p):
         partners[x].append(y)
@@ -285,7 +285,7 @@ def scan_search(p, n):
 
 
 def scan_enumerate(p, n):
-    order = _color_order(p)
+    order = _top_down(p)
     colors = [0] * p.n
     full = (1 << n) - 1
     out = []
@@ -362,6 +362,30 @@ def test_negative_color_order_is_out_of_range():
         search_coloring(chain(2), -1)
     with pytest.raises(OutOfRange):
         enumerate_weak_colorings(chain(2), -1)
+
+
+def test_float_colors_are_out_of_range():
+    with pytest.raises(OutOfRange):
+        Coloring.of(chain(2), 2, [1.5, 3])
+
+
+def test_bool_colors_are_out_of_range():
+    with pytest.raises(OutOfRange):
+        Coloring.of(chain(2), 2, [True, 1])
+
+
+def test_a_color_order_that_is_not_a_plain_int_is_out_of_range():
+    for n in (True, 1.0, "1", None):
+        with pytest.raises(OutOfRange):
+            Coloring.of(chain(2), n, [0, 0])
+
+
+def test_search_at_an_order_that_is_not_a_plain_int_is_out_of_range():
+    for n in (1.0, True):
+        with pytest.raises(OutOfRange):
+            search_coloring(chain(2), n)
+        with pytest.raises(OutOfRange):
+            enumerate_weak_colorings(chain(2), n)
 
 
 def test_census_at_a_high_order_stays_fast(tmp_path):

@@ -38,3 +38,30 @@ def test_poset_is_instantiated_only_in_the_core_constructor():
     assert modules
     found = [name for path in modules for name in instantiating_functions(path)]
     assert found == ["poset.Poset._from_above"]
+
+
+def induced_readers(path):
+    """Qualified names of the functions that read an `induced` attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                visit(child, scope + [child.name])
+            else:
+                if isinstance(child, ast.Attribute) and child.attr == "induced":
+                    found.append(".".join(scope))
+                visit(child, scope)
+
+    visit(tree, [path.stem])
+    return found
+
+
+def test_induced_has_one_library_reader():
+    """Width reads the up masks, so only `principal_upset` still builds an
+    induced subposet."""
+    found = [name for path in sorted(SRC.glob("*.py"))
+             for name in induced_readers(path)]
+    assert found == ["poset.Poset.principal_upset"]

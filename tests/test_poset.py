@@ -276,6 +276,14 @@ def test_element_ids_must_be_plain_ints():
             p.down_mask(x)
         with pytest.raises(InvalidId):
             p.covers_up(x)
+        with pytest.raises(InvalidId):
+            Poset.from_covers(2, [(x, 0)])
+        with pytest.raises(InvalidId):
+            Poset.from_covers(2, [(0, x)])
+        with pytest.raises(InvalidId):
+            Poset.from_covers(x, [])
+        with pytest.raises(InvalidId):
+            Poset.from_leq(x, [0b1, 0b10])
     assert p.leq(0, 1) and p.up_mask(1) == 0b010
 
 
@@ -327,6 +335,84 @@ def test_width_is_the_upset_local_antichain_maximum():
             sub, _ = p.principal_upset(x)
             expected = max(expected, max_antichain_size_brute(sub))
         assert p.width() == expected
+
+
+WIDTH_SEED = 23
+
+
+def antichain_reference(p: Poset) -> int:
+    """Largest antichain by Dilworth, with Kuhn's augmenting paths written
+    apart from the library's Hopcroft-Karp: n minus a maximum matching of
+    elements to elements strictly above them."""
+    above = [ids_of(p.up_mask(x) & ~(1 << x)) for x in range(p.n)]
+    match = {}                  # upper element -> the lower one matched to it
+
+    def augment(x, seen):
+        for y in above[x]:
+            if y not in seen:
+                seen.add(y)
+                if y not in match or augment(match[y], seen):
+                    match[y] = x
+                    return True
+        return False
+
+    return p.n - sum(augment(x, set()) for x in range(p.n))
+
+
+def width_reference(p: Poset) -> int:
+    """The width as the library once computed it: the induced poset on the
+    upset of every element, then its largest antichain."""
+    return max((antichain_reference(p.induced(p.up_mask(x))[0])
+                for x in range(p.n)), default=0)
+
+
+def test_width_matches_the_reference_on_every_poset_up_to_7():
+    count = 0
+    for n in range(8):
+        for p in enumerate_posets(n):
+            assert p.width() == width_reference(p)
+            assert p.max_antichain_size() == antichain_reference(p) \
+                == max_antichain_size_brute(p)
+            count += 1
+    assert count == 2451
+
+
+def test_width_matches_the_reference_on_seeded_posets():
+    rng = random.Random(WIDTH_SEED)
+    for _ in range(500):
+        p = random_poset(rng, rng.randint(1, 20))
+        assert p.width() == width_reference(p)
+        assert p.max_antichain_size() == antichain_reference(p)
+
+
+@pytest.mark.parametrize("space", [
+    *[("ladder", n, m) for n in range(3) for m in range(4)],
+    ("abomination", 2, 1), ("abomination", 2, 2), ("abomination", 3, 1)],
+    ids=lambda space: "-".join(map(str, space)))
+def test_width_matches_the_reference_on_the_spaces(space):
+    kind, n, m = space
+    build = ladder_truncation if kind == "ladder" else abomination_truncation
+    p = build(n, m)
+    assert p.width() == width_reference(p)
+    assert p.max_antichain_size() == antichain_reference(p)
+
+
+def test_width_builds_no_poset(monkeypatch):
+    """Width and largest antichain read the stored up masks: on the
+    68-element truncation neither builds a subposet."""
+    z = abomination_truncation(2, 1)
+    built = []
+    core = Poset._from_above.__func__
+
+    def counting(cls, n, above, labels):
+        built.append(n)
+        return core(cls, n, above, labels)
+
+    monkeypatch.setattr(Poset, "_from_above", classmethod(counting))
+    assert z.width() == z.max_antichain_size() == 16
+    assert built == []
+    z.principal_upset(0)            # the counter does see a build
+    assert len(built) == 1
 
 
 def test_brute_width_size_guard():
