@@ -41,7 +41,7 @@ class Coloring:
     def of(base: Poset, n: int, colors: Sequence[int]) -> "Coloring":
         """A checked coloring: OutOfRange unless the order and every color
         are plain ints (no bools or floats), each color below 2^n."""
-        if type(n) is not int or n < 0:
+        if not _is_id(n) or n < 0:
             raise OutOfRange(f"color order {n!r} is not a non-negative int")
         cols = tuple(colors)
         if len(cols) != base.n:
@@ -210,8 +210,8 @@ def search_coloring(p: Poset, n: int, budget: int | None = None) -> Coloring | N
     return None if colors is None else Coloring.of(p, n, colors)
 
 
-def is_n_colorable(p: Poset, n: int, budget: int | None = None) -> bool:
-    return search_coloring(p, n, budget) is not None
+def is_n_colorable(p: Poset, n: int) -> bool:
+    return search_coloring(p, n) is not None
 
 
 def enumerate_weak_colorings(p: Poset, n: int) -> Iterator[Coloring]:

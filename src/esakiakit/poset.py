@@ -68,12 +68,18 @@ class Poset:
 
         The input may contain transitively redundant pairs; they are dropped.
         A pair (x, x) or any directed cycle raises CycleDetected; a size or
-        endpoint that is not a plain int (a bool, a float) raises InvalidId.
+        endpoint that is not a plain int (a bool, a float) and a cover that
+        is not a pair raise InvalidId.
         """
-        if type(n) is not int or n < 0:
+        if not _is_id(n) or n < 0:
             raise InvalidId(f"size {n!r} is not a non-negative int")
         above = [0] * n
-        for x, y in covers:
+        for c in covers:
+            try:
+                x, y = c
+            except (TypeError, ValueError):
+                raise InvalidId(f"cover {c!r} is not a pair") from None
+            # _is_id, inline: this loop runs once per cover.
             if not (type(x) is int and type(y) is int
                     and 0 <= x < n and 0 <= y < n):
                 raise InvalidId(f"cover ({x!r}, {y!r}) outside 0..{n - 1}")
@@ -86,12 +92,14 @@ class Poset:
         """Build from one row per element x, masking elements above x.
 
         A row need not be reflexive or transitively closed; a cycle raises
-        CycleDetected.
+        CycleDetected. InvalidId for a size or a row that is not a plain
+        int.
         """
-        if type(n) is not int:
+        if not _is_id(n):
             raise InvalidId(f"size {n!r} is not an int")
-        if len(leq_rows) != n or any(row >> n for row in leq_rows):
-            raise InvalidId(f"rows must be {n} masks over 0..{n - 1}")
+        if len(leq_rows) != n or any(type(row) is not int or row >> n
+                                     for row in leq_rows):
+            raise InvalidId(f"rows must be {n} int masks over 0..{n - 1}")
         return cls._from_above(
             n, [row & ~(1 << x) for x, row in enumerate(leq_rows)], labels)
 
@@ -335,7 +343,8 @@ class Poset:
         """Read {"n": int, "covers": [[int, int], ...], "labels": ...}, where
         labels is {"<id>": str | null, ...} or [str | null, ...]; InvalidId
         on any other shape (bools are not ids), on n above JSON_SIZE_LIMIT
-        and on more than JSON_COVER_LIMIT covers."""
+        and on more than JSON_COVER_LIMIT covers. Each cover is checked by
+        `from_covers`."""
         if not isinstance(d, Mapping):
             raise InvalidId("poset JSON must be an object")
         n = d.get("n")
@@ -350,19 +359,10 @@ class Poset:
         if len(covers) > JSON_COVER_LIMIT:
             raise InvalidId(f"{len(covers)} covers exceed the poset JSON "
                             f"limit of {JSON_COVER_LIMIT}")
-        pairs = []
-        for c in covers:
-            if isinstance(c, (list, tuple)) and len(c) == 2:
-                x, y = c
-                # A plain int is _is_id's common case, tried without a call.
-                if (type(x) is int or _is_id(x)) and (type(y) is int or _is_id(y)):
-                    pairs.append((x, y))
-                    continue
-            raise InvalidId(f"cover {c!r} is not a pair of integers")
         labels = d.get("labels") or None
         if labels is not None and not isinstance(labels, (Mapping, list)):
             raise InvalidId("labels must be a list or an id-to-label map")
-        return cls.from_covers(n, pairs, labels)
+        return cls.from_covers(n, covers, labels)
 
     def to_dot(self) -> str:
         """Cover-only DOT, drawn upward."""
@@ -393,7 +393,10 @@ class Poset:
 
 
 def _is_id(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+    """The one id rule: a plain int. Bools, floats and int subclasses such
+    as an IntEnum are not ids. The hottest checks (`Poset._id`, the cover
+    loop of `from_covers`, the color loop of `Coloring.of`) inline it."""
+    return type(v) is int
 
 
 def _top_down(p: Poset) -> list[int]:

@@ -11,6 +11,7 @@ immediate successor sets are merged).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
@@ -77,16 +78,7 @@ class EPartition:
         return kernel(base, [find(x) for x in range(base.n)])
 
     def block_of(self, x: int) -> int:
-        return self._lookup()[self.base._id(x)]
-
-    def _lookup(self) -> tuple[int, ...]:
-        if not hasattr(self, "_cache"):
-            look = [0] * self.base.n
-            for i, b in enumerate(self.blocks):
-                for x in b:
-                    look[x] = i
-            object.__setattr__(self, "_cache", tuple(look))
-        return self._cache
+        return self._lookup[self.base._id(x)]
 
     def same(self, x: int, y: int) -> bool:
         return self.block_of(x) == self.block_of(y)
@@ -96,79 +88,93 @@ class EPartition:
         InvalidId when other is built on a different poset."""
         if other.base is not self.base and other.base != self.base:
             raise InvalidId("partitions built on different posets")
-        look = other._lookup()
+        look = other._lookup
         return all(look[x] == look[b[0]] for b in self.blocks for x in b)
+
+    # Each cache below is computed once, from `base` alone: an equal poset
+    # has the same covers, so it has the same verdict and quotient too.
+
+    @cached_property
+    def _lookup(self) -> tuple[int, ...]:
+        """The block index of each element."""
+        look = [0] * self.base.n
+        for i, b in enumerate(self.blocks):
+            for x in b:
+                look[x] = i
+        return tuple(look)
+
+    @cached_property
+    def _verdict(self) -> bool:
+        """`is_epartition` on `base`. The union of the blocks above x is
+        x's up mask widened by every merged block it touches; blocks are
+        disjoint, so equal unions mean equal sets of blocks. Singleton
+        blocks pass trivially, so only members of merged blocks are
+        compared."""
+        up = self.base._up
+        merged = [b for b in self.blocks if len(b) > 1]
+        masks = [mask_of(b) for b in merged]
+
+        def above(x: int) -> int:
+            ux = out = up[x]
+            for m in masks:
+                if ux & m:
+                    out |= m
+            return out
+
+        return all(len({above(x) for x in b}) == 1 for b in merged)
+
+    @cached_property
+    def _quotient(self) -> tuple[Poset, tuple[int, ...]]:
+        """`quotient` of `base`, once `is_epartition` has passed. Blocks
+        are ranked by (depth of the shallowest member, first member); the
+        first members are distinct, so they break every depth tie."""
+        p = self.base
+        depths = p.depths()
+        ranked = sorted((min(depths[x] for x in b), b) for b in self.blocks)
+        proj = [0] * p.n
+        for i, (_, b) in enumerate(ranked):
+            for x in b:
+                proj[x] = i
+        # The quotient order is the closure of "some member of B <= some
+        # member of C". Every x <= y is a chain of covers, so the projected
+        # covers have the same closure and the same cycles between distinct
+        # blocks.
+        rows = [0] * len(ranked)
+        for x, ys in enumerate(p._succ):
+            row = 0
+            for y in ys:
+                row |= 1 << proj[y]
+            rows[proj[x]] |= row
+        try:
+            q = Poset.from_leq(len(rows), rows)
+        except CycleDetected as exc:
+            raise NotEPartition("quotient relation is not antisymmetric") from exc
+        return q, tuple(proj)
 
 
 def is_epartition(p: Poset, part: EPartition) -> bool:
     """Back-and-forth check: the set of blocks reachable above x must be
-    constant on each block.
-
-    The union of the blocks above x is x's up mask widened by every
-    merged block it touches; blocks are disjoint, so equal unions mean
-    equal sets of blocks. Singleton blocks pass trivially, so only
-    members of merged blocks are compared.
-
-    Both objects are immutable, so the verdict is kept on `part` for
-    this very `p` (matched by identity) and a repeated call returns it;
-    an equal but distinct poset is checked afresh."""
+    constant on each block. InvalidId for a partition of a different
+    poset. The verdict is computed once, on the partition
+    (`EPartition._verdict`), so a repeated call only reads it."""
     if part.base is not p and part.base != p:
         raise InvalidId("partition built on a different poset")
-    kept = getattr(part, "_verdict", None)
-    if kept is not None and kept[0] is p:
-        return kept[1]
-    merged = [b for b in part.blocks if len(b) > 1]
-    masks = [mask_of(b) for b in merged]
-
-    def above(x: int) -> int:
-        up = out = p.up_mask(x)
-        for m in masks:
-            if up & m:
-                out |= m
-        return out
-
-    ok = all(len({above(x) for x in b}) == 1 for b in merged)
-    object.__setattr__(part, "_verdict", (p, ok))
-    return ok
+    return part._verdict
 
 
 def quotient(p: Poset, part: EPartition) -> tuple[Poset, tuple[int, ...]]:
     """Quotient poset plus the projection map (element -> new block id).
 
     Block ids are renumbered by (depth of the block's shallowest member,
-    smallest original id), so quotients are deterministic. NotEPartition
-    when `is_epartition` rejects `part`, on every call. The result is kept
-    on `part` for this very `p` (matched by identity), so a repeated call
-    returns the same quotient without rebuilding it.
+    smallest original id), so quotients are deterministic. InvalidId for a
+    partition of a different poset, and NotEPartition when `is_epartition`
+    rejects `part`, on every call. The quotient is built once, on the
+    partition (`EPartition._quotient`), so a repeated call returns the
+    same one without rebuilding it.
     """
-    kept = getattr(part, "_quotient", None)
-    if kept is not None and kept[0] is p:
-        return kept[1]
     if not is_epartition(p, part):
         raise NotEPartition("blocks fail the back-and-forth condition")
-    depths = p.depths()
-    # Blocks are disjoint, so their first members break every depth tie.
-    ranked = sorted((min(depths[x] for x in b), b) for b in part.blocks)
-    proj = [0] * p.n
-    for i, (_, b) in enumerate(ranked):
-        for x in b:
-            proj[x] = i
-    # The quotient order is the closure of "some member of B <= some member
-    # of C". Every x <= y is a chain of covers, so the projected covers have
-    # the same closure and the same cycles between distinct blocks.
-    rows = [0] * len(ranked)
-    for x, ys in enumerate(p._succ):
-        row = 0
-        for y in ys:
-            row |= 1 << proj[y]
-        rows[proj[x]] |= row
-    try:
-        q = Poset.from_leq(len(rows), rows)
-    except CycleDetected as exc:
-        raise NotEPartition("quotient relation is not antisymmetric") from exc
-    out = q, tuple(proj)
-    object.__setattr__(part, "_quotient", (p, out))
-    return out
+    return part._quotient
 
 
 def is_pmorphism(p: Poset, q: Poset, f: Sequence[int]) -> bool:
@@ -207,8 +213,7 @@ def kernel(p: Poset, f: Sequence[int]) -> EPartition:
 
 def _check_pair(p: Poset, x: int, y: int) -> None:
     """InvalidId unless x and y are plain ints naming elements of p."""
-    if not (type(x) is int and type(y) is int
-            and 0 <= x < p.n and 0 <= y < p.n):
+    if not (_is_id(x) and _is_id(y) and 0 <= x < p.n and 0 <= y < p.n):
         raise InvalidId(f"pair ({x!r}, {y!r}) outside 0..{p.n - 1}")
 
 
@@ -240,20 +245,21 @@ class _Replay:
 
     The state is kept per slot: the original id that names a current
     element in recorded steps, the name of its lowest-numbered preimage
-    one merge back. `live` masks the live slots. Lists indexed by slot
-    hold the reflexive `down` masks, the cover masks `succ` and `pred`
-    (each the transpose of the other) and the `depth` of each live slot,
-    all over slots, plus `members`, the originals a slot holds; `level[d]`
-    masks the live slots at depth d. `names` lists the live slots in
-    current-id order and `pos` is its inverse; `owner` maps each original
-    id to the slot of its current element. A dropped slot is never
-    cleared from the `down` masks, so they are read through `live`;
+    one merge back. Lists indexed by slot hold the reflexive `down` masks,
+    the cover masks `succ` and `pred` (each the transpose of the other)
+    and the `depth` of each live slot, all over slots, plus `members`, the
+    originals a slot holds; `level[d]` masks the live slots at depth d.
+    `names` lists the live slots in current-id order and `pos` is its
+    inverse; `owner` maps each original id to the slot of its current
+    element. A dropped slot is never cleared from the `down` masks;
     `succ`, `pred` and `level` name live slots only. Current ids are those
-    `quotient` gives: after a merge they are re-sorted by (pre-merge
-    depth, pre-merge id), and the merged element takes the smaller of each
-    and keeps the slot of the lower current id. Since they follow
-    pre-merge depth, `names` need not be in current-depth order; it is,
-    and no sort is needed, while no depth has moved since the last sort.
+    a quotient per merge would give: after a merge they are re-sorted by
+    (pre-merge depth, pre-merge id), and the merged element takes the
+    smaller of each and keeps the slot of the lower current id. Since they
+    follow pre-merge depth, `names` need not be in current-depth order; it
+    is, and no sort is needed, while no depth has moved since the last
+    sort. No poset is built: the current poset is the `quotient` of the
+    base by `kernel`, up to the numbering of its blocks.
 
     The greedy takes the least move in one pass over the live slots
     (`least`); no list of moves is ever built.
@@ -268,24 +274,21 @@ class _Replay:
     `pred`. Only an alpha merge changes depths, and only below x. It
     shortens a chain by at most one, the one step from x to y, so a depth
     falls by one or not at all: a slot z keeps its depth when `succ[z]`
-    meets `level[depth[z] - 1]`, and falls by one when it does not. The
-    current poset `cur` is built once, when first asked for, and `kernel`
-    checks the accumulated kernel with `is_epartition` (NotEPartition if
-    it fails), since no quotient checks a merge.
+    meets `level[depth[z] - 1]`, and falls by one when it does not.
+    `kernel` checks the accumulated kernel with `is_epartition`
+    (NotEPartition if it fails), since no quotient checks a merge.
     """
 
-    __slots__ = ("base", "_cur", "owner", "members", "names", "pos", "live",
-                 "down", "succ", "pred", "depth", "level", "_unsorted")
+    __slots__ = ("base", "owner", "members", "names", "pos", "down", "succ",
+                 "pred", "depth", "level", "_unsorted")
 
     def __init__(self, p: Poset):
         n = p.n
         self.base = p
-        self._cur = p
         self.owner = list(range(n))
         self.members = [[x] for x in range(n)]
         self.names = list(range(n))
         self.pos = list(range(n))
-        self.live = (1 << n) - 1
         self.down = list(p._down)
         self.depth = depth = list(p._depths)
         self.level = level = [0] * (n + 1)     # depths run 1..n
@@ -297,15 +300,6 @@ class _Replay:
                 succ[x] |= 1 << y
                 pred[y] |= 1 << x
         self._unsorted = True       # base ids need not follow depth
-
-    @property
-    def cur(self) -> Poset:
-        """The current poset, in current ids."""
-        if self._cur is None:
-            pos, succ = self.pos, self.succ
-            self._cur = Poset.from_leq(len(self.names), [
-                mask_of(pos[t] for t in ids_of(succ[s])) for s in self.names])
-        return self._cur
 
     def merge(self, kind: str, x: int, y: int) -> ReductionStep:
         """Merge the current elements holding original ids x and y.
@@ -335,9 +329,8 @@ class _Replay:
         keep, drop = (sx, sy) if pos[sx] < pos[sy] else (sy, sx)
         pair = 1 << sx | 1 << sy
         m = 1 << keep
-        self.live &= ~(1 << drop)
-        # The dropped slot's bits stay behind in the down masks, which are
-        # read through `live`.
+        # The dropped slot's bits stay behind in the down masks; `below` is
+        # only ever intersected with covers, which name live slots.
         down[keep] |= down[drop]
         below = down[keep] & ~pair
         from_x = pred[sx]
@@ -402,7 +395,6 @@ class _Replay:
                 for w in ids_of(pred[z] & ~queued):
                     heappush(heap, (depth[w], w))
                 queued |= pred[z]
-        self._cur = None
         return ReductionStep(kind, (x, y))
 
     def least(self, values: Sequence, floor: int = 0) -> tuple[str, int, int] | None:
@@ -494,12 +486,15 @@ def decompose_pmorphism(p: Poset, q: Poset, f: Sequence[int]) -> list[ReductionS
 
 
 def compose_steps(p: Poset, steps: Iterable[ReductionStep]) -> tuple[Poset, EPartition]:
-    """Replay steps (validating each) and return the final poset and the
-    accumulated kernel on p."""
+    """Replay steps (validating each) and return the final poset, the
+    `quotient` of p by the accumulated kernel, and that kernel. The
+    kernel's verdict is already kept on it, so the quotient does not check
+    it again."""
     replay = _Replay(p)
     for step in steps:
         replay.merge(step.kind, *step.pair)
-    return replay.cur, replay.kernel()
+    ker = replay.kernel()
+    return quotient(p, ker)[0], ker
 
 
 # ----- color-respecting reduction ------------------------------------------------
@@ -581,8 +576,7 @@ def all_epartitions(p: Poset) -> list[EPartition]:
     are upsets and an E-partition restricted to an upset is again one, so
     every E-partition is reached and every leaf is one.
 
-    The list is ordered by `_growth_key`, the order in which the set
-    partitions of 0..n-1 are grown by adding elements n-1 down to 0.
+    The order of the list is unspecified.
     """
     if p.n > ALL_EPARTITIONS_LIMIT:
         raise TooLarge(f"all_epartitions limited to {ALL_EPARTITIONS_LIMIT}")
@@ -614,27 +608,7 @@ def all_epartitions(p: Poset) -> list[EPartition]:
         sigs.pop()
 
     place(0)
-    leaves.sort(key=_growth_key)
     return [EPartition(p, blocks) for blocks in leaves]
-
-
-def _growth_key(blocks: tuple[tuple[int, ...], ...]) -> list[int]:
-    """Sort key of a partition of 0..n-1 in the order that grows all of
-    them by adding elements n-1 down to 0: each element joins one of the
-    blocks already grown, taken by ascending largest member, or opens a
-    new block after them.
-
-    For x from n-1 down to 0 the key holds the largest member of x's
-    block, or n when x is that largest member. Among partitions that agree
-    above x, this digit rises with the block x joins, and a new block
-    sorts last."""
-    n = sum(map(len, blocks))
-    key = [n] * n
-    for b in blocks:
-        top = b[-1]
-        for x in b[:-1]:
-            key[n - 1 - x] = top
-    return key
 
 
 def brute_coarsest_color_respecting(p: Poset, coloring) -> EPartition:

@@ -40,8 +40,8 @@ def test_poset_is_instantiated_only_in_the_core_constructor():
     assert found == ["poset.Poset._from_above"]
 
 
-def induced_readers(path):
-    """Qualified names of the functions that read an `induced` attribute."""
+def attribute_readers(path, attr):
+    """Qualified names of the functions that read the attribute `attr`."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     found = []
 
@@ -51,7 +51,7 @@ def induced_readers(path):
                                   ast.AsyncFunctionDef)):
                 visit(child, scope + [child.name])
             else:
-                if isinstance(child, ast.Attribute) and child.attr == "induced":
+                if isinstance(child, ast.Attribute) and child.attr == attr:
                     found.append(".".join(scope))
                 visit(child, scope)
 
@@ -63,5 +63,14 @@ def test_induced_has_one_library_reader():
     """Width reads the up masks, so only `principal_upset` still builds an
     induced subposet."""
     found = [name for path in sorted(SRC.glob("*.py"))
-             for name in induced_readers(path)]
+             for name in attribute_readers(path, "induced")]
     assert found == ["poset.Poset.principal_upset"]
+
+
+def test_reduction_has_one_quotient_builder():
+    """The merge replay builds no poset of its own, so in `reduction` only
+    the quotient builder behind `quotient`, the partition's cached
+    `_quotient`, calls a poset constructor."""
+    path = SRC / "reduction.py"
+    assert attribute_readers(path, "from_leq") == ["reduction.EPartition._quotient"]
+    assert attribute_readers(path, "from_covers") == []

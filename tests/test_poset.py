@@ -1,3 +1,4 @@
+import enum
 import hashlib
 import itertools
 import json
@@ -8,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esakiakit import (Coloring, CycleDetected, InvalidId, Poset, TooLarge,
-                       abomination_truncation, alpha_mergeable, beta_mergeable,
-                       coarsest_color_respecting,
-                       enumerate_posets, ids_of, ladder_truncation, mask_of,
-                       quotient)
+from esakiakit import (Coloring, CycleDetected, EPartition, InvalidId,
+                       OutOfRange, Poset, TooLarge, abomination_truncation,
+                       alpha_mergeable, beta_mergeable,
+                       coarsest_color_respecting, enumerate_posets, ids_of,
+                       is_pmorphism, ladder_truncation, mask_of, quotient)
 from esakiakit.poset import JSON_COVER_LIMIT
 from esakiakit.randgen import random_poset, random_weak_coloring
 
@@ -285,6 +286,57 @@ def test_element_ids_must_be_plain_ints():
         with pytest.raises(InvalidId):
             Poset.from_leq(x, [0b1, 0b10])
     assert p.leq(0, 1) and p.up_mask(1) == 0b010
+
+
+def test_a_cover_of_three_values_is_refused():
+    with pytest.raises(InvalidId, match="not a pair"):
+        Poset.from_covers(3, [(0, 1, 2)])
+    with pytest.raises(InvalidId, match="not a pair"):
+        Poset.from_covers(3, [(0, 1), (1,)])
+
+
+def test_a_cover_that_is_not_a_sequence_is_refused():
+    with pytest.raises(InvalidId, match="not a pair"):
+        Poset.from_covers(3, [5])
+    with pytest.raises(InvalidId, match="not a pair"):
+        Poset.from_covers(3, [(0, 1), None])
+
+
+def test_leq_rows_must_be_plain_ints():
+    for rows in ([1.0, 2], [1, 2.0], [True, 2], [1, "2"], [1, None]):
+        with pytest.raises(InvalidId):
+            Poset.from_leq(2, rows)
+    assert Poset.from_leq(2, [0b11, 0b10]).covers == ((0, 1),)
+
+
+def test_int_subclasses_are_not_ids():
+    """One id rule everywhere: an IntEnum member equal to an id is refused
+    by the element accessors, both constructors, partitions, maps, pairs
+    and colorings."""
+    class Id(enum.IntEnum):
+        ZERO = 0
+        ONE = 1
+        TWO = 2
+
+    p = v_poset()
+    one = Id.ONE
+    for call in (lambda: p.leq(one, 1), lambda: p.up_mask(one),
+                 lambda: Poset.from_covers(2, [(0, one)]),
+                 lambda: Poset.from_covers(Id.TWO, []),
+                 lambda: Poset.from_leq(Id.TWO, [0b1, 0b10]),
+                 lambda: Poset.from_leq(2, [0b1, Id.TWO]),
+                 lambda: EPartition.from_blocks(p, [[0], [one, 2]]),
+                 lambda: EPartition.from_pairs(p, [(one, 2)]),
+                 lambda: is_pmorphism(p, chain(2), (0, one, 1)),
+                 lambda: alpha_mergeable(p, 0, one),
+                 lambda: beta_mergeable(p, one, 2)):
+        with pytest.raises(InvalidId):
+            call()
+    with pytest.raises(OutOfRange):
+        Coloring.of(p, Id.ONE, [0, 1, 1])
+    with pytest.raises(OutOfRange):
+        Coloring.of(p, 1, [0, one, 1])
+    assert p.leq(0, 1) and beta_mergeable(p, 1, 2)
 
 
 def test_upsets_counts():

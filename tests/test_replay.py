@@ -4,9 +4,11 @@
 (and so `quotient`) after every merge and rescans it with
 `mergeable_pairs`, the full sorted list of moves, also below. The replay
 in `esakiakit.reduction` updates masks, covers and depths in place and
-must give the same steps, kernels, final posets and errors; its per-slot
-state must describe the current poset after every merge. Other test
-modules import both references from here."""
+builds no poset; its final poset here is `current_poset`, the quotient
+by its kernel renumbered to its current ids. It must give the same
+steps, kernels, final posets and errors, and its per-slot state must
+describe the current poset after every merge. Other test modules import
+both references and `current_poset` from here."""
 
 import random
 from typing import Sequence
@@ -21,7 +23,7 @@ from esakiakit import (Coloring, NotEPartition, Poset, ReductionStep,
                        Schedule, abomination_truncation,
                        color_respecting_reduction, compose_steps,
                        decompose_pmorphism, delta_map, ladder_id,
-                       ladder_truncation, lift_schedule,
+                       ladder_truncation, lift_schedule, quotient,
                        schedule_beta_reductions)
 from esakiakit.errors import EsakiaKitError, InvalidId, NotMergeable
 from esakiakit.poset import ids_of, mask_of
@@ -63,6 +65,18 @@ def merge_step(p: Poset, kind: str, x: int, y: int) -> tuple[Poset, tuple[int, .
         raise NotMergeable(f"pair ({x}, {y}) is not {kind}-mergeable")
     return reduction.quotient(
         p, kernel(p, [x if z == y else z for z in range(p.n)]))
+
+
+def current_poset(replay) -> Poset:
+    """The in-place replay's current poset in its current ids: the
+    `quotient` of the base by the replay's kernel, each block renamed from
+    the quotient's id to `pos` of its slot. InvalidId when those names are
+    not a permutation of the blocks."""
+    q, proj = quotient(replay.base, replay.kernel())
+    perm = [0] * q.n
+    for x, s in enumerate(replay.owner):
+        perm[proj[x]] = replay.pos[s]
+    return q.permuted(perm)
 
 
 class ReferenceReplay:
@@ -140,17 +154,17 @@ def assert_same_greedy(p, values, seed=None):
     same-valued moves, in lockstep. They must end on the same steps,
     kernels and final posets."""
     if seed is None:
-        runs = []
-        for cls in (reduction._Replay, ReferenceReplay):
-            replay = cls(p)
-            steps = replay.greedy(values)
-            runs.append((steps, replay.kernel(), replay.cur, replay.cur.depths()))
-        assert runs[0] == runs[1], (p, values)
-        return len(runs[0][0])
-    rng = random.Random(seed)
-    replay, ref, merges = lockstep(
-        p, values, lambda _replay, moves, _merges: rng.choice(moves) if moves else None)
-    assert (replay.kernel(), replay.cur, replay.cur.depths()) == \
+        replay, ref = reduction._Replay(p), ReferenceReplay(p)
+        steps = replay.greedy(values)
+        assert steps == ref.greedy(values), (p, values)
+        merges = len(steps)
+    else:
+        rng = random.Random(seed)
+        replay, ref, merges = lockstep(
+            p, values,
+            lambda _replay, moves, _merges: rng.choice(moves) if moves else None)
+    cur = current_poset(replay)
+    assert (replay.kernel(), cur, cur.depths()) == \
         (ref.kernel(), ref.cur, ref.cur.depths()), (p, values)
     return merges
 
@@ -193,14 +207,15 @@ def test_scrambled_greedy_matches_the_reference(seed, n, order, scramble):
 
 
 def assert_state_matches_cur(replay):
-    """Every live slot's down mask, covers and depth, read through `live`
-    and mapped to current ids by `pos`, are those of `cur`; `pred` is the
-    transpose of `succ`; `members` holds exactly the originals a slot
-    owns; no dead slot is anyone's cover; every live slot lies in the
-    level of its depth and in no other, and the levels together are
-    `live`; and while no depth has moved since the last sort, `names` is
-    in depth order."""
-    cur, pos, live, names = replay.cur, replay.pos, replay.live, replay.names
+    """Every live slot's down mask, covers and depth, read through the
+    live slots `names` and mapped to current ids by `pos`, are those of
+    `current_poset`; `pred` is the transpose of `succ`; `members` holds
+    exactly the originals a slot owns; no dead slot is anyone's cover;
+    every live slot lies in the level of its depth and in no other, and
+    the levels together are the live slots; and while no depth has moved
+    since the last sort, `names` is in depth order."""
+    cur, pos, names = current_poset(replay), replay.pos, replay.names
+    live = mask_of(names)
     down, succ, pred, level = replay.down, replay.succ, replay.pred, replay.level
 
     def current(mask):
@@ -209,7 +224,7 @@ def assert_state_matches_cur(replay):
     owned = {}
     for x, s in enumerate(replay.owner):
         owned.setdefault(s, []).append(x)
-    assert live == mask_of(names) and sorted(owned) == sorted(names)
+    assert sorted(owned) == sorted(names)
     for s in names:
         x = pos[s]
         assert names[x] == s
