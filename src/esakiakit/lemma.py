@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coloring import Coloring, is_coloring, is_weak_coloring, search_coloring
+from .coloring import Coloring, is_coloring, is_weak_coloring
 from .errors import (EmbeddingMismatch, InvalidId, NotMergeable,
                      NotUpset, NotWeakColoring, OutOfRange,
                      PropertyFalsified, QuotientNotColorable)
@@ -89,6 +89,24 @@ def _merged_pair(part: EPartition, row: dict[int, int]) -> tuple[int, int] | Non
             return seen[b], i
         seen[b] = i
     return None
+
+
+def _checked_pairs(ker: EPartition, f: Coloring, rows: dict[int, dict[int, int]],
+                   full: list[int], row: str) -> dict[int, tuple[int, int]]:
+    """The final kernel check of a schedule and of its lift: the merged
+    index pair of each `full` row of `rows`. PropertyFalsified when a
+    block of `ker` mixes colors of f, or a full row has no merged pair."""
+    colors = f.colors
+    for block in ker.blocks:
+        if len({colors[x] for x in block}) > 1:
+            raise PropertyFalsified(f"kernel block {block} mixes colors")
+    levels: dict[int, tuple[int, int]] = {}
+    for m in full:
+        pair = _merged_pair(ker, rows[m])
+        if pair is None:
+            raise PropertyFalsified(f"full {row} {m} has no merged pair")
+        levels[m] = pair
+    return levels
 
 
 class _Column:
@@ -211,20 +229,18 @@ def full_levels(v: Poset, width: int) -> list[int]:
 
 
 def verify_schedule(v: Poset, f: Coloring, schedule: Schedule) -> None:
-    """Independent replay: each step beta-valid, kernel color-respecting,
-    and a merged pair inside every full level. Raises on any failure."""
+    """Independent replay: each step beta-valid (`compose_steps`), the
+    replayed kernel equal to the stored one, color-respecting, and with a
+    merged pair inside every full level. Builds no poset. InvalidId for a
+    schedule of another poset; PropertyFalsified on any failed claim."""
     if schedule.source != v:
         raise InvalidId("schedule was built on a different poset")
-    _final, ker = compose_steps(v, schedule.steps)
+    ker = compose_steps(v, schedule.steps)
     if ker != schedule.kernel:
         raise PropertyFalsified("stored kernel disagrees with replay")
-    for block in ker.blocks:
-        if len({f.colors[x] for x in block}) > 1:
-            raise PropertyFalsified(f"kernel block {block} mixes colors")
-    rows = _ladder_rows(v, width_of(f.n))
-    for m in _full(rows, width_of(f.n)):
-        if _merged_pair(ker, rows[m]) is None:
-            raise PropertyFalsified(f"full level {m} has no merged pair")
+    width = width_of(f.n)
+    rows = _ladder_rows(v, width)
+    _checked_pairs(ker, f, rows, _full(rows, width), "level")
 
 
 @dataclass(frozen=True)
@@ -310,13 +326,17 @@ def lift_schedule(z: Poset, f: Coloring, delta: DeltaMap,
 
     Every transported step is re-checked for beta-validity on the actual
     quotient of z; the structure of the two spaces guarantees validity,
-    so a failure is reported as PropertyFalsified, not as a plain error.
-    The kernel must respect f and sit inside the coarsest
-    color-respecting partition, and every full c-row of z must end up
-    with a merged pair.
+    so a failure is reported as PropertyFalsified, naming the step's
+    position, not as a plain error. The kernel must respect f, every full
+    c-row of z must end up with a merged pair, and the kernel must sit
+    inside the coarsest color-respecting partition. InvalidId, before any
+    merge, when the schedule and delta were built on different ladders or
+    delta embeds into a poset other than z.
     """
     if schedule.source != delta.source:
         raise InvalidId("schedule and delta built on different ladders")
+    if delta.target is not z and delta.target != z:
+        raise InvalidId("delta embeds into a different poset than z")
     if not is_weak_coloring(z, f):
         raise NotWeakColoring("lift needs an order preserving coloring on z")
     rows = c_rows(z)
@@ -338,20 +358,10 @@ def lift_schedule(z: Poset, f: Coloring, delta: DeltaMap,
                 f"step {pos} ({z.labels[u]}, {z.labels[v]}) stopped being "
                 f"beta-valid: {exc}") from exc
     ker = replay.kernel()
-
-    for block in ker.blocks:
-        if len({f.colors[x] for x in block}) > 1:
-            raise PropertyFalsified("lifted kernel mixes colors")
+    levels = _checked_pairs(ker, f, rows, full, "c-row")
     if not ker.refines(coarsest_color_respecting(z, f)):
         raise PropertyFalsified(
             "lifted kernel escapes the coarsest color-respecting partition")
-
-    levels: dict[int, tuple[int, int]] = {}
-    for p in full:
-        pair = _merged_pair(ker, rows[p])
-        if pair is None:
-            raise PropertyFalsified(f"full c-row {p} has no merged pair")
-        levels[p] = pair
     return LiftCertificate(levels, schedule.steps, ker)
 
 
@@ -370,20 +380,15 @@ def corollary_certificate(z: Poset, f: Coloring, n: int) -> LiftCertificate:
 
 
 def corollary_check(z: Poset, part: EPartition, n: int,
-                    witness: Coloring | None = None) -> bool:
+                    witness: Coloring) -> bool:
     """Does every full c-row of z contain a pair merged by `part`?
 
-    The quotient by `part` must admit a coloring of order n (pass one as
-    `witness`, or let an unbounded search find it). The structural claim is
-    that the answer is always yes; callers treat a False as a
-    falsification event.
+    `witness` must be a coloring of order n of the quotient by `part`
+    (as a census entry carries), or QuotientNotColorable is raised; no
+    coloring is searched for. The structural claim is that the answer is
+    always yes; callers treat a False as a falsification event.
     """
-    quot, proj = quotient(z, part)
-    if witness is not None:
-        induced = Coloring.of(quot, n, witness.colors)
-        if not is_coloring(quot, induced):
-            raise QuotientNotColorable("provided witness is not a valid coloring")
-    else:
-        if search_coloring(quot, n) is None:
-            raise QuotientNotColorable(f"no coloring of order {n} found")
+    quot = quotient(z, part)[0]
+    if not is_coloring(quot, Coloring.of(quot, n, witness.colors)):
+        raise QuotientNotColorable("provided witness is not a valid coloring")
     return merges_every_full_c_row(z, part, n)

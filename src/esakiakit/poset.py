@@ -20,6 +20,9 @@ JSON_SIZE_LIMIT = 10_000
 # Most cover pairs a poset JSON file may list: admits the 785,924 covers of
 # the widest abomination level the generators emit (n = 8); n = 9 has 3.1M.
 JSON_COVER_LIMIT = 1_000_000
+# What a cover may be: an ordered pair. A set or dict of two would unpack
+# as well, in an order that says nothing about which end is below.
+_PAIR_TYPES = (tuple, list)
 
 
 def mask_of(ids: Iterable[int]) -> int:
@@ -68,16 +71,19 @@ class Poset:
 
         The input may contain transitively redundant pairs; they are dropped.
         A pair (x, x) or any directed cycle raises CycleDetected; a size or
-        endpoint that is not a plain int (a bool, a float) and a cover that
-        is not a pair raise InvalidId.
+        endpoint that is not a plain int (a bool, a float) raises InvalidId,
+        and so does a cover that is not a tuple or list of two (a set or a
+        dict of two is refused).
         """
         if not _is_id(n) or n < 0:
             raise InvalidId(f"size {n!r} is not a non-negative int")
         above = [0] * n
         for c in covers:
+            if type(c) not in _PAIR_TYPES:
+                raise InvalidId(f"cover {c!r} is not a pair")
             try:
                 x, y = c
-            except (TypeError, ValueError):
+            except ValueError:
                 raise InvalidId(f"cover {c!r} is not a pair") from None
             # _is_id, inline: this loop runs once per cover.
             if not (type(x) is int and type(y) is int

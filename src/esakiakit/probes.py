@@ -20,7 +20,7 @@ from .errors import (BudgetExceeded, OutOfRange, Overflow,
 from .poset import Poset
 from .randgen import random_weak_coloring
 from .reduction import EPartition, coarsest_color_respecting, quotient
-from .spaces import abomination_truncation, canonical_coloring, level_size
+from .spaces import canonical_coloring, level_size
 
 INT_CAP = 2**63 - 1
 EXHAUSTIVE_LIMIT = 12
@@ -238,10 +238,10 @@ class GrowthReport:
 
 
 def growth_probe(n: int, depths: list[int]) -> GrowthReport:
-    """Truncation sizes at the given depths. Each truncation is built and
-    its canonical coloring checked strict, so the whole truncation is the
-    largest quotient still colorable at order n+1, and sizes grow strictly
-    with depth."""
+    """Truncation sizes at the given depths. Each truncation is built once,
+    as the base of its canonical coloring, and that coloring checked
+    strict, so the whole truncation is the largest quotient still colorable
+    at order n+1, and sizes grow strictly with depth."""
     if n not in (2, 3):
         raise OutOfRange("growth probe is calibrated for n in {2, 3}")
     if any(d < 0 for d in depths) or sorted(set(depths)) != list(depths):
@@ -252,10 +252,10 @@ def growth_probe(n: int, depths: list[int]) -> GrowthReport:
         if size > GROWTH_SIZE_CAP:
             raise BudgetExceeded(f"truncation of {size} elements over "
                                  f"GROWTH_SIZE_CAP {GROWTH_SIZE_CAP}")
-        x = abomination_truncation(n, depth)
+        f = canonical_coloring(n, depth)
+        x = f.base
         if x.n != size:
             raise PropertyFalsified("generator size disagrees with arithmetic")
-        f = canonical_coloring(n, depth)
         if not is_coloring(x, f):
             raise PropertyFalsified(
                 f"canonical coloring fails strictness at depth {depth}")

@@ -485,16 +485,15 @@ def decompose_pmorphism(p: Poset, q: Poset, f: Sequence[int]) -> list[ReductionS
     return steps
 
 
-def compose_steps(p: Poset, steps: Iterable[ReductionStep]) -> tuple[Poset, EPartition]:
-    """Replay steps (validating each) and return the final poset, the
-    `quotient` of p by the accumulated kernel, and that kernel. The
-    kernel's verdict is already kept on it, so the quotient does not check
-    it again."""
+def compose_steps(p: Poset, steps: Iterable[ReductionStep]) -> EPartition:
+    """Replay steps (validating each) and return their accumulated kernel
+    on p, checked with `is_epartition`. No poset is built; the final poset
+    is `quotient(p, kernel)`, and since the verdict stays on the kernel,
+    that quotient does not check it again."""
     replay = _Replay(p)
     for step in steps:
         replay.merge(step.kind, *step.pair)
-    ker = replay.kernel()
-    return quotient(p, ker)[0], ker
+    return replay.kernel()
 
 
 # ----- color-respecting reduction ------------------------------------------------

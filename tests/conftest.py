@@ -1,10 +1,12 @@
 """A wall-clock bound on every test, so a loop that never ends fails the
-run instead of hanging it."""
+run instead of hanging it, and a counter of the posets a test builds."""
 
 import signal
 import threading
 
 import pytest
+
+from esakiakit import Poset
 
 TEST_TIME_LIMIT_S = 300
 
@@ -29,3 +31,18 @@ def time_limit():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def built_posets(monkeypatch):
+    """The size of every poset built while the test runs, in order: every
+    constructor goes through `Poset._from_above`."""
+    built = []
+    core = Poset._from_above.__func__
+
+    def counting(cls, n, above, labels):
+        built.append(n)
+        return core(cls, n, above, labels)
+
+    monkeypatch.setattr(Poset, "_from_above", classmethod(counting))
+    return built

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import esakiakit.lemma as lemma
 from esakiakit import (Coloring, EmbeddingMismatch, EPartition, InvalidId,
                        NotUpset, NotWeakColoring, OutOfRange, Poset,
                        PropertyFalsified, QuotientNotColorable, ReductionStep,
@@ -105,6 +106,11 @@ def test_verify_rejects_tampering():
     with pytest.raises(InvalidId):
         verify_schedule(other, constant(other, 0),
                         Schedule(v, sched.steps, sched.kernel))
+    top = ladder_truncation(0, 0)           # two maximal beta twins
+    steps = (ReductionStep("beta", (0, 1)),)
+    mixed = Schedule(top, steps, EPartition.from_pairs(top, [(0, 1)]))
+    with pytest.raises(PropertyFalsified, match=r"kernel block \(0, 1\) mixes colors"):
+        verify_schedule(top, Coloring.of(top, 1, [0, 1]), mixed)
 
 
 def test_delta_map_images():
@@ -126,11 +132,8 @@ def test_delta_map_refuses_ids_outside_the_ladder():
             delta(x)
 
 
-def test_lift_refuses_steps_outside_the_ladder(monkeypatch):
-    """A step naming a ladder id outside the source is bad input: it is
-    refused before any merge, and never read as another ladder element."""
-    import esakiakit.lemma as lemma
-
+def spy_merges(monkeypatch):
+    """The merges the lift replays from now on, in order."""
     merged = []
 
     class Spy(lemma._Replay):
@@ -139,6 +142,13 @@ def test_lift_refuses_steps_outside_the_ladder(monkeypatch):
             return super().merge(kind, x, y)
 
     monkeypatch.setattr(lemma, "_Replay", Spy)
+    return merged
+
+
+def test_lift_refuses_steps_outside_the_ladder(monkeypatch):
+    """A step naming a ladder id outside the source is bad input: it is
+    refused before any merge, and never read as another ladder element."""
+    merged = spy_merges(monkeypatch)
     z = abomination_truncation(2, 1)
     delta = delta_map(2, 1, z)
     n = delta.source.n
@@ -149,6 +159,35 @@ def test_lift_refuses_steps_outside_the_ladder(monkeypatch):
         with pytest.raises(InvalidId, match=f"ladder id {pair[0]} outside"):
             lift_schedule(z, f, delta, bad)
     assert merged == []
+
+
+def test_lift_refuses_a_delta_into_another_poset(monkeypatch):
+    """A delta built on z names z's elements: lifting it onto a relabelled
+    copy of z is a caller's mix-up, refused before any merge, not a
+    falsified claim about a step."""
+    z = abomination_truncation(2, 1)
+    delta = delta_map(2, 1, z)
+    sched = schedule_beta_reductions(delta.source, constant(delta.source, 2))
+    moved = z.permuted(list(range(z.n))[::-1])
+    merged = spy_merges(monkeypatch)
+    with pytest.raises(InvalidId, match="delta embeds into a different poset"):
+        lift_schedule(moved, constant(moved, 2), delta, sched)
+    assert merged == []
+    lifted = lift_schedule(z, constant(z, 2), delta, sched)
+    assert len(merged) == len(sched.steps) and sorted(lifted.levels) == [0, 1]
+
+
+def test_scheduling_and_verifying_build_no_poset(built_posets):
+    """The schedule is checked on its replayed kernel alone: scheduling
+    and verifying on a ladder build no poset."""
+    v = ladder_truncation(2, 5)
+    f = random_weak_coloring(random.Random(5), v, 2)
+    built_posets.clear()
+    sched = schedule_beta_reductions(v, f)
+    verify_schedule(v, f, sched)
+    assert sched.steps and built_posets == []
+    quotient(v, sched.kernel)          # the counter does see a build
+    assert built_posets == [v.n - len(sched.steps)]
 
 
 def test_delta_map_mismatches():
@@ -234,9 +273,9 @@ def test_census_of_the_depth_one_truncation_is_pinned():
 def test_corollary_check_demands_colorable_quotient():
     z = abomination_truncation(2, 1)
     with pytest.raises(QuotientNotColorable):
-        corollary_check(z, EPartition.identity(z), 2)
-    with pytest.raises(QuotientNotColorable):
         corollary_check(z, EPartition.identity(z), 2, witness=constant(z, 2))
+    with pytest.raises(TypeError):      # the witness is required
+        corollary_check(z, EPartition.identity(z), 2)
 
 
 def test_census_collapse_at_order_3():

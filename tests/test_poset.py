@@ -302,6 +302,18 @@ def test_a_cover_that_is_not_a_sequence_is_refused():
         Poset.from_covers(3, [(0, 1), None])
 
 
+def test_an_unordered_cover_is_refused():
+    """A set, frozenset or dict of two ids unpacks into two ints, in an
+    order that does not say which end is below: it is not a cover."""
+    for cover in ({1, 0}, frozenset({0, 1}), {0: "x", 1: "y"}):
+        with pytest.raises(InvalidId, match="not a pair"):
+            Poset.from_covers(2, [cover])
+        with pytest.raises(InvalidId, match="not a pair"):
+            Poset.from_covers(3, [(1, 2), cover])
+    for cover in ((0, 1), [0, 1]):
+        assert Poset.from_covers(2, [cover]).covers == ((0, 1),)
+
+
 def test_leq_rows_must_be_plain_ints():
     for rows in ([1.0, 2], [1, 2.0], [True, 2], [1, "2"], [1, None]):
         with pytest.raises(InvalidId):
@@ -449,22 +461,15 @@ def test_width_matches_the_reference_on_the_spaces(space):
     assert p.max_antichain_size() == antichain_reference(p)
 
 
-def test_width_builds_no_poset(monkeypatch):
+def test_width_builds_no_poset(built_posets):
     """Width and largest antichain read the stored up masks: on the
     68-element truncation neither builds a subposet."""
     z = abomination_truncation(2, 1)
-    built = []
-    core = Poset._from_above.__func__
-
-    def counting(cls, n, above, labels):
-        built.append(n)
-        return core(cls, n, above, labels)
-
-    monkeypatch.setattr(Poset, "_from_above", classmethod(counting))
+    built_posets.clear()
     assert z.width() == z.max_antichain_size() == 16
-    assert built == []
+    assert built_posets == []
     z.principal_upset(0)            # the counter does see a build
-    assert len(built) == 1
+    assert len(built_posets) == 1
 
 
 def test_brute_width_size_guard():

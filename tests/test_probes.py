@@ -5,6 +5,7 @@ from esakiakit import (BudgetExceeded, EPartition, OutOfRange, Overflow,
                        enumerate_rooted_posets, growth_probe, is_coloring,
                        kc_probe, quotient_census, size_bound,
                        size_bound_by_levels)
+from esakiakit.suite import check_canonical_colorings
 
 
 def chain(n):
@@ -111,6 +112,16 @@ def test_growth_probe_rows():
     report = growth_probe(2, [0, 1, 2])
     assert report.rows == ((0, 34), (1, 68), (2, 102))
     assert growth_probe(3, [0]).rows == ((0, 66),)
+
+
+def test_canonical_colorings_build_each_truncation_once(built_posets):
+    """Criterion 2 and the growth probe check each truncation on the base
+    of its canonical coloring: one constructor call per depth."""
+    assert check_canonical_colorings()["pass"]
+    assert built_posets == [34, 68, 102]
+    built_posets.clear()
+    assert growth_probe(2, [0, 1, 2]).rows == ((0, 34), (1, 68), (2, 102))
+    assert built_posets == [34, 68, 102]
 
 
 def test_growth_probe_guards():
