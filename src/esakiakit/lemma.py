@@ -11,23 +11,25 @@ bits.
 
 The delta embedding sends ladder columns onto the c/d/ea rows of the
 companion space, three ladder levels per row level. Replaying a ladder
-schedule through it yields, for every full c-row, a merged c-pair. Both
-the scheduler and the transport re-validate every merge on the actual
-posets rather than trusting the combinatorial argument; a divergence
-raises PropertyFalsified.
+schedule through it yields, for every full c-row, a merged c-pair. The
+scheduler, `verify_schedule` and the transport do not trust the
+combinatorial argument. Each replays its steps once, through one checked
+replay on `compose_steps`, which refuses any step that is not a beta
+merge and checks the replayed kernel alone; no poset is built. A
+divergence raises PropertyFalsified.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coloring import Coloring, is_coloring, is_weak_coloring
+from .coloring import Coloring, _check_base, is_coloring, is_weak_coloring
 from .errors import (EmbeddingMismatch, InvalidId, NotMergeable,
                      NotUpset, NotWeakColoring, OutOfRange,
                      PropertyFalsified, QuotientNotColorable)
 from .poset import Poset, ids_of
-from .reduction import (EPartition, ReductionStep, _Replay,
-                        coarsest_color_respecting, compose_steps, quotient)
+from .reduction import (EPartition, ReductionStep, coarsest_color_respecting,
+                        compose_steps, quotient)
 from .spaces import SpaceLabel, ladder_truncation, width_of
 
 
@@ -91,22 +93,48 @@ def _merged_pair(part: EPartition, row: dict[int, int]) -> tuple[int, int] | Non
     return None
 
 
-def _checked_pairs(ker: EPartition, f: Coloring, rows: dict[int, dict[int, int]],
-                   full: list[int], row: str) -> dict[int, tuple[int, int]]:
-    """The final kernel check of a schedule and of its lift: the merged
-    index pair of each `full` row of `rows`. PropertyFalsified when a
-    block of `ker` mixes colors of f, or a full row has no merged pair."""
-    colors = f.colors
+def _checked_replay(p: Poset, steps: tuple[ReductionStep, ...], f: Coloring,
+                    rows: dict[int, dict[int, int]], full: list[int],
+                    row: str) -> tuple[EPartition, dict[int, tuple[int, int]]]:
+    """The one checked replay of a schedule and of its lift: the kernel of
+    `steps` on p, replayed by `compose_steps`, and the merged index pair
+    of each `full` row of `rows`. PropertyFalsified, naming the step's
+    position, for a step that is not a beta merge or does not replay;
+    PropertyFalsified when a kernel block mixes colors of f, or a full row
+    has no merged pair."""
+    at = 0
+
+    def beta_steps():
+        nonlocal at
+        for at, step in enumerate(steps):
+            if step.kind != "beta":
+                raise PropertyFalsified(
+                    f"step {at} {step.pair} is {step.kind!r}, not a beta merge")
+            yield step
+
+    try:
+        ker = compose_steps(p, beta_steps())
+    except NotMergeable as exc:
+        u, v = (p.labels[x] for x in steps[at].pair)
+        raise PropertyFalsified(
+            f"step {at} ({u}, {v}) stopped being beta-valid: {exc}") from exc
     for block in ker.blocks:
-        if len({colors[x] for x in block}) > 1:
+        if len({f.colors[x] for x in block}) > 1:
             raise PropertyFalsified(f"kernel block {block} mixes colors")
-    levels: dict[int, tuple[int, int]] = {}
-    for m in full:
-        pair = _merged_pair(ker, rows[m])
+    levels = {m: _merged_pair(ker, rows[m]) for m in full}
+    for m, pair in levels.items():
         if pair is None:
             raise PropertyFalsified(f"full {row} {m} has no merged pair")
-        levels[m] = pair
-    return levels
+    return ker, levels
+
+
+def _verified(v: Poset, f: Coloring, schedule: Schedule,
+              rows: dict[int, dict[int, int]]) -> None:
+    """The body of `verify_schedule`, on the ladder rows of v already read."""
+    ker, _levels = _checked_replay(v, schedule.steps, f, rows,
+                                   _full(rows, width_of(f.n)), "level")
+    if ker != schedule.kernel:
+        raise PropertyFalsified("stored kernel disagrees with replay")
 
 
 class _Column:
@@ -132,9 +160,9 @@ def schedule_beta_reductions(v: Poset, f: Coloring) -> Schedule:
     The sweep descends level by level, fusing blocks with equal color and
     equal immediate-successor sets. A level where some color splits into
     several successor classes triggers the narrowing recursion described
-    in the module docstring. The returned schedule is replayed through
-    verify_schedule before being handed back, so a returned Schedule is
-    always valid.
+    in the module docstring. Before it is handed back, the schedule is
+    checked by the body of `verify_schedule`, on the ladder rows already
+    read, so a returned Schedule is always valid and needs no second check.
     """
     if not is_weak_coloring(v, f):
         raise NotWeakColoring("scheduler needs an order preserving coloring")
@@ -219,7 +247,7 @@ def schedule_beta_reductions(v: Poset, f: Coloring) -> Schedule:
         run((1 << width) - 1, 0, f.n)
     schedule = Schedule(v, tuple(steps),
                         EPartition.from_pairs(v, (s.pair for s in steps)))
-    verify_schedule(v, f, schedule)
+    _verified(v, f, schedule, rows)
     return schedule
 
 
@@ -229,18 +257,16 @@ def full_levels(v: Poset, width: int) -> list[int]:
 
 
 def verify_schedule(v: Poset, f: Coloring, schedule: Schedule) -> None:
-    """Independent replay: each step beta-valid (`compose_steps`), the
-    replayed kernel equal to the stored one, color-respecting, and with a
-    merged pair inside every full level. Builds no poset. InvalidId for a
-    schedule of another poset; PropertyFalsified on any failed claim."""
+    """Independent replay: each step a beta merge that replays
+    (`compose_steps`), the replayed kernel equal to the stored one,
+    color-respecting, and with a merged pair inside every full level.
+    Builds no poset. InvalidId, before any merge, for a schedule of
+    another poset or a coloring of another poset; PropertyFalsified on any
+    failed claim, a step that does not replay included."""
     if schedule.source != v:
         raise InvalidId("schedule was built on a different poset")
-    ker = compose_steps(v, schedule.steps)
-    if ker != schedule.kernel:
-        raise PropertyFalsified("stored kernel disagrees with replay")
-    width = width_of(f.n)
-    rows = _ladder_rows(v, width)
-    _checked_pairs(ker, f, rows, _full(rows, width), "level")
+    _check_base(v, f)
+    _verified(v, f, schedule, _ladder_rows(v, width_of(f.n)))
 
 
 @dataclass(frozen=True)
@@ -324,14 +350,18 @@ def lift_schedule(z: Poset, f: Coloring, delta: DeltaMap,
                   schedule: Schedule) -> LiftCertificate:
     """Replay a ladder schedule on the delta images inside z.
 
-    Every transported step is re-checked for beta-validity on the actual
-    quotient of z; the structure of the two spaces guarantees validity,
-    so a failure is reported as PropertyFalsified, naming the step's
-    position, not as a plain error. The kernel must respect f, every full
-    c-row of z must end up with a merged pair, and the kernel must sit
-    inside the coarsest color-respecting partition. InvalidId, before any
-    merge, when the schedule and delta were built on different ladders or
-    delta embeds into a poset other than z.
+    The steps are mapped through delta, then replayed on z by the same
+    checked replay as `verify_schedule`, so no poset is built. The
+    structure of the two spaces guarantees that every image is a beta
+    merge that replays, so a failure is reported as PropertyFalsified,
+    naming the step's position, not as a plain error. The kernel check is
+    the schedule's: no block of the kernel mixes colors of f (the two ends
+    of a step share a block, so this covers every step), and every full
+    c-row of z ends up with a merged pair. The kernel must also sit inside
+    the coarsest color-respecting partition. InvalidId, before any merge,
+    when the schedule and delta were built on different ladders, delta
+    embeds into a poset other than z, or a step names an id outside the
+    ladder.
     """
     if schedule.source != delta.source:
         raise InvalidId("schedule and delta built on different ladders")
@@ -344,21 +374,9 @@ def lift_schedule(z: Poset, f: Coloring, delta: DeltaMap,
     if any(p > delta.depth for p in full):
         raise OutOfRange("delta embedding stops above a full c-row of z")
 
-    replay = _Replay(z)
-    for pos, step in enumerate(schedule.steps):
-        u, v = (delta(t) for t in step.pair)
-        if f.colors[u] != f.colors[v]:
-            raise PropertyFalsified(
-                f"step {pos} merges {z.labels[u]} and {z.labels[v]} "
-                "of different colors")
-        try:
-            replay.merge("beta", u, v)
-        except NotMergeable as exc:
-            raise PropertyFalsified(
-                f"step {pos} ({z.labels[u]}, {z.labels[v]}) stopped being "
-                f"beta-valid: {exc}") from exc
-    ker = replay.kernel()
-    levels = _checked_pairs(ker, f, rows, full, "c-row")
+    lifted = tuple(ReductionStep(s.kind, tuple(map(delta, s.pair)))
+                   for s in schedule.steps)
+    ker, levels = _checked_replay(z, lifted, f, rows, full, "c-row")
     if not ker.refines(coarsest_color_respecting(z, f)):
         raise PropertyFalsified(
             "lifted kernel escapes the coarsest color-respecting partition")

@@ -13,7 +13,7 @@ import random
 from .algebra import min_generators, subalgebras, upset_algebra
 from .coloring import (enumerate_weak_colorings, is_coloring, is_n_colorable)
 from .lemma import (corollary_check, merges_every_full_c_row,
-                    schedule_beta_reductions, verify_schedule)
+                    schedule_beta_reductions)
 from .poset import ids_of
 from .probes import (enumerate_posets, enumerate_rooted_posets, kc_probe,
                      quotient_census, size_bound, size_bound_by_levels)
@@ -63,8 +63,9 @@ def check_canonical_colorings(seed: int = 0) -> dict:
 
 def check_ladder_schedules(seed: int) -> dict:
     """Seeded weak colorings of full ladders always schedule cleanly:
-    every run is replayed step by step and must leave a merged pair in
-    every full level."""
+    the scheduler replays every run once, step by step, and checks that
+    it leaves a merged pair in every full level. A returned Schedule is
+    frozen, so it is not checked a second time."""
     rng = random.Random(seed)
     combos = [(n, depth) for n in (0, 1, 2) for depth in range(6)]
     runs = 0
@@ -75,10 +76,8 @@ def check_ladder_schedules(seed: int) -> dict:
         v = ladder_truncation(n, depth)
         for _ in range(per_combo + (1 if i < extra else 0)):
             f = random_weak_coloring(rng, v, n)
-            schedule = schedule_beta_reductions(v, f)
-            verify_schedule(v, f, schedule)
+            steps += len(schedule_beta_reductions(v, f).steps)
             runs += 1
-            steps += len(schedule.steps)
     return {"pass": runs == SCHEDULE_RUNS, "schedules": runs,
             "total_steps": steps, "seed": seed}
 

@@ -3,10 +3,11 @@ import random
 import pytest
 
 import esakiakit.lemma as lemma
+import esakiakit.reduction as reduction
 from esakiakit import (Coloring, EmbeddingMismatch, EPartition, InvalidId,
                        NotUpset, NotWeakColoring, OutOfRange, Poset,
                        PropertyFalsified, QuotientNotColorable, ReductionStep,
-                       Schedule, abomination_truncation,
+                       Schedule, abomination_truncation, compose_steps,
                        corollary_certificate, corollary_check, delta_map,
                        full_c_levels, full_levels, ladder_id,
                        ladder_truncation, lift_schedule, quotient,
@@ -14,6 +15,7 @@ from esakiakit import (Coloring, EmbeddingMismatch, EPartition, InvalidId,
                        verify_schedule)
 from esakiakit.lemma import _label_rows, c_rows, merges_every_full_c_row
 from esakiakit.randgen import random_weak_coloring
+from esakiakit.suite import SCHEDULE_RUNS, check_ladder_schedules
 
 
 CENSUS_4_SEED = 0
@@ -111,6 +113,39 @@ def test_verify_rejects_tampering():
     mixed = Schedule(top, steps, EPartition.from_pairs(top, [(0, 1)]))
     with pytest.raises(PropertyFalsified, match=r"kernel block \(0, 1\) mixes colors"):
         verify_schedule(top, Coloring.of(top, 1, [0, 1]), mixed)
+    apart = (ReductionStep("beta", (0, 2)),)       # y0_0 and y1_0
+    with pytest.raises(PropertyFalsified,
+                       match=r"step 0 \(y0_0, y1_0\) stopped being beta-valid"):
+        verify_schedule(v, f, Schedule(v, apart, EPartition.from_pairs(v, [(0, 2)])))
+
+
+def test_verify_refuses_alpha_steps():
+    """Every step of a schedule must be a beta merge, even when alpha
+    steps replay and leave a merged pair in every full level."""
+    v = ladder_truncation(0, 2)
+    f = constant(v, 0)
+    steps = tuple(ReductionStep(kind, pair) for kind, pair in (
+        ("alpha", (2, 1)), ("beta", (0, 1)), ("alpha", (3, 0)),
+        ("alpha", (5, 3)), ("alpha", (4, 3))))
+    alphas = Schedule(v, steps, compose_steps(v, steps))
+    with pytest.raises(PropertyFalsified,
+                       match=r"step 0 \(2, 1\) is 'alpha', not a beta merge"):
+        verify_schedule(v, f, alphas)
+    late = (ReductionStep("beta", (0, 1)), ReductionStep("alpha", (2, 0)))
+    with pytest.raises(PropertyFalsified, match=r"step 1 \(2, 0\) is 'alpha'"):
+        verify_schedule(v, f, Schedule(v, late, compose_steps(v, late)))
+
+
+def test_verify_refuses_a_coloring_of_another_poset(monkeypatch):
+    """The coloring must color the schedule's poset: one of a smaller or a
+    larger ladder is bad input, refused before any merge."""
+    v = ladder_truncation(0, 2)
+    sched = schedule_beta_reductions(v, constant(v, 0))
+    merged = spy_merges(monkeypatch)
+    for other in (ladder_truncation(0, 1), ladder_truncation(0, 3)):
+        with pytest.raises(InvalidId, match="coloring built on a different poset"):
+            verify_schedule(v, constant(other, 0), sched)
+    assert merged == []
 
 
 def test_delta_map_images():
@@ -133,15 +168,16 @@ def test_delta_map_refuses_ids_outside_the_ladder():
 
 
 def spy_merges(monkeypatch):
-    """The merges the lift replays from now on, in order."""
+    """The merges replayed from now on by `compose_steps`, through which
+    `verify_schedule` and the lift replay, in order."""
     merged = []
 
-    class Spy(lemma._Replay):
+    class Spy(reduction._Replay):
         def merge(self, kind, x, y):
             merged.append((kind, x, y))
             return super().merge(kind, x, y)
 
-    monkeypatch.setattr(lemma, "_Replay", Spy)
+    monkeypatch.setattr(reduction, "_Replay", Spy)
     return merged
 
 
@@ -190,6 +226,20 @@ def test_scheduling_and_verifying_build_no_poset(built_posets):
     assert built_posets == [v.n - len(sched.steps)]
 
 
+def test_criterion_3_replays_and_reads_each_ladder_once(monkeypatch):
+    """Criterion 3 reads the ladder rows and replays the steps once per
+    schedule: the scheduler checks its own schedule, and nothing checks
+    it again."""
+    calls = {"_ladder_rows": 0, "compose_steps": 0}
+    for name in calls:
+        def counting(*args, _real=getattr(lemma, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(lemma, name, counting)
+    assert check_ladder_schedules(42)["pass"]
+    assert calls == {"_ladder_rows": SCHEDULE_RUNS, "compose_steps": SCHEDULE_RUNS}
+
+
 def test_delta_map_mismatches():
     z = abomination_truncation(2, 1)
     with pytest.raises(EmbeddingMismatch, match="target misses c2_0"):
@@ -235,8 +285,27 @@ def test_lift_rechecks_colors_per_step():
     colors = [0] * z.n
     colors[z.labels.index("c0_0")] = 1
     skewed = Coloring.of(z, 2, colors)
-    with pytest.raises(PropertyFalsified, match="different colors"):
+    # the first step lifts to (c0_0, c0_1); the kernel block holding both
+    # is the one reported
+    assert z.labels[2] == "c0_0"
+    with pytest.raises(PropertyFalsified,
+                       match=r"kernel block \(2, 3, 4, 5, 6, 7, 8, 9\) mixes colors"):
         lift_schedule(z, skewed, delta, sched)
+
+
+def test_lift_refuses_alpha_steps():
+    """A lifted step must be a beta merge: the lift replays each step as
+    its kind says, through the same replay as `verify_schedule`."""
+    z = abomination_truncation(2, 1)
+    delta = delta_map(2, 1, z)
+    sched = schedule_beta_reductions(delta.source, constant(delta.source, 2))
+    first = sched.steps[0]
+    steps = (ReductionStep("alpha", first.pair),) + sched.steps[1:]
+    alpha = Schedule(delta.source, steps, sched.kernel)
+    with pytest.raises(PropertyFalsified,
+                       match=rf"step 0 \({delta(first.pair[0])}, "
+                             rf"{delta(first.pair[1])}\) is 'alpha'"):
+        lift_schedule(z, constant(z, 2), delta, alpha)
 
 
 def test_c_rows_and_full_levels():
