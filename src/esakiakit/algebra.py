@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 
 from .errors import (InvalidId, TooLarge, TooManyAssignments,
                      UnboundVariable)
-from .poset import Poset, ids_of, mask_of
+from .poset import Poset, _is_id, ids_of, mask_of
 
 SIZE_BOUND = 20
 ASSIGNMENT_CAP = 200_000
@@ -330,11 +330,12 @@ def validates(a: UpsetAlgebra, lhs: Term, rhs: Term,
 
 def generated_subalgebra(a: UpsetAlgebra, gens: Iterable[int]) -> frozenset[int]:
     """Indices of the subalgebra generated by the given carrier indices.
-    Always contains bot and top."""
+    Always contains bot and top. InvalidId for an index that is not a
+    plain int in range (bools and floats included)."""
     seed = 0
     for g in gens:
-        if not 0 <= g < len(a.carrier):
-            raise InvalidId(f"carrier index {g}")
+        if not (_is_id(g) and 0 <= g < len(a.carrier)):
+            raise InvalidId(f"carrier index {g!r}")
         seed |= 1 << g
     return frozenset(ids_of(_close(a, _bounds_closure(a), seed)))
 

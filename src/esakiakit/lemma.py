@@ -27,7 +27,7 @@ from .coloring import Coloring, _check_base, is_coloring, is_weak_coloring
 from .errors import (EmbeddingMismatch, InvalidId, NotMergeable,
                      NotUpset, NotWeakColoring, OutOfRange,
                      PropertyFalsified, QuotientNotColorable)
-from .poset import Poset, ids_of
+from .poset import Poset, _is_id, ids_of
 from .reduction import (EPartition, ReductionStep, coarsest_color_respecting,
                         compose_steps, quotient)
 from .spaces import SpaceLabel, ladder_truncation, width_of
@@ -280,8 +280,10 @@ class DeltaMap:
     mapping: tuple[int, ...]      # source element -> target element
 
     def __call__(self, x: int) -> int:
-        if not 0 <= x < self.source.n:
-            raise InvalidId(f"ladder id {x} outside 0..{self.source.n - 1}")
+        """The image of ladder id x; InvalidId for anything but a plain
+        int in 0..n-1 of the source (bools and floats included)."""
+        if not (_is_id(x) and 0 <= x < self.source.n):
+            raise InvalidId(f"ladder id {x!r} outside 0..{self.source.n - 1}")
         return self.mapping[x]
 
 

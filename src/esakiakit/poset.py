@@ -188,23 +188,11 @@ class Poset:
         """Immediate successors of x."""
         return self._succ[self._id(x)]
 
-    def covers_down(self, x: int) -> tuple[int, ...]:
-        """Immediate predecessors of x: the maximal elements below it."""
-        below = self._down[self._id(x)] ^ 1 << x
-        return tuple(y for y in ids_of(below) if not self._up[y] & below ^ 1 << y)
-
     def _ids(self, mask: int) -> list[int]:
         """The ids in a mask over 0..n-1; InvalidId for any other int."""
         if mask >> self.n:
             raise InvalidId(f"mask {mask:#x} names elements outside 0..{self.n - 1}")
         return ids_of(mask)
-
-    def up_set(self, mask: int) -> int:
-        """Upward closure of an element mask."""
-        out = 0
-        for x in self._ids(mask):
-            out |= self._up[x]
-        return out
 
     def down_set(self, mask: int) -> int:
         out = 0
@@ -212,14 +200,8 @@ class Poset:
             out |= self._down[x]
         return out
 
-    def is_upset(self, mask: int) -> bool:
-        return self.up_set(mask) == mask
-
     def full_mask(self) -> int:
         return (1 << self.n) - 1
-
-    def maximal_mask(self) -> int:
-        return mask_of(x for x in range(self.n) if not self._succ[x])
 
     def minimal_mask(self) -> int:
         return mask_of(x for x in range(self.n) if self._down[x] == 1 << x)
@@ -229,11 +211,9 @@ class Poset:
         m = self.minimal_mask()
         return self.n > 0 and m & (m - 1) == 0 and m != 0
 
-    def depth(self, x: int) -> int:
-        """Number of elements in the longest chain inside the upset of x."""
-        return self._depths[self._id(x)]
-
     def depths(self) -> tuple[int, ...]:
+        """Per element x, the number of elements in the longest chain
+        inside the upset of x."""
         return self._depths
 
     # ----- antichains and width ---------------------------------------------
@@ -281,18 +261,6 @@ class Poset:
         labels = None if self.labels is None else [None, *self.labels]
         return Poset.from_covers(self.n + 1, covers, labels)
 
-    def permuted(self, perm: Sequence[int]) -> "Poset":
-        """Relabel: old element x becomes perm[x]."""
-        if sorted(perm) != list(range(self.n)):
-            raise InvalidId("not a permutation of 0..n-1")
-        covers = [(perm[x], perm[y]) for x, y in self.covers]
-        labels = None
-        if self.labels is not None:
-            labels = [None] * self.n
-            for x, lab in enumerate(self.labels):
-                labels[perm[x]] = lab
-        return Poset.from_covers(self.n, covers, labels)
-
     # ----- upset enumeration ---------------------------------------------------
 
     def upsets(self) -> list[int]:
@@ -314,7 +282,7 @@ class Poset:
         full = self.full_mask()
         return [full & ~u for u in self.upsets()]
 
-    # ----- isomorphism -----------------------------------------------------------
+    # ----- canonical form --------------------------------------------------------
 
     def canonical_form(self):
         """Hashable key equal across isomorphic posets: (n, the least
@@ -329,11 +297,6 @@ class Poset:
         if self._canon is None:
             self._canon = _canonical_form(self)
         return self._canon
-
-    def isomorphic(self, other: "Poset") -> bool:
-        """False for anything but a Poset, as `==` answers."""
-        return (isinstance(other, Poset)
-                and self.canonical_form() == other.canonical_form())
 
     # ----- serialization ------------------------------------------------------------
 

@@ -17,7 +17,7 @@ from .coloring import (Coloring, enumerate_weak_colorings, is_coloring,
                        is_n_colorable, search_coloring)
 from .errors import (BudgetExceeded, OutOfRange, Overflow,
                      PropertyFalsified)
-from .poset import Poset
+from .poset import Poset, _is_id
 from .randgen import random_weak_coloring
 from .reduction import EPartition, coarsest_color_respecting, quotient
 from .spaces import canonical_coloring, level_size
@@ -242,10 +242,11 @@ def growth_probe(n: int, depths: list[int]) -> GrowthReport:
     as the base of its canonical coloring, and that coloring checked
     strict, so the whole truncation is the largest quotient still colorable
     at order n+1, and sizes grow strictly with depth."""
-    if n not in (2, 3):
+    if not _is_id(n) or n not in (2, 3):
         raise OutOfRange("growth probe is calibrated for n in {2, 3}")
-    if any(d < 0 for d in depths) or sorted(set(depths)) != list(depths):
-        raise OutOfRange("depths must be strictly increasing and nonnegative")
+    if any(not _is_id(d) or d < 0 for d in depths) \
+            or sorted(set(depths)) != list(depths):
+        raise OutOfRange("depths must be strictly increasing nonnegative ints")
     rows = []
     for depth in depths:
         size = (depth + 1) * level_size(n)

@@ -80,9 +80,6 @@ class EPartition:
     def block_of(self, x: int) -> int:
         return self._lookup[self.base._id(x)]
 
-    def same(self, x: int, y: int) -> bool:
-        return self.block_of(x) == self.block_of(y)
-
     def refines(self, other: "EPartition") -> bool:
         """True when every block of self sits inside a block of other;
         InvalidId when other is built on a different poset."""
@@ -323,8 +320,7 @@ class _Replay:
         else:
             raise InvalidId(f"unknown step kind {kind!r}")
         if not ok:
-            raise NotMergeable(
-                f"pair ({pos[sx]}, {pos[sy]}) is not {kind}-mergeable")
+            raise NotMergeable(f"pair {(x, y)} is not {kind}-mergeable")
         alpha = kind == "alpha"
         keep, drop = (sx, sy) if pos[sx] < pos[sy] else (sy, sx)
         pair = 1 << sx | 1 << sy
@@ -619,8 +615,16 @@ def brute_coarsest_color_respecting(p: Poset, coloring) -> EPartition:
     from .coloring import _check_base   # local import, no cycle at load
 
     _check_base(p, coloring)
+    return _coarsest_among(all_epartitions(p), coloring)
+
+
+def _coarsest_among(parts: Sequence[EPartition], coloring) -> EPartition:
+    """The oracle's scan over `parts`, every E-partition of the coloring's
+    poset: the E-partitions do not depend on the coloring, so a caller
+    with many colorings of one poset enumerates them once. PropertyFalsified
+    if the single-colored ones lack a greatest element."""
     colors = coloring.colors
-    candidates = [part for part in all_epartitions(p)
+    candidates = [part for part in parts
                   if all(colors[x] == colors[b[0]]
                          for b in part.blocks for x in b)]
     best = min(candidates, key=lambda e: (len(e.blocks), e.blocks))

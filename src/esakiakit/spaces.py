@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .coloring import Coloring
 from .errors import InvalidId, OutOfRange
-from .poset import Poset
+from .poset import Poset, _is_id
 
 KIND_ORDER = ("a", "b", "c", "d", "ea", "eb")
 _LABEL_RE = re.compile(r"^(ea|eb|a|b|c|d|y)(\d+)(?:_(\d+))?$")
@@ -135,8 +135,10 @@ def abomination_truncation(n: int, M: int) -> Poset:
       ea(m, k) < d(m, j) for j != k, and a(m)
       eb(m, k) < d(m, j) for j != k, and b(m)
     The bottom point of the infinite space is deliberately absent.
+    OutOfRange unless n and M are plain ints (not bools or floats) with
+    n >= 2 and M >= 0.
     """
-    if n < 2 or M < 0:
+    if not (_is_id(n) and _is_id(M) and n >= 2 and M >= 0):
         raise OutOfRange("needs n >= 2 and M >= 0")
     w = width_of(n)
     # The first M+1 triples of triple_table(n), wrapping like assigned(),
@@ -183,8 +185,10 @@ def ladder_id(n: int, m: int, i: int) -> int:
 
 
 def ladder_truncation(n: int, M: int) -> Poset:
-    """Levels 0..M of the ladder: y(m, i) < y(m-1, j) iff i != j."""
-    if n < 0 or M < 0:
+    """Levels 0..M of the ladder: y(m, i) < y(m-1, j) iff i != j.
+    OutOfRange unless n and M are plain ints (not bools or floats) with
+    n >= 0 and M >= 0."""
+    if not (_is_id(n) and _is_id(M) and n >= 0 and M >= 0):
         raise OutOfRange("needs n >= 0 and M >= 0")
     w = width_of(n)
     covers = []

@@ -152,6 +152,16 @@ def test_mask_rejects_indices_outside_the_carrier():
     assert a.mask(len(a) - 1) == 0b111
 
 
+def test_generated_subalgebra_rejects_indices_outside_the_carrier():
+    """The one id rule of `mask`: a bool or a float that equals an index
+    is refused, not read as that index."""
+    a = upset_algebra(v_poset())
+    for g in (-1, len(a), True, 1.0):
+        with pytest.raises(InvalidId):
+            generated_subalgebra(a, [g])
+    assert a.bot in generated_subalgebra(a, [1])
+
+
 def test_evaluate_rejects_indices_outside_the_carrier():
     a = upset_algebra(v_poset())
     for v in (-1, len(a)):

@@ -10,6 +10,8 @@ from esakiakit import (Poset, abomination_truncation,
                        coarsest_color_respecting, enumerate_posets, quotient)
 from esakiakit.randgen import random_weak_coloring
 
+from test_poset import covers_down, permuted
+
 
 def reference_canonical_form(p: Poset):
     """(n, least sorted cover list) over every leaf of the search tree,
@@ -19,7 +21,7 @@ def reference_canonical_form(p: Poset):
     if n == 0:
         return (0, ())
     succ = p._succ
-    pred = [p.covers_down(x) for x in range(n)]
+    pred = [covers_down(p, x) for x in range(n)]
 
     def refine(colors):
         while True:
@@ -88,7 +90,7 @@ def enumeration_candidates(n):
 def relabelled(rng, p):
     perm = list(range(p.n))
     rng.shuffle(perm)
-    return p.permuted(perm)
+    return permuted(p, perm)
 
 
 def seeded_quotients(z, order, count, seed):

@@ -17,6 +17,7 @@ from esakiakit.poset import _top_down
 from esakiakit.probes import enumerate_posets
 from esakiakit.randgen import random_poset, random_weak_coloring
 
+from test_poset import permuted
 from test_replay import mergeable_pairs
 
 
@@ -90,7 +91,7 @@ def test_weakness_matches_the_cover_definition():
         n = rng.randint(0, 12)
         perm = list(range(n))
         rng.shuffle(perm)
-        p = random_poset(rng, n).permuted(perm)
+        p = permuted(random_poset(rng, n), perm)
         order = rng.randint(1, 3)
         kind = rng.randrange(3)
         colors = list(random_weak_coloring(rng, p, order).colors)

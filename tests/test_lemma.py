@@ -5,7 +5,8 @@ import pytest
 import esakiakit.lemma as lemma
 import esakiakit.reduction as reduction
 from esakiakit import (Coloring, EmbeddingMismatch, EPartition, InvalidId,
-                       NotUpset, NotWeakColoring, OutOfRange, Poset,
+                       NotMergeable, NotUpset, NotWeakColoring, OutOfRange,
+                       Poset,
                        PropertyFalsified, QuotientNotColorable, ReductionStep,
                        Schedule, abomination_truncation, compose_steps,
                        corollary_certificate, corollary_check, delta_map,
@@ -16,6 +17,8 @@ from esakiakit import (Coloring, EmbeddingMismatch, EPartition, InvalidId,
 from esakiakit.lemma import _label_rows, c_rows, merges_every_full_c_row
 from esakiakit.randgen import random_weak_coloring
 from esakiakit.suite import SCHEDULE_RUNS, check_ladder_schedules
+
+from test_poset import permuted
 
 
 CENSUS_4_SEED = 0
@@ -119,6 +122,22 @@ def test_verify_rejects_tampering():
         verify_schedule(v, f, Schedule(v, apart, EPartition.from_pairs(v, [(0, 2)])))
 
 
+def test_a_step_that_does_not_replay_is_named_by_its_original_ids():
+    """The first merge renumbers the current elements; the failing step
+    is still reported by the ids it was given, (3, 4), not by its current
+    ones, (2, 3)."""
+    v = ladder_truncation(0, 2)
+    steps = (ReductionStep("beta", (0, 1)), ReductionStep("beta", (3, 4)))
+    with pytest.raises(NotMergeable,
+                       match=r"^pair \(3, 4\) is not beta-mergeable$"):
+        compose_steps(v, steps)
+    sched = Schedule(v, steps, EPartition.from_pairs(v, [(0, 1), (3, 4)]))
+    with pytest.raises(PropertyFalsified,
+                       match=r"^step 1 \(y1_1, y2_0\) stopped being beta-valid: "
+                             r"pair \(3, 4\) is not beta-mergeable$"):
+        verify_schedule(v, constant(v, 0), sched)
+
+
 def test_verify_refuses_alpha_steps():
     """Every step of a schedule must be a beta merge, even when alpha
     steps replay and leave a merged pair in every full level."""
@@ -162,8 +181,8 @@ def test_delta_map_refuses_ids_outside_the_ladder():
     delta = delta_map(2, 1, z)
     n = delta.source.n
     assert delta(0) == delta.mapping[0] and delta(n - 1) == delta.mapping[-1]
-    for x in (-1, n, -n):
-        with pytest.raises(InvalidId, match=f"ladder id {x} outside 0..{n - 1}"):
+    for x in (-1, n, -n, True, 1.0):
+        with pytest.raises(InvalidId, match=f"ladder id {x!r} outside 0..{n - 1}"):
             delta(x)
 
 
@@ -189,10 +208,10 @@ def test_lift_refuses_steps_outside_the_ladder(monkeypatch):
     delta = delta_map(2, 1, z)
     n = delta.source.n
     f = constant(z, 2)
-    for pair in ((-1, n - 2), (n, 0)):
+    for pair in ((-1, n - 2), (n, 0), (1.0, 0)):
         bad = Schedule(delta.source, (ReductionStep("beta", pair),),
                        EPartition.identity(delta.source))
-        with pytest.raises(InvalidId, match=f"ladder id {pair[0]} outside"):
+        with pytest.raises(InvalidId, match=f"ladder id {pair[0]!r} outside"):
             lift_schedule(z, f, delta, bad)
     assert merged == []
 
@@ -204,7 +223,7 @@ def test_lift_refuses_a_delta_into_another_poset(monkeypatch):
     z = abomination_truncation(2, 1)
     delta = delta_map(2, 1, z)
     sched = schedule_beta_reductions(delta.source, constant(delta.source, 2))
-    moved = z.permuted(list(range(z.n))[::-1])
+    moved = permuted(z, list(range(z.n))[::-1])
     merged = spy_merges(monkeypatch)
     with pytest.raises(InvalidId, match="delta embeds into a different poset"):
         lift_schedule(moved, constant(moved, 2), delta, sched)

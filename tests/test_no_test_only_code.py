@@ -34,22 +34,10 @@ KEPT = {
         "a paper object: the levels of a ladder subspace holding every column",
     "lemma.py:corollary_certificate":
         "a paper claim: the transported merge certificate",
-    "poset.py:Poset.covers_down":
-        "a core primitive the tests use as an oracle",
-    "poset.py:Poset.is_upset":
-        "a core primitive the tests use as an oracle",
-    "poset.py:Poset.maximal_mask":
-        "a core primitive the tests use as an oracle",
-    "poset.py:Poset.permuted":
-        "a core primitive the tests use to relabel posets",
-    "poset.py:Poset.isomorphic":
-        "a core primitive the tests use as an oracle",
     "probes.py:growth_probe":
         "a paper claim: the infinite side of the dichotomy",
     "reduction.py:EPartition.from_blocks":
         "a core primitive: a checked partition from explicit blocks",
-    "reduction.py:EPartition.same":
-        "a core primitive the tests use as an oracle",
     "reduction.py:alpha_mergeable":
         "a paper object: the alpha move, as a predicate on one pair",
     "reduction.py:beta_mergeable":

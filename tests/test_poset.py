@@ -26,6 +26,58 @@ def chain(n):
     return Poset.from_covers(n, [(i, i + 1) for i in range(n - 1)])
 
 
+# Helpers the tests read and the library does not, kept apart from the
+# library's own tables; other test modules import them from here.
+
+
+def covers_down(p: Poset, x: int) -> tuple[int, ...]:
+    """Immediate predecessors of x, read off the down and up masks: the
+    maximal elements of the strict down set of x."""
+    below = p.down_mask(x) ^ 1 << x
+    return tuple(y for y in ids_of(below)
+                 if p.up_mask(y) & below == 1 << y)
+
+
+def up_set(p: Poset, mask: int) -> int:
+    """Upward closure of an element mask."""
+    out = 0
+    for x in ids_of(mask):
+        out |= p.up_mask(x)
+    return out
+
+
+def is_upset(p: Poset, mask: int) -> bool:
+    return up_set(p, mask) == mask
+
+
+def maximal_mask(p: Poset) -> int:
+    """The elements whose up set is themselves alone."""
+    return mask_of(x for x in range(p.n) if p.up_mask(x) == 1 << x)
+
+
+def permuted(p: Poset, perm) -> Poset:
+    """Relabel p: old element x becomes perm[x], with its label.
+    InvalidId for anything but a permutation of 0..n-1."""
+    if sorted(perm) != list(range(p.n)):
+        raise InvalidId("not a permutation of 0..n-1")
+    labels = None
+    if p.labels is not None:
+        labels = [None] * p.n
+        for x, lab in enumerate(p.labels):
+            labels[perm[x]] = lab
+    return Poset.from_covers(p.n, [(perm[x], perm[y]) for x, y in p.covers],
+                             labels)
+
+
+def isomorphic(p: Poset, q: Poset) -> bool:
+    return p.canonical_form() == q.canonical_form()
+
+
+def same(part: EPartition, x: int, y: int) -> bool:
+    """Do x and y lie in one block of the partition?"""
+    return any(x in b and y in b for b in part.blocks)
+
+
 BRUTE_FORCE_LIMIT = 20
 
 
@@ -152,12 +204,12 @@ def longest_chains(up_rows):
 
 
 def check_derived_tables(p):
-    """Down masks, covers_down and depths against the covers and up masks."""
+    """Down masks, lower covers and depths against the covers and up masks."""
     rows = [p.up_mask(x) for x in range(p.n)]
     assert [p.down_mask(y) for y in range(p.n)] == [
         sum(1 << x for x in range(p.n) if (rows[x] >> y) & 1)
         for y in range(p.n)]
-    assert [p.covers_down(y) for y in range(p.n)] == [
+    assert [covers_down(p, y) for y in range(p.n)] == [
         tuple(x for x, z in p.covers if z == y) for y in range(p.n)]
     assert p.depths() == longest_chains(rows)
 
@@ -215,9 +267,9 @@ def test_both_top_down_routes_build_the_same_poset():
         p = random_poset(rng, n)        # ids ascend upward: the walk pushes
         assert all(p.up_mask(x) & ((1 << x) - 1) == 0 for x in range(n))
         rev = [n - 1 - x for x in range(n)]
-        r = p.permuted(rev)             # ids ascend downward: no push
+        r = permuted(p, rev)            # ids ascend downward: no push
         assert all(r.up_mask(x) < 2 << x for x in range(n))
-        back = r.permuted(rev)
+        back = permuted(r, rev)
         assert back.covers == p.covers
         for x in range(n):
             assert r.up_mask(rev[x]) == mask_of(rev[y] for y in ids_of(p.up_mask(x)))
@@ -236,15 +288,11 @@ def test_leq_and_masks_on_chain():
     assert p.up_mask(1) == 0b110
     assert p.down_mask(2) == 0b111
     assert p.covers_up(0) == (1,)
-    assert p.covers_down(2) == (1,)
 
 
 def test_upset_and_downset_masks():
     p = v_poset()
-    assert p.up_set(mask_of([0])) == 0b111
     assert p.down_set(mask_of([1])) == 0b011
-    assert p.is_upset(mask_of([1, 2]))
-    assert not p.is_upset(mask_of([0]))
 
 
 def test_element_set_methods_reject_masks_outside_the_poset():
@@ -253,11 +301,7 @@ def test_element_set_methods_reject_masks_outside_the_poset():
     p = v_poset()
     for mask in (-1, -0b100, 0b1000, 0b1001):
         with pytest.raises(InvalidId):
-            p.up_set(mask)
-        with pytest.raises(InvalidId):
             p.down_set(mask)
-        with pytest.raises(InvalidId):
-            p.is_upset(mask)
         with pytest.raises(InvalidId):
             p.induced(mask)
     assert p.induced(0)[0].n == 0
@@ -359,7 +403,6 @@ def test_upsets_counts():
 
 def test_extremes_and_root():
     p = v_poset()
-    assert p.maximal_mask() == 0b110
     assert p.minimal_mask() == 0b001
     assert p.has_root()
     assert not chain(0).has_root()
@@ -369,7 +412,7 @@ def test_extremes_and_root():
 
 def test_depths_and_height():
     p = chain(4)
-    assert [p.depth(x) for x in range(4)] == [4, 3, 2, 1]
+    assert p.depths() == (4, 3, 2, 1)
     assert max(p.depths()) == 4
     assert v_poset().depths() == (2, 1, 1)
 
@@ -510,9 +553,8 @@ def test_canonical_form_is_permutation_invariant():
         p = random_poset(rng, rng.randint(1, 7))
         perm = list(range(p.n))
         rng.shuffle(perm)
-        q = p.permuted(perm)
+        q = permuted(p, perm)
         assert p.canonical_form() == q.canonical_form()
-        assert p.isomorphic(q)
 
 
 def test_canonical_form_matches_the_brute_force_minimum():
@@ -527,7 +569,7 @@ def test_canonical_form_matches_the_brute_force_minimum():
             for _ in range(2):
                 perm = list(range(k))
                 rng.shuffle(perm)
-                posets.append(p.permuted(perm))
+                posets.append(permuted(p, perm))
 
     def brute(p):
         covers = p.covers
@@ -541,13 +583,12 @@ def test_canonical_form_matches_the_brute_force_minimum():
 
 
 def test_non_isomorphic_posets_differ():
-    assert not chain(3).isomorphic(v_poset())
-    assert not chain(2).isomorphic(Poset.from_covers(2, []))
+    assert not isomorphic(chain(3), v_poset())
+    assert not isomorphic(chain(2), Poset.from_covers(2, []))
 
 
 @pytest.mark.parametrize("other", [None, 3, "x", (3, ())])
 def test_a_non_poset_is_not_isomorphic(other):
-    assert not chain(3).isomorphic(other)
     assert chain(3) != other
 
 
@@ -575,7 +616,7 @@ def labelled_colored_posets(draw):
     labels = draw(st.none() | st.lists(st.none() | st.text(max_size=3),
                                        min_size=n, max_size=n))
     perm = draw(st.permutations(range(n)))
-    p = Poset.from_leq(n, rows, labels).permuted(perm)
+    p = permuted(Poset.from_leq(n, rows, labels), perm)
     order = draw(st.integers(0, 3))
     colors = draw(st.lists(st.integers(0, (1 << order) - 1),
                            min_size=n, max_size=n))
@@ -635,7 +676,7 @@ def test_element_accessors_reject_ids_outside_the_poset(bad):
     """On the 3-element V, -1 must not name element 2 by Python's negative
     indexing, and 3 must not reach a bare IndexError."""
     v = v_poset()
-    for read in (v.up_mask, v.down_mask, v.covers_up, v.covers_down, v.depth,
+    for read in (v.up_mask, v.down_mask, v.covers_up,
                  lambda x: v.leq(x, 2), lambda x: v.leq(2, x),
                  lambda x: alpha_mergeable(v, x, 1), lambda x: alpha_mergeable(v, 1, x),
                  lambda x: beta_mergeable(v, x, 1), lambda x: beta_mergeable(v, 1, x)):

@@ -19,8 +19,9 @@ from esakiakit.coloring import enumerate_weak_colorings
 from esakiakit.poset import ids_of, mask_of
 from esakiakit.probes import enumerate_posets, quotient_census
 from esakiakit.randgen import random_poset, random_weak_coloring
-from esakiakit.reduction import _Replay
+from esakiakit.reduction import _coarsest_among, _Replay
 
+from test_poset import isomorphic, permuted, same, up_set
 from test_replay import current_poset, merge_step, mergeable_pairs
 
 
@@ -40,7 +41,7 @@ def test_epartition_validation():
         EPartition.from_blocks(p, [[0, 1], [1, 2]])  # overlap
     part = EPartition.from_blocks(p, [[1, 2], [0]])
     assert is_epartition(p, part)
-    assert part.same(1, 2) and not part.same(0, 1)
+    assert same(part, 1, 2) and not same(part, 0, 1)
     assert part.blocks[part.block_of(1)] == (1, 2)
 
 
@@ -50,10 +51,6 @@ def test_epartition_accessors_reject_ids_outside_the_poset():
     for x in (-1, -3, 3, 10):
         with pytest.raises(InvalidId):
             part.block_of(x)
-        with pytest.raises(InvalidId):
-            part.same(x, 0)
-        with pytest.raises(InvalidId):
-            part.same(0, x)
     for other in (chain(2), chain(4), Poset.from_covers(3, [])):
         foreign = EPartition.identity(other)
         with pytest.raises(InvalidId):
@@ -192,7 +189,7 @@ def up_set_quotient(p, part):
     proj = tuple(rank[part.block_of(x)] for x in range(p.n))
     rows = [0] * len(part.blocks)
     for old, block in enumerate(part.blocks):
-        rows[rank[old]] = mask_of(proj[y] for y in ids_of(p.up_set(mask_of(block))))
+        rows[rank[old]] = mask_of(proj[y] for y in ids_of(up_set(p, mask_of(block))))
     return Poset.from_leq(len(rows), rows), proj
 
 
@@ -274,7 +271,7 @@ def partitioned_posets(draw):
     E-partitions, drawn from `all_epartitions` in growth order."""
     n = draw(st.integers(7, 8))
     p = random_poset(draw(st.randoms(use_true_random=False)), n)
-    p = p.permuted(draw(st.permutations(range(n))))
+    p = permuted(p, draw(st.permutations(range(n))))
     return p, draw(st.sampled_from(in_growth_order(all_epartitions(p))))
 
 
@@ -352,7 +349,7 @@ def test_decompose_then_compose_roundtrip():
     assert [(s.kind, s.pair) for s in steps] == [("beta", (1, 2))]
     ker = compose_steps(p, steps)
     assert ker == kernel(p, (0, 1, 1))
-    assert quotient(p, ker)[0].isomorphic(q)
+    assert isomorphic(quotient(p, ker)[0], q)
 
 
 def test_decompose_rejects_bad_maps():
@@ -637,7 +634,7 @@ def test_all_epartitions_matches_bell_filter():
         for _ in range(15):
             perm = list(range(n))
             rng.shuffle(perm)
-            p = random_poset(rng, n).permuted(perm)
+            p = permuted(random_poset(rng, n), perm)
             assert in_growth_order(all_epartitions(p)) == bell_filter(p), p
 
 
@@ -651,7 +648,7 @@ def test_all_epartitions_does_not_use_the_greedy(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("all_epartitions reached the greedy")
     oracle = {"all_epartitions", "brute_coarsest_color_respecting",
-              "EPartition"}
+              "_coarsest_among", "EPartition"}
     replaced = set()
     for name, obj in vars(reduction).copy().items():
         if callable(obj) and getattr(obj, "__module__", None) == \
@@ -793,42 +790,76 @@ def color_pattern(colors):
     return tuple(first.setdefault(c, len(first)) for c in colors)
 
 
-def test_brute_coarsest_matches_the_set_filter(monkeypatch):
+def test_brute_coarsest_matches_the_set_filter():
     """Every poset up to 5 elements with every weak coloring of orders 1-3,
     then seeded relabelled posets of 7 and 8 elements. The enumeration is
     pinned by test_all_epartitions_matches_bell_filter, so on the small
-    posets the oracle reads each poset's list from a cache and only its
-    filter and refines check run per coloring. The reference reads colors
-    only through equality, so it runs once per color pattern."""
-    import esakiakit.reduction as reduction
+    posets each poset's list is taken once and the oracle's scan
+    `_coarsest_among`, its filter and refines check, runs per coloring.
+    The reference reads colors only through equality, so it runs once per
+    color pattern."""
     checked = 0
     for n in range(6):
         for p in enumerate_posets(n):
             parts = all_epartitions(p)
-            monkeypatch.setattr(reduction, "all_epartitions",
-                                lambda q, parts=parts: parts)
             expected = {}
             for order in (1, 2, 3):
                 for f in enumerate_weak_colorings(p, order):
                     key = color_pattern(f.colors)
                     if key not in expected:
                         expected[key] = set_filter_oracle(parts, f.colors).blocks
-                    assert brute_coarsest_color_respecting(p, f).blocks == \
+                    assert _coarsest_among(parts, f).blocks == \
                         expected[key], (p, f.colors)
                     checked += 1
     assert checked == 195053
-    monkeypatch.undo()
     rng = random.Random(71)
     for n in (7, 8):
         for _ in range(12):
             perm = list(range(n))
             rng.shuffle(perm)
-            p = random_poset(rng, n).permuted(perm)
+            p = permuted(random_poset(rng, n), perm)
             parts = all_epartitions(p)
             for order in (1, 2, 3):
                 f = random_weak_coloring(rng, p, order)
                 assert brute_coarsest_color_respecting(p, f) == \
                     set_filter_oracle(parts, f.colors), (p, f.colors)
+
+
+def test_the_oracle_scan_needs_a_greatest_candidate():
+    """Two single-colored partitions, neither refining the other, have no
+    greatest element: the scan must refuse them, not return the least
+    by its key. A block mixing colors is never a candidate."""
+    p = Poset.from_covers(3, [])
+    f = Coloring.of(p, 1, [0, 0, 0])
+    parts = [EPartition.from_blocks(p, [[0, 1], [2]]),
+             EPartition.from_blocks(p, [[0], [1, 2]])]
+    with pytest.raises(PropertyFalsified):
+        _coarsest_among(parts, f)
+    whole = EPartition.from_blocks(p, [[0, 1, 2]])
+    assert _coarsest_among(parts + [whole], f) == whole
+    g = Coloring.of(p, 1, [0, 0, 1])
+    assert _coarsest_among([whole, parts[0]], g) == parts[0]
+
+
+def test_the_oracle_check_enumerates_each_poset_once(monkeypatch):
+    """Criterion 7 takes the E-partitions of each of its 87 exhaustive
+    posets (1 + 2 + 5 + 16 + 63, sizes 1-5) once, for all their colorings,
+    and calls the public oracle once per sample, so it enumerates
+    87 + 500 times in place of once per instance (11,992 + 500)."""
+    import esakiakit.reduction as reduction
+    import esakiakit.suite as suite
+    calls = []
+
+    def counting(p):
+        calls.append(p.n)
+        return all_epartitions(p)
+    monkeypatch.setattr(reduction, "all_epartitions", counting)
+    monkeypatch.setattr(suite, "all_epartitions", counting)
+    assert suite.check_coarsest_oracle(42) == {
+        "pass": True, "exhaustive_instances": 11992,
+        "sampled_instances": suite.ORACLE_SAMPLES, "mismatches": 0,
+        "seed": 42}
+    assert len(calls) == 87 + suite.ORACLE_SAMPLES == 587
 
 
 def test_refines_matches_the_set_definition():
@@ -859,10 +890,10 @@ def colored_posets(draw):
     rows = [draw(st.integers(0, (1 << n) - 1)) >> (x + 1) << (x + 1)
             for x in range(n)]
     perm = draw(st.permutations(range(n)))
-    p = Poset.from_leq(n, rows).permuted(perm)
+    p = permuted(Poset.from_leq(n, rows), perm)
     order = draw(st.integers(1, 3))
     colors = [0] * n
-    for x in sorted(range(n), key=p.depth):
+    for x in sorted(range(n), key=p.depths().__getitem__):
         ceiling = (1 << order) - 1
         for y in p.covers_up(x):
             ceiling &= colors[y]

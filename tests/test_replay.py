@@ -30,6 +30,8 @@ from esakiakit.randgen import random_poset, random_weak_coloring
 from esakiakit.reduction import (EPartition, _check_pair, alpha_mergeable,
                                  beta_mergeable, kernel)
 
+from test_poset import covers_down, permuted
+
 
 def mergeable_pairs(p: Poset) -> list[tuple[str, int, int]]:
     """Every single-pair move, deterministically ordered by
@@ -75,7 +77,7 @@ def current_poset(replay) -> Poset:
     perm = [0] * q.n
     for x, s in enumerate(replay.owner):
         perm[proj[x]] = replay.pos[s]
-    return q.permuted(perm)
+    return permuted(q, perm)
 
 
 class ReferenceReplay:
@@ -97,7 +99,10 @@ class ReferenceReplay:
         bx, by = self.proj[x], self.proj[y]
         if bx == by:
             raise NotMergeable(f"pair {(x, y)} already identified")
-        self.cur, pi = merge_step(self.cur, kind, bx, by)
+        try:
+            self.cur, pi = merge_step(self.cur, kind, bx, by)
+        except NotMergeable:
+            raise NotMergeable(f"pair {(x, y)} is not {kind}-mergeable") from None
         names = [0] * self.cur.n
         for z in reversed(range(len(pi))):      # lowest preimage written last
             names[pi[z]] = self.names[z]
@@ -230,10 +235,10 @@ def assert_state_matches_cur(replay):
         assert current(down[s] & live) == cur.down_mask(x)
         assert not (succ[s] | pred[s]) & ~live
         assert current(succ[s]) == mask_of(cur.covers_up(x))
-        assert current(pred[s]) == mask_of(cur.covers_down(x))
+        assert current(pred[s]) == mask_of(covers_down(cur, x))
         assert all(pred[t] >> s & 1 for t in ids_of(succ[s]))
-        assert replay.depth[s] == cur.depth(x)
-        assert [d for d, row in enumerate(level) if row >> s & 1] == [cur.depth(x)]
+        assert replay.depth[s] == cur.depths()[x]
+        assert [d for d, row in enumerate(level) if row >> s & 1] == [cur.depths()[x]]
         assert sorted(replay.members[s]) == owned[s]
     union = 0
     for row in level:
@@ -363,7 +368,8 @@ def error_outcomes():
 
     out += merges(v, ("beta", 1, 2), ("beta", 2, 1), ("gamma", 0, 1),
                   ("beta", -1, 1), ("beta", 1, 3), ("alpha", 0, 1))
-    # After alpha (2, 3) the current ids of originals 0 and 1 are 2 and 1.
+    # After alpha (2, 3) the current ids of originals 0 and 1 are 2 and 1;
+    # the messages name the originals.
     out += merges(c4, ("alpha", 2, 3), ("beta", 0, 1), ("alpha", 3, 2),
                   ("gamma", 0, 3), ("alpha", 4, 0))
     for pairs in ([("beta", (1, 2)), ("beta", (1, 2))], [("gamma", (1, 2))],
@@ -397,7 +403,8 @@ def test_error_paths_match_the_reference(monkeypatch):
     assert got == expected
     messages = [o[1] for o in got if isinstance(o, tuple) and len(o) == 2
                 and isinstance(o[0], type)]
-    assert "pair (2, 1) is not beta-mergeable" in messages
+    assert messages.count("pair (0, 1) is not beta-mergeable") == 3
+    assert "pair (2, 1) is not beta-mergeable" not in messages
     assert "pair (1, 2) already identified" in messages
     assert "unknown step kind 'gamma'" in messages
     assert sum("stopped being beta-valid" in m for m in messages) == 2

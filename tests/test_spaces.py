@@ -2,13 +2,14 @@ import pytest
 
 from esakiakit import (InvalidId, OutOfRange, SpaceLabel, abomination_id,
                        abomination_level_ids, abomination_truncation,
-                       canonical_coloring, ids_of, is_coloring, ladder_id,
-                       ladder_truncation, level_size,
+                       canonical_coloring, growth_probe, ids_of, is_coloring,
+                       ladder_id, ladder_truncation, level_size,
                        monochrome_mergeable_pair, search_coloring,
                        triple_table, verify_downset_claim, width_of)
 from esakiakit.poset import JSON_COVER_LIMIT
 from esakiakit.spaces import abomination_cover_count, ladder_cover_count
 
+from test_poset import is_upset, maximal_mask
 from test_replay import mergeable_pairs
 
 
@@ -105,12 +106,26 @@ def test_truncation_sizes():
         abomination_truncation(2, -1)
 
 
+@pytest.mark.parametrize("build, args", [
+    (abomination_truncation, (2, 1.0)),
+    (abomination_truncation, (2.0, 1)),
+    (ladder_truncation, (0, 1.0)),
+    (ladder_truncation, (True, 1)),
+    (growth_probe, (2.0, [0])),
+    (growth_probe, (2, [0.0])),
+])
+def test_generators_refuse_sizes_that_are_not_ints(build, args):
+    """A bool or a float is not a size, even when it equals one."""
+    with pytest.raises(OutOfRange):
+        build(*args)
+
+
 def test_maximals_are_the_top_c_row():
     for n, M in ((2, 0), (2, 1), (3, 0)):
         p = abomination_truncation(n, M)
         expected = {abomination_id(n, SpaceLabel("c", 0, k))
                     for k in range(width_of(n))}
-        assert set(ids_of(p.maximal_mask())) == expected
+        assert set(ids_of(maximal_mask(p))) == expected
 
 
 def test_cover_count_and_mergeable_pairs():
@@ -119,7 +134,7 @@ def test_cover_count_and_mergeable_pairs():
     pairs = mergeable_pairs(p)
     assert all(kind == "beta" for kind, _, _ in pairs)
     assert len(pairs) == 28
-    maxima = set(ids_of(p.maximal_mask()))
+    maxima = set(ids_of(maximal_mask(p)))
     assert all(x in maxima and y in maxima for _, x, y in pairs)
 
 
@@ -171,11 +186,11 @@ def test_level_prefixes_are_upsets():
     p = abomination_truncation(2, 2)
     for m in range(3):
         prefix = (1 << (m + 1) * level_size(2)) - 1
-        assert p.is_upset(prefix)
+        assert is_upset(p, prefix)
     q = ladder_truncation(1, 4)
     for m in range(5):
         prefix = (1 << (m + 1) * width_of(1)) - 1
-        assert q.is_upset(prefix)
+        assert is_upset(q, prefix)
 
 
 def test_labels_match_ids():
