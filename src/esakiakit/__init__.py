@@ -19,10 +19,9 @@ from .lemma import (DeltaMap, LiftCertificate, Schedule, corollary_certificate,
                     corollary_check, delta_map, full_c_levels, full_levels,
                     lift_schedule, schedule_beta_reductions, verify_schedule)
 from .poset import Poset, ids_of, mask_of
-from .probes import (GrowthReport, KcReport, QuotientCensus,
-                     enumerate_posets, enumerate_rooted_posets, growth_probe,
-                     kc_probe, quotient_census, size_bound,
-                     size_bound_by_levels)
+from .probes import (KcReport, QuotientCensus, enumerate_posets,
+                     enumerate_rooted_posets, kc_probe, quotient_census,
+                     size_bound, size_bound_by_levels)
 from .randgen import random_poset, random_weak_coloring
 from .reduction import (EPartition, ReductionStep, all_epartitions,
                         alpha_mergeable, beta_mergeable,
@@ -59,7 +58,7 @@ __all__ = [
     "DeltaMap", "delta_map", "LiftCertificate", "lift_schedule",
     "corollary_certificate", "corollary_check", "full_c_levels",
     "QuotientCensus", "quotient_census", "size_bound", "size_bound_by_levels",
-    "KcReport", "kc_probe", "GrowthReport", "growth_probe",
+    "KcReport", "kc_probe",
     "enumerate_posets", "enumerate_rooted_posets",
     "random_poset", "random_weak_coloring", "run_suite",
     "BudgetExceeded", "CycleDetected", "EmbeddingMismatch", "EsakiaKitError",

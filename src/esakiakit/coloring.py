@@ -15,7 +15,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .errors import (BudgetExceeded, InvalidId, NotColoring, OutOfRange,
                      PropertyFalsified)
-from .poset import Poset, _is_id, _top_down
+from .poset import Poset, _id_items, _is_id, _top_down
 from .reduction import _Replay
 
 
@@ -73,28 +73,17 @@ class Coloring:
         if not _is_id(n):
             raise InvalidId(f"n must be an integer, got {n!r}")
         raw = data.get("colors")
-        if isinstance(raw, Mapping):
-            items = raw.items()
-        elif isinstance(raw, list):
-            items = enumerate(raw)
-        else:
+        if not isinstance(raw, (Mapping, list)):
             raise InvalidId("colors must be a list or an id-to-bits map")
+        items = _id_items(base.n, raw)
+        if len(items) != base.n:
+            raise InvalidId("colors missing for some elements")
         cols = [0] * base.n
-        seen = set()
-        for key, bits in items:
-            x = int(key) if isinstance(key, str) and key.isascii() \
-                and key.isdigit() else key
-            if not _is_id(x):
-                raise InvalidId(f"element key {key!r} is not an integer")
-            if not 0 <= x < base.n or x in seen:
-                raise InvalidId(f"bad or repeated element {key!r}")
-            seen.add(x)
+        for x, bits in items:
             if not isinstance(bits, str) or len(bits) != n \
                     or any(ch not in "01" for ch in bits):
                 raise OutOfRange(f"color string {bits!r} is not {n} bits")
             cols[x] = int(bits, 2) if n else 0
-        if len(seen) != base.n:
-            raise InvalidId("colors missing for some elements")
         return Coloring.of(base, n, cols)
 
 
@@ -145,6 +134,8 @@ def _weak_walk(p: Poset, n: int, groups: Sequence[int] | None,
     recursion limit."""
     if type(n) is not int or n < 0:
         raise OutOfRange(f"color order {n!r} is not a non-negative int")
+    if budget is not None and type(budget) is not int:
+        raise OutOfRange(f"search budget {budget!r} is not an int")
     order = _top_down(p)
     size = len(order)
     succ = p._succ
@@ -201,8 +192,9 @@ def search_coloring(p: Poset, n: int, budget: int | None = None) -> Coloring | N
     """Backtracking search for a coloring of order n.
 
     Returns the lexicographically least solution along the top-down
-    order, or None. A budget bounds the number of color assignments
-    tried; exhausting it raises BudgetExceeded rather than answering.
+    order, or None. A budget, a plain int, bounds the number of color
+    assignments tried; exhausting it raises BudgetExceeded rather than
+    answering, and a budget that is not an int raises OutOfRange.
     """
     ids: dict[tuple[int, ...], int] = {}
     groups = [ids.setdefault(ys, len(ids)) for ys in p._succ]

@@ -128,15 +128,6 @@ def _checked_replay(p: Poset, steps: tuple[ReductionStep, ...], f: Coloring,
     return ker, levels
 
 
-def _verified(v: Poset, f: Coloring, schedule: Schedule,
-              rows: dict[int, dict[int, int]]) -> None:
-    """The body of `verify_schedule`, on the ladder rows of v already read."""
-    ker, _levels = _checked_replay(v, schedule.steps, f, rows,
-                                   _full(rows, width_of(f.n)), "level")
-    if ker != schedule.kernel:
-        raise PropertyFalsified("stored kernel disagrees with replay")
-
-
 class _Column:
     """A fused group of same-level cells, with a mask of original columns."""
 
@@ -160,9 +151,10 @@ def schedule_beta_reductions(v: Poset, f: Coloring) -> Schedule:
     The sweep descends level by level, fusing blocks with equal color and
     equal immediate-successor sets. A level where some color splits into
     several successor classes triggers the narrowing recursion described
-    in the module docstring. Before it is handed back, the schedule is
-    checked by the body of `verify_schedule`, on the ladder rows already
-    read, so a returned Schedule is always valid and needs no second check.
+    in the module docstring. The steps are then replayed once, by the
+    checked replay `verify_schedule` uses, on the ladder rows already read,
+    and the Schedule keeps the kernel that replay computed: a returned
+    Schedule is always valid and needs no second check.
     """
     if not is_weak_coloring(v, f):
         raise NotWeakColoring("scheduler needs an order preserving coloring")
@@ -245,10 +237,9 @@ def schedule_beta_reductions(v: Poset, f: Coloring) -> Schedule:
 
     if rows:
         run((1 << width) - 1, 0, f.n)
-    schedule = Schedule(v, tuple(steps),
-                        EPartition.from_pairs(v, (s.pair for s in steps)))
-    _verified(v, f, schedule, rows)
-    return schedule
+    done = tuple(steps)
+    ker, _levels = _checked_replay(v, done, f, rows, _full(rows, width), "level")
+    return Schedule(v, done, ker)
 
 
 def full_levels(v: Poset, width: int) -> list[int]:
@@ -266,7 +257,12 @@ def verify_schedule(v: Poset, f: Coloring, schedule: Schedule) -> None:
     if schedule.source != v:
         raise InvalidId("schedule was built on a different poset")
     _check_base(v, f)
-    _verified(v, f, schedule, _ladder_rows(v, width_of(f.n)))
+    width = width_of(f.n)
+    rows = _ladder_rows(v, width)
+    ker, _levels = _checked_replay(v, schedule.steps, f, rows,
+                                   _full(rows, width), "level")
+    if ker != schedule.kernel:
+        raise PropertyFalsified("stored kernel disagrees with replay")
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ from typing import Iterable, Mapping, Sequence
 from .errors import CycleDetected, InvalidId
 
 
-# Largest n a poset JSON file may declare. Twice probes.GROWTH_SIZE_CAP, so
-# every truncation the growth probe admits reads back; a dense order at the
+# Largest n a poset JSON file may declare. CLI `gen` refuses a truncation
+# above it, so every poset the CLI writes reads back; a dense order at the
 # limit holds about 13 MB of reachability rows in each direction.
 JSON_SIZE_LIMIT = 10_000
 # Most cover pairs a poset JSON file may list: admits the 785,924 covers of
@@ -375,25 +375,39 @@ def _top_down(p: Poset) -> list[int]:
     return sorted(range(p.n), key=p._depths.__getitem__)
 
 
+def _id_items(n: int, entries) -> list[tuple[int, object]]:
+    """The (id, value) pairs of `entries`, a sequence of n values or a map
+    keyed by element id, where a digit string names the id it spells: the
+    one reader of the id-keyed fields of poset and coloring JSON. InvalidId
+    on a sequence of another length, a key that is not an id of 0..n-1,
+    and an id keyed twice ("1" and "01"). A sequence's ids are its
+    positions, so its entries take no check."""
+    if not isinstance(entries, Mapping):
+        if len(entries) != n:
+            raise InvalidId(f"{len(entries)} entries for {n} elements")
+        return list(enumerate(entries))
+    out: dict[int, object] = {}
+    for key, v in entries.items():
+        x = int(key) if isinstance(key, str) and key.isascii() \
+            and key.isdigit() else key
+        if not (_is_id(x) and 0 <= x < n):
+            raise InvalidId(f"key {key!r} is not an element id")
+        if x in out:
+            raise InvalidId(f"key {key!r} repeats element {x}")
+        out[x] = v
+    return list(out.items())
+
+
 def _norm_labels(n, labels):
     if labels is None:
         return None
-    if isinstance(labels, Mapping):
-        out = [None] * n
-        for k, v in labels.items():
-            if isinstance(k, str) and k.isascii() and k.isdigit():
-                k = int(k)
-            if not (_is_id(k) and 0 <= k < n):
-                raise InvalidId(f"label key {k!r} is not an element id")
-            out[k] = v
-        labels = out
-    elif len(labels) != n:
-        raise InvalidId("label list length mismatch")
-    for v in labels:
+    out = [None] * n
+    for x, v in _id_items(n, labels):
         if v is not None and not isinstance(v, str):
             raise InvalidId(f"label {v!r} is neither a string nor null")
+        out[x] = v
     # no label on any element is the same as no labels
-    return tuple(labels) if any(v is not None for v in labels) else None
+    return tuple(out) if any(v is not None for v in out) else None
 
 
 def _hopcroft_karp(n, adj):

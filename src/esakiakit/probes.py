@@ -1,6 +1,6 @@
 """Desk-scale probes: censuses of colorable quotients, the size-bound
-arithmetic, the excluded-middle cardinality probe, growth measurements,
-and exact enumeration of small posets up to isomorphism.
+arithmetic, the excluded-middle cardinality probe, and exact enumeration
+of small posets up to isomorphism.
 
 Negative or boundedness observations never rest silently on truncated
 search: every report says whether its sweep was exhaustive.
@@ -20,7 +20,7 @@ from .errors import (BudgetExceeded, OutOfRange, Overflow,
 from .poset import Poset, _is_id
 from .randgen import random_weak_coloring
 from .reduction import EPartition, coarsest_color_respecting, quotient
-from .spaces import canonical_coloring, level_size
+from .spaces import level_size
 
 INT_CAP = 2**63 - 1
 EXHAUSTIVE_LIMIT = 12
@@ -104,8 +104,11 @@ def quotient_census(p: Poset, n: int, budget: int | None = None, *,
     past EXHAUSTIVE_CENSUS_LIMIT colorings), otherwise over a seeded
     sample of `budget` colorings preceded by the least strict coloring
     when one exists. Entries are deduplicated by quotient isomorphism;
-    all distinct partitions seen are kept alongside.
+    all distinct partitions seen are kept alongside. OutOfRange for a
+    budget that is not a plain int.
     """
+    if budget is not None and not _is_id(budget):
+        raise OutOfRange(f"census budget {budget!r} is not an int")
     if budget is not None and budget <= 0:
         raise BudgetExceeded("census budget must be positive")
     exhaustive = p.n <= EXHAUSTIVE_LIMIT
@@ -172,9 +175,10 @@ def quotient_census(p: Poset, n: int, budget: int | None = None, *,
 
 def size_bound(n: int, k: int, t: int) -> int:
     """k + 1 + (3 + t) * (2^(n+3) + 2), the cardinality ceiling that the
-    collapse argument contradicts. Overflow-checked against 2^63 - 1."""
-    if n < 0 or k < 0 or t < 0:
-        raise OutOfRange("size_bound needs nonnegative arguments")
+    collapse argument contradicts. Overflow-checked against 2^63 - 1;
+    OutOfRange unless n, k and t are plain ints >= 0."""
+    if not all(_is_id(v) and v >= 0 for v in (n, k, t)):
+        raise OutOfRange("size_bound needs nonnegative int arguments")
     value = k + 1 + (3 + t) * level_size(n)
     if value > INT_CAP:
         raise Overflow(f"{value} exceeds {INT_CAP}")
@@ -184,8 +188,8 @@ def size_bound(n: int, k: int, t: int) -> int:
 def size_bound_by_levels(n: int, k: int, t: int) -> int:
     """The same ceiling assembled the long way: k plus one plus the sizes
     of levels q .. q+t+2, one addition per level."""
-    if n < 0 or k < 0 or t < 0:
-        raise OutOfRange("size_bound needs nonnegative arguments")
+    if not all(_is_id(v) and v >= 0 for v in (n, k, t)):
+        raise OutOfRange("size_bound needs nonnegative int arguments")
     if k + 1 + (3 + t) * level_size(n) > INT_CAP:
         raise Overflow("sum exceeds the checked integer range")
     total = k + 1
@@ -223,42 +227,3 @@ def kc_probe(max_size: int) -> KcReport:
             entries.append((p.n, len(a)))
     entries.sort()
     return KcReport(max_size, max(size for _, size in entries), tuple(entries))
-
-
-# ----- growth of truncations --------------------------------------------------
-
-
-GROWTH_SIZE_CAP = 5000
-
-
-@dataclass(frozen=True)
-class GrowthReport:
-    n: int
-    rows: tuple[tuple[int, int], ...]   # (depth, size)
-
-
-def growth_probe(n: int, depths: list[int]) -> GrowthReport:
-    """Truncation sizes at the given depths. Each truncation is built once,
-    as the base of its canonical coloring, and that coloring checked
-    strict, so the whole truncation is the largest quotient still colorable
-    at order n+1, and sizes grow strictly with depth."""
-    if not _is_id(n) or n not in (2, 3):
-        raise OutOfRange("growth probe is calibrated for n in {2, 3}")
-    if any(not _is_id(d) or d < 0 for d in depths) \
-            or sorted(set(depths)) != list(depths):
-        raise OutOfRange("depths must be strictly increasing nonnegative ints")
-    rows = []
-    for depth in depths:
-        size = (depth + 1) * level_size(n)
-        if size > GROWTH_SIZE_CAP:
-            raise BudgetExceeded(f"truncation of {size} elements over "
-                                 f"GROWTH_SIZE_CAP {GROWTH_SIZE_CAP}")
-        f = canonical_coloring(n, depth)
-        x = f.base
-        if x.n != size:
-            raise PropertyFalsified("generator size disagrees with arithmetic")
-        if not is_coloring(x, f):
-            raise PropertyFalsified(
-                f"canonical coloring fails strictness at depth {depth}")
-        rows.append((depth, size))
-    return GrowthReport(n, tuple(rows))

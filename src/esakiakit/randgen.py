@@ -10,7 +10,7 @@ import random
 
 from .coloring import Coloring
 from .errors import OutOfRange
-from .poset import Poset, _top_down
+from .poset import Poset, _is_id, _top_down
 
 RELATION_PROBABILITY = 0.35     # of each pair i < j in random_poset
 
@@ -18,9 +18,9 @@ RELATION_PROBABILITY = 0.35     # of each pair i < j in random_poset
 def random_poset(rng: random.Random, n: int) -> Poset:
     """Random n-element poset: ids are a topological order and each pair
     i < j is related with probability `RELATION_PROBABILITY`, then closed
-    transitively."""
-    if n < 0:
-        raise OutOfRange("need n >= 0")
+    transitively. OutOfRange unless n is a plain int >= 0."""
+    if not (_is_id(n) and n >= 0):
+        raise OutOfRange(f"need an int n >= 0, got {n!r}")
     rows = [1 << x for x in range(n)]
     for i in range(n - 1, -1, -1):
         for j in range(i + 1, n):

@@ -59,24 +59,6 @@ class EPartition:
     def identity(base: Poset) -> "EPartition":
         return EPartition(base, tuple((x,) for x in range(base.n)))
 
-    @staticmethod
-    def from_pairs(base: Poset, pairs: Iterable[Sequence[int]]) -> "EPartition":
-        """Finest partition identifying all the given pairs; InvalidId on
-        a member outside 0..n-1."""
-        parent = list(range(base.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for x, y in pairs:
-            rx, ry = find(base._id(x)), find(base._id(y))
-            if rx != ry:
-                parent[rx] = ry
-        return kernel(base, [find(x) for x in range(base.n)])
-
     def block_of(self, x: int) -> int:
         return self._lookup[self.base._id(x)]
 

@@ -30,7 +30,8 @@ _LABEL_RE = re.compile(r"^(ea|eb|a|b|c|d|y)(\d+)(?:_(\d+))?$")
 
 @dataclass(frozen=True)
 class SpaceLabel:
-    """Symbolic name of a generated element: kind, level, optional index."""
+    """Symbolic name of a generated element: kind, level, optional index.
+    InvalidId unless the level and any index are plain ints >= 0."""
 
     kind: str
     level: int
@@ -41,8 +42,10 @@ class SpaceLabel:
             raise InvalidId(f"unknown kind {self.kind!r}")
         if (self.index is None) != (self.kind in ("a", "b")):
             raise InvalidId(f"kind {self.kind!r} and index {self.index!r} disagree")
-        if self.level < 0 or (self.index is not None and self.index < 0):
-            raise InvalidId("negative level or index")
+        if not (_is_id(self.level) and self.level >= 0) or not (
+                self.index is None or _is_id(self.index) and self.index >= 0):
+            raise InvalidId(f"level {self.level!r} or index {self.index!r} "
+                            "is not an int >= 0")
 
     def __str__(self) -> str:
         if self.index is None:
@@ -81,14 +84,17 @@ class TripleTable:
 
 
 def triple_table(n: int) -> TripleTable:
+    w = width_of(n)
     if n < 2:
         raise OutOfRange("triple table needs n >= 2")
-    w = 1 << (n + 1)
     return TripleTable(n, tuple(itertools.permutations(range(w), 3)))
 
 
 def width_of(n: int) -> int:
-    """Indices per kind and level: 2^(n+1)."""
+    """Indices per kind and level: 2^(n+1). OutOfRange unless n is a plain
+    int >= 0; the rest of the id arithmetic goes through it."""
+    if not (_is_id(n) and n >= 0):
+        raise OutOfRange(f"need an int n >= 0, got {n!r}")
     return 1 << (n + 1)
 
 
@@ -141,13 +147,18 @@ def abomination_truncation(n: int, M: int) -> Poset:
     if not (_is_id(n) and _is_id(M) and n >= 2 and M >= 0):
         raise OutOfRange("needs n >= 2 and M >= 0")
     w = width_of(n)
+    size = level_size(n)
     # The first M+1 triples of triple_table(n), wrapping like assigned(),
     # without building the whole table (about 2^(3n+3) triples).
     triples = itertools.islice(
         itertools.cycle(itertools.permutations(range(w), 3)), M + 1)
+    # Each kind's first id on level 0: n and M are checked, so a cover's
+    # ends are plain offsets from these, with no label built per cover.
+    first = {kind: abomination_id(n, SpaceLabel(
+        kind, 0, None if kind in ("a", "b") else 0)) for kind in KIND_ORDER}
 
-    def eid(kind, m, k=None):
-        return abomination_id(n, SpaceLabel(kind, m, k))
+    def eid(kind, m, k=0):
+        return m * size + first[kind] + k
 
     covers = []
     for m, (k1, k2, k3) in enumerate(triples):
@@ -169,8 +180,7 @@ def abomination_truncation(n: int, M: int) -> Poset:
                         covers.append((eid("c", m, k), eid("ea", m - 1, j)))
                     covers.append((eid("c", m, k), eid("eb", m - 1, j)))
     labels = [str(lab) for p in range(M + 1) for lab in level_members(n, p)]
-    size = (M + 1) * level_size(n)
-    return Poset.from_covers(size, covers, labels)
+    return Poset.from_covers((M + 1) * size, covers, labels)
 
 
 def abomination_level_ids(n: int, p: int) -> list[int]:
@@ -178,9 +188,13 @@ def abomination_level_ids(n: int, p: int) -> list[int]:
 
 
 def ladder_id(n: int, m: int, i: int) -> int:
+    """The id of y(m, i). OutOfRange unless n, m and i are plain ints >= 0
+    and i is below the width 2^(n+1)."""
     w = width_of(n)
-    if not 0 <= i < w:
-        raise OutOfRange(f"index {i} exceeds width {w}")
+    if not (_is_id(m) and m >= 0):
+        raise OutOfRange(f"level {m!r} is not an int >= 0")
+    if not (_is_id(i) and 0 <= i < w):
+        raise OutOfRange(f"index {i!r} outside width {w}")
     return m * w + i
 
 
@@ -193,10 +207,10 @@ def ladder_truncation(n: int, M: int) -> Poset:
     w = width_of(n)
     covers = []
     for m in range(1, M + 1):
+        above = [ladder_id(n, m - 1, j) for j in range(w)]
         for i in range(w):
-            for j in range(w):
-                if i != j:
-                    covers.append((ladder_id(n, m, i), ladder_id(n, m - 1, j)))
+            x = ladder_id(n, m, i)
+            covers.extend((x, y) for j, y in enumerate(above) if j != i)
     labels = [str(SpaceLabel("y", m, i)) for m in range(M + 1) for i in range(w)]
     return Poset.from_covers((M + 1) * w, covers, labels)
 

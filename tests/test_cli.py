@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import esakiakit.cli as cli
 from esakiakit import Coloring, InvalidId, Poset, PropertyFalsified
 from esakiakit.poset import JSON_SIZE_LIMIT
-from esakiakit.probes import EXHAUSTIVE_CENSUS_LIMIT, GROWTH_SIZE_CAP
+from esakiakit.probes import EXHAUSTIVE_CENSUS_LIMIT
 
 
 def write_json(path, obj):
@@ -313,6 +313,7 @@ def test_falsification_exits_1(capsys, monkeypatch, chain2):
     {"n": 1, "covers": [], "labels": {"0": 7}},     # labels are strings
     {"n": 1, "covers": [], "labels": [[1, 2]]},
     {"n": 2, "covers": [], "labels": [None, True]},
+    {"n": 2, "covers": [], "labels": {"1": "a", "01": "b"}},  # 1 keyed twice
 ])
 def test_malformed_poset_files_exit_2(capsys, tmp_path, doc):
     with pytest.raises(InvalidId):
@@ -353,10 +354,6 @@ def test_generators_admit_the_poset_json_limit(capsys):
     code, out, _ = run(capsys, "gen-ladder", "--n", "0",
                        "--depth", str(JSON_SIZE_LIMIT // 2 - 1))
     assert code == 0 and json.loads(out)["n"] == JSON_SIZE_LIMIT
-
-
-def test_poset_json_limit_admits_growth_cap():
-    assert JSON_SIZE_LIMIT >= GROWTH_SIZE_CAP
 
 
 @pytest.mark.parametrize("doc", [

@@ -4,6 +4,7 @@ import pytest
 
 import esakiakit.lemma as lemma
 import esakiakit.reduction as reduction
+import esakiakit.suite as suite
 from esakiakit import (Coloring, EmbeddingMismatch, EPartition, InvalidId,
                        NotMergeable, NotUpset, NotWeakColoring, OutOfRange,
                        Poset,
@@ -19,6 +20,7 @@ from esakiakit.randgen import random_weak_coloring
 from esakiakit.suite import SCHEDULE_RUNS, check_ladder_schedules
 
 from test_poset import permuted
+from test_reduction import from_pairs
 
 
 CENSUS_4_SEED = 0
@@ -113,13 +115,13 @@ def test_verify_rejects_tampering():
                         Schedule(v, sched.steps, sched.kernel))
     top = ladder_truncation(0, 0)           # two maximal beta twins
     steps = (ReductionStep("beta", (0, 1)),)
-    mixed = Schedule(top, steps, EPartition.from_pairs(top, [(0, 1)]))
+    mixed = Schedule(top, steps, from_pairs(top, [(0, 1)]))
     with pytest.raises(PropertyFalsified, match=r"kernel block \(0, 1\) mixes colors"):
         verify_schedule(top, Coloring.of(top, 1, [0, 1]), mixed)
     apart = (ReductionStep("beta", (0, 2)),)       # y0_0 and y1_0
     with pytest.raises(PropertyFalsified,
                        match=r"step 0 \(y0_0, y1_0\) stopped being beta-valid"):
-        verify_schedule(v, f, Schedule(v, apart, EPartition.from_pairs(v, [(0, 2)])))
+        verify_schedule(v, f, Schedule(v, apart, from_pairs(v, [(0, 2)])))
 
 
 def test_a_step_that_does_not_replay_is_named_by_its_original_ids():
@@ -131,7 +133,7 @@ def test_a_step_that_does_not_replay_is_named_by_its_original_ids():
     with pytest.raises(NotMergeable,
                        match=r"^pair \(3, 4\) is not beta-mergeable$"):
         compose_steps(v, steps)
-    sched = Schedule(v, steps, EPartition.from_pairs(v, [(0, 1), (3, 4)]))
+    sched = Schedule(v, steps, from_pairs(v, [(0, 1), (3, 4)]))
     with pytest.raises(PropertyFalsified,
                        match=r"^step 1 \(y1_1, y2_0\) stopped being beta-valid: "
                              r"pair \(3, 4\) is not beta-mergeable$"):
@@ -257,6 +259,26 @@ def test_criterion_3_replays_and_reads_each_ladder_once(monkeypatch):
         monkeypatch.setattr(lemma, name, counting)
     assert check_ladder_schedules(42)["pass"]
     assert calls == {"_ladder_rows": SCHEDULE_RUNS, "compose_steps": SCHEDULE_RUNS}
+
+
+def test_a_schedule_keeps_the_kernel_its_replay_computed(monkeypatch):
+    """The scheduler builds no kernel of its own: each schedule criterion 3
+    gets back holds the very kernel that its checked replay returned."""
+    kernels, schedules = [], []
+
+    def replay(*args, _real=lemma.compose_steps):
+        kernels.append(_real(*args))
+        return kernels[-1]
+
+    def schedule(*args, _real=suite.schedule_beta_reductions):
+        schedules.append(_real(*args))
+        return schedules[-1]
+
+    monkeypatch.setattr(lemma, "compose_steps", replay)
+    monkeypatch.setattr(suite, "schedule_beta_reductions", schedule)
+    assert check_ladder_schedules(42)["pass"]
+    assert len(schedules) == len(kernels) == SCHEDULE_RUNS
+    assert all(s.kernel is k for s, k in zip(schedules, kernels))
 
 
 def test_delta_map_mismatches():
@@ -435,7 +457,7 @@ def test_a_full_row_without_a_merged_pair_is_reported():
     v = ladder_truncation(0, 2)
     f = constant(v, 0)
     steps = schedule_beta_reductions(v, f).steps[:-1]
-    short = Schedule(v, steps, EPartition.from_pairs(v, (s.pair for s in steps)))
+    short = Schedule(v, steps, from_pairs(v, (s.pair for s in steps)))
     with pytest.raises(PropertyFalsified, match="full level 2 has no merged pair"):
         verify_schedule(v, f, short)
 
@@ -446,7 +468,7 @@ def test_a_full_row_without_a_merged_pair_is_reported():
     lowest = ladder_id(2, 3, 0)         # ladder level 3 lands on c-row 1
     steps = tuple(s for s in sched.steps if s.pair[0] < lowest)
     truncated = Schedule(delta.source, steps,
-                         EPartition.from_pairs(delta.source, (s.pair for s in steps)))
+                         from_pairs(delta.source, (s.pair for s in steps)))
     with pytest.raises(PropertyFalsified, match="full c-row 1 has no merged pair"):
         lift_schedule(z, f, delta, truncated)
 

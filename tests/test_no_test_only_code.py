@@ -34,8 +34,6 @@ KEPT = {
         "a paper object: the levels of a ladder subspace holding every column",
     "lemma.py:corollary_certificate":
         "a paper claim: the transported merge certificate",
-    "probes.py:growth_probe":
-        "a paper claim: the infinite side of the dichotomy",
     "reduction.py:EPartition.from_blocks":
         "a core primitive: a checked partition from explicit blocks",
     "reduction.py:alpha_mergeable":

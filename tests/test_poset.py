@@ -382,7 +382,6 @@ def test_int_subclasses_are_not_ids():
                  lambda: Poset.from_leq(Id.TWO, [0b1, 0b10]),
                  lambda: Poset.from_leq(2, [0b1, Id.TWO]),
                  lambda: EPartition.from_blocks(p, [[0], [one, 2]]),
-                 lambda: EPartition.from_pairs(p, [(one, 2)]),
                  lambda: is_pmorphism(p, chain(2), (0, one, 1)),
                  lambda: alpha_mergeable(p, 0, one),
                  lambda: beta_mergeable(p, one, 2)):
@@ -647,6 +646,20 @@ def test_json_labels_may_be_a_plain_list():
     # no label on any element means no labels, so the round trip holds
     p = Poset.from_covers(2, [], [None, None])
     assert p.labels is None and Poset.from_json_dict(p.to_json_dict()) == p
+
+
+def test_json_labels_refuse_an_element_keyed_twice():
+    """"1" and "01" both name element 1: a label file may not give two."""
+    with pytest.raises(InvalidId, match="repeats element 1"):
+        Poset.from_json_dict({"n": 2, "covers": [],
+                              "labels": {"1": "a", "01": "b"}})
+
+
+def test_json_colors_refuse_an_element_keyed_twice():
+    p = Poset.from_covers(2, [(0, 1)])
+    with pytest.raises(InvalidId, match="repeats element 1"):
+        Coloring.from_json_dict(p, {"n": 1, "colors": {"0": "0", "1": "1",
+                                                        "01": "1"}})
 
 
 def test_json_cover_limit():

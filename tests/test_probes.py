@@ -2,9 +2,8 @@ import pytest
 
 from esakiakit import (BudgetExceeded, EPartition, OutOfRange, Overflow,
                        Poset, abomination_truncation, enumerate_posets,
-                       enumerate_rooted_posets, growth_probe, is_coloring,
-                       kc_probe, quotient_census, size_bound,
-                       size_bound_by_levels)
+                       enumerate_rooted_posets, is_coloring, kc_probe,
+                       quotient_census, size_bound, size_bound_by_levels)
 from esakiakit.suite import check_canonical_colorings
 
 
@@ -108,32 +107,8 @@ def test_kc_probe():
         kc_probe(8)
 
 
-def test_growth_probe_rows():
-    report = growth_probe(2, [0, 1, 2])
-    assert report.rows == ((0, 34), (1, 68), (2, 102))
-    assert growth_probe(3, [0]).rows == ((0, 66),)
-
-
 def test_canonical_colorings_build_each_truncation_once(built_posets):
-    """Criterion 2 and the growth probe check each truncation on the base
-    of its canonical coloring: one constructor call per depth."""
+    """Criterion 2 checks each truncation on the base of its canonical
+    coloring: one constructor call per depth."""
     assert check_canonical_colorings()["pass"]
     assert built_posets == [34, 68, 102]
-    built_posets.clear()
-    assert growth_probe(2, [0, 1, 2]).rows == ((0, 34), (1, 68), (2, 102))
-    assert built_posets == [34, 68, 102]
-
-
-def test_growth_probe_guards():
-    with pytest.raises(OutOfRange):
-        growth_probe(4, [0])
-    with pytest.raises(OutOfRange):
-        growth_probe(2, [1, 0])
-    with pytest.raises(OutOfRange):
-        growth_probe(2, [0, 0])
-    with pytest.raises(OutOfRange):
-        growth_probe(2, [-1])
-    with pytest.raises(BudgetExceeded,
-                       match=r"^truncation of 5032 elements over "
-                             r"GROWTH_SIZE_CAP 5000$"):
-        growth_probe(2, [147])

@@ -389,9 +389,11 @@ def error_outcomes():
         delta.source, 2, [0] * delta.source.n))
     first = sched.steps[:3]
     apart = ReductionStep("beta", (ladder_id(2, 0, 0), ladder_id(2, 1, 0)))
+    # test_reduction imports this module, so its helper is read at call time
+    from test_reduction import from_pairs
     for steps in (first + first[:1], first + (apart,)):
         bad = Schedule(delta.source, steps,
-                       EPartition.from_pairs(delta.source, (s.pair for s in steps)))
+                       from_pairs(delta.source, (s.pair for s in steps)))
         out.append(outcome(lift_schedule, z, f, delta, bad))
     return out
 

@@ -1,11 +1,15 @@
+import random
+
 import pytest
 
-from esakiakit import (InvalidId, OutOfRange, SpaceLabel, abomination_id,
-                       abomination_level_ids, abomination_truncation,
-                       canonical_coloring, growth_probe, ids_of, is_coloring,
-                       ladder_id, ladder_truncation, level_size,
-                       monochrome_mergeable_pair, search_coloring,
-                       triple_table, verify_downset_claim, width_of)
+from esakiakit import (InvalidId, OutOfRange, Poset, SpaceLabel,
+                       abomination_id, abomination_level_ids,
+                       abomination_truncation, canonical_coloring, ids_of,
+                       is_coloring, ladder_id, ladder_truncation, level_size,
+                       monochrome_mergeable_pair, quotient_census,
+                       random_poset, search_coloring, size_bound,
+                       size_bound_by_levels, triple_table,
+                       verify_downset_claim, width_of)
 from esakiakit.poset import JSON_COVER_LIMIT
 from esakiakit.spaces import abomination_cover_count, ladder_cover_count
 
@@ -106,17 +110,41 @@ def test_truncation_sizes():
         abomination_truncation(2, -1)
 
 
+CHAIN = Poset.from_covers(2, [(0, 1)])
+
+
 @pytest.mark.parametrize("build, args", [
     (abomination_truncation, (2, 1.0)),
     (abomination_truncation, (2.0, 1)),
     (ladder_truncation, (0, 1.0)),
     (ladder_truncation, (True, 1)),
-    (growth_probe, (2.0, [0])),
-    (growth_probe, (2, [0.0])),
+    (width_of, (1.0,)),
+    (width_of, (True,)),
+    (width_of, (-2,)),
+    (level_size, (-2,)),
+    (ladder_id, (0, 1, 1.0)),
+    (ladder_id, (0, 1, True)),
+    (ladder_id, (0, 1.0, 1)),
+    (ladder_id, (0, -1, 0)),
+    (ladder_id, (-2, 0, 0)),
+    (SpaceLabel, ("c", 1.0, 2)),
+    (SpaceLabel, ("c", True, 2)),
+    (SpaceLabel, ("c", 1, 2.0)),
+    (abomination_level_ids, (2, 1.0)),
+    (triple_table, (2.0,)),
+    (size_bound, (2, 0.5, 1)),
+    (size_bound, (2.0, 0, 1)),
+    (size_bound_by_levels, (2, 0, 1.5)),
+    (random_poset, (random.Random(0), 2.0)),
+    (search_coloring, (CHAIN, 1, True)),
+    (quotient_census, (CHAIN, 1, 1.5)),
 ])
 def test_generators_refuse_sizes_that_are_not_ints(build, args):
-    """A bool or a float is not a size, even when it equals one."""
-    with pytest.raises(OutOfRange):
+    """A bool or a float is not a size, an id or a budget, even when it
+    equals one, and a negative int is no size either. A label's level or
+    index is an id, so a label refuses it with InvalidId."""
+    labels = (SpaceLabel, abomination_level_ids)
+    with pytest.raises(InvalidId if build in labels else OutOfRange):
         build(*args)
 
 
@@ -142,6 +170,7 @@ def test_canonical_coloring_is_strict_at_every_depth():
     for n in (2, 3, 4):
         for M in (0, 1, 2):
             f = canonical_coloring(n, M)
+            assert f.base.n == (M + 1) * level_size(n)
             assert f.n == n + 1
             assert is_coloring(f.base, f)
             assert monochrome_mergeable_pair(f.base, f) is None
@@ -149,8 +178,8 @@ def test_canonical_coloring_is_strict_at_every_depth():
 
 @pytest.mark.parametrize("n,depth", [(2, 1), (2, 2), (3, 1), (3, 2)])
 def test_no_strict_coloring_of_order_n(n, depth):
-    """The infinite side of the dichotomy at these sizes: exhaustive
-    search finds no strict coloring of order n on the truncation."""
+    """The finite side's evidence at these sizes: exhaustive search finds
+    no strict coloring of order n on the truncation."""
     assert search_coloring(abomination_truncation(n, depth), n) is None
 
 
