@@ -27,7 +27,7 @@ from .coloring import Coloring, _check_base, is_coloring, is_weak_coloring
 from .errors import (EmbeddingMismatch, InvalidId, NotMergeable,
                      NotUpset, NotWeakColoring, OutOfRange,
                      PropertyFalsified, QuotientNotColorable)
-from .poset import Poset, _is_id, ids_of
+from .poset import Poset, _is_id, mask_of
 from .reduction import (EPartition, ReductionStep, coarsest_color_respecting,
                         compose_steps, quotient)
 from .spaces import SpaceLabel, ladder_truncation, width_of
@@ -128,21 +128,9 @@ def _checked_replay(p: Poset, steps: tuple[ReductionStep, ...], f: Coloring,
     return ker, levels
 
 
-class _Column:
-    """A fused group of same-level cells, with a mask of original columns."""
-
-    __slots__ = ("level", "indices", "color", "rep")
-
-    def __init__(self, level: int, indices: int, color: int, rep: int):
-        self.level = level
-        self.indices = indices
-        self.color = color
-        self.rep = rep
-
-
-def _lowest(col: _Column) -> int:
+def _lowest(col: list) -> int:
     """Bit of the column's smallest original index; orders columns by it."""
-    return col.indices & -col.indices
+    return col[0] & -col[0]
 
 
 def schedule_beta_reductions(v: Poset, f: Coloring) -> Schedule:
@@ -161,55 +149,47 @@ def schedule_beta_reductions(v: Poset, f: Coloring) -> Schedule:
     width = width_of(f.n)
     rows = _ladder_rows(v, width)
 
-    top_level = max(rows, default=-1)
-    cell: dict[tuple[int, int], _Column] = {}
-    by_level: dict[int, list[_Column]] = {m: [] for m in range(top_level + 1)}
-    for m, row in rows.items():
-        for i, x in row.items():
-            col = _Column(m, 1 << i, f.colors[x], x)
-            cell[(m, i)] = col
-            by_level[m].append(col)
+    # The levels are 0..len(rows)-1: a ladder chunk is upward closed. Each
+    # level keeps its columns as [index mask, color, representative], and
+    # the mask of its indices still unfused (alone in their column).
+    columns = [[[1 << i, f.colors[x], x] for i, x in rows[m].items()]
+               for m in range(len(rows))]
+    unfused = [mask_of(rows[m]) for m in range(len(rows))]
     steps: list[ReductionStep] = []
 
-    def signature(col: _Column):
-        if col.level == 0:
-            return ("top",)
-        if col.indices & (col.indices - 1):
-            return ("all",)
-        i = col.indices.bit_length() - 1
-        above = cell.get((col.level - 1, i))
-        if above is not None and above.indices == col.indices:
-            return ("exc", i)
-        return ("all",)
-
-    def fuse(group: list[_Column]) -> None:
+    def fuse(m: int, group: list[list]) -> None:
         group = sorted(group, key=_lowest)
         head = group[0]
         for other in group[1:]:
-            steps.append(ReductionStep("beta", tuple(sorted((head.rep, other.rep)))))
-            head.indices |= other.indices
-            head.rep = min(head.rep, other.rep)
-            for i in ids_of(other.indices):
-                cell[(head.level, i)] = head
-            by_level[head.level].remove(other)
+            steps.append(ReductionStep("beta", tuple(sorted((head[2], other[2])))))
+            head[0] |= other[0]
+            head[2] = min(head[2], other[2])
+            columns[m].remove(other)
+        unfused[m] &= ~head[0]
 
     def run(active: int, lo: int, bits: int) -> None:
-        for m in range(lo, top_level + 1):
-            blocks = [c for c in by_level[m] if not c.indices & ~active]
+        for m in range(lo, len(columns)):
+            blocks = [c for c in columns[m] if not c[0] & ~active]
             if not blocks:
                 break
-            classes: dict[tuple, list[_Column]] = {}
+            # The successor class: a column's own bit when it is one index
+            # still unfused at level m-1 (above it lies all of that level
+            # but its own index), else 0 (all of level m-1, or the top).
+            above = unfused[m - 1] if m else 0
+            classes: dict[tuple[int, int], list[list]] = {}
             for c in blocks:
-                classes.setdefault((c.color, signature(c)), []).append(c)
-            if len({color for color, _sig in classes}) == len(classes):
+                mask = c[0]
+                succ = mask if mask & above and not mask & (mask - 1) else 0
+                classes.setdefault((c[1], succ), []).append(c)
+            if len({color for color, _succ in classes}) == len(classes):
                 for group in classes.values():
                     if len(group) > 1:
-                        fuse(group)
+                        fuse(m, group)
                 continue
             covered = joined = 0
             for c in blocks:
-                covered |= c.indices
-                joined |= c.color
+                covered |= c[0]
+                joined |= c[1]
             if covered != active:
                 return                      # no further full levels below
             surviving = joined.bit_count()
@@ -217,8 +197,8 @@ def schedule_beta_reductions(v: Poset, f: Coloring) -> Schedule:
                 raise PropertyFalsified(
                     f"level {m}: colors kept all {bits} bits while split")
             goal = 1 << (surviving + 1)
-            chosen: list[_Column] = []
-            for color in sorted({c.color for c in blocks}):
+            chosen: list[list] = []
+            for color in sorted({c[1] for c in blocks}):
                 best = max(
                     (g for (col, _s), g in classes.items() if col == color),
                     key=lambda g: (len(g), -min(map(_lowest, g))))
@@ -232,11 +212,10 @@ def schedule_beta_reductions(v: Poset, f: Coloring) -> Schedule:
                     f"level {m}: only {len(chosen)} columns available, "
                     f"need {goal}")
             # the chosen columns are disjoint, so their sum is their union
-            run(sum(c.indices for c in chosen), m, surviving)
+            run(sum(c[0] for c in chosen), m, surviving)
             return
 
-    if rows:
-        run((1 << width) - 1, 0, f.n)
+    run((1 << width) - 1, 0, f.n)
     done = tuple(steps)
     ker, _levels = _checked_replay(v, done, f, rows, _full(rows, width), "level")
     return Schedule(v, done, ker)

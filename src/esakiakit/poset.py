@@ -7,7 +7,6 @@ handed to the constructor are transitively reduced; cyclic input is rejected.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CycleDetected, InvalidId
@@ -237,7 +236,7 @@ class Poset:
         up = self._up
         adj = [ids_of(up[x] ^ 1 << x) if mask >> x & 1 else ()
                for x in range(self.n)]
-        return mask.bit_count() - _hopcroft_karp(self.n, adj)
+        return mask.bit_count() - _max_matching(self.n, adj)
 
     # ----- subposets and rebuilds --------------------------------------------
 
@@ -410,49 +409,29 @@ def _norm_labels(n, labels):
     return tuple(out) if any(v is not None for v in out) else None
 
 
-def _hopcroft_karp(n, adj):
-    """Maximum matching between left copies and right copies of 0..n-1."""
-    INF = float("inf")
-    match_l = [-1] * n
-    match_r = [-1] * n
-    dist = [0] * n
+def _max_matching(n, adj):
+    """Size of a maximum matching between left and right copies of 0..n-1,
+    adj[u] listing the right partners of left u. Each left vertex takes a
+    free partner if it has one, and otherwise searches for one augmenting
+    path (Berge 1957; Kuhn 1955)."""
+    match = [-1] * n                    # right vertex -> its left partner
 
-    def bfs():
-        queue = deque()
-        for u in range(n):
-            if match_l[u] == -1:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = INF
-        found = False
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                w = match_r[v]
-                if w == -1:
-                    found = True
-                elif dist[w] == INF:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return found
-
-    def dfs(u):
+    def augment(u, seen):
         for v in adj[u]:
-            w = match_r[v]
-            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
-                match_l[u] = v
-                match_r[v] = u
-                return True
-        dist[u] = INF
+            if v not in seen:
+                seen.add(v)
+                if match[v] == -1 or augment(match[v], seen):
+                    match[v] = u
+                    return True
         return False
 
-    matching = 0
-    while bfs():
-        for u in range(n):
-            if match_l[u] == -1 and dfs(u):
-                matching += 1
-    return matching
+    for u in range(n):
+        free = next((v for v in adj[u] if match[v] == -1), None)
+        if free is not None:
+            match[free] = u
+        else:
+            augment(u, set())
+    return n - match.count(-1)
 
 
 def _canonical_form(p: Poset):

@@ -104,8 +104,11 @@ def level_size(n: int) -> int:
 
 def abomination_cover_count(n: int, M: int) -> int:
     """Covers of abomination_truncation(n, M): 4 + 3w(w-1) + 2w per level,
-    plus w(w-1) + w^2 from each level m >= 1 into level m-1."""
+    plus w(w-1) + w^2 from each level m >= 1 into level m-1. OutOfRange
+    unless n and M are plain ints >= 0."""
     w = width_of(n)
+    if not (_is_id(M) and M >= 0):
+        raise OutOfRange(f"need an int M >= 0, got {M!r}")
     return (M + 1) * (4 + 3 * w * (w - 1) + 2 * w) + M * (w * (w - 1) + w * w)
 
 
@@ -118,8 +121,11 @@ def level_members(n: int, p: int) -> list[SpaceLabel]:
 
 
 def abomination_id(n: int, label: SpaceLabel) -> int:
-    """Deterministic element id inside any truncation of width n."""
+    """Deterministic element id inside any truncation of width n.
+    InvalidId for anything but a SpaceLabel of one of the six kinds."""
     w = width_of(n)
+    if not (isinstance(label, SpaceLabel) and label.kind in KIND_ORDER):
+        raise InvalidId(f"not an abomination label: {label!r}")
     base = label.level * level_size(n)
     kind_pos = KIND_ORDER.index(label.kind)
     if label.index is None:
@@ -216,8 +222,11 @@ def ladder_truncation(n: int, M: int) -> Poset:
 
 
 def ladder_cover_count(n: int, M: int) -> int:
-    """Covers of ladder_truncation(n, M): w(w-1) per level below level 0."""
+    """Covers of ladder_truncation(n, M): w(w-1) per level below level 0.
+    OutOfRange unless n and M are plain ints >= 0."""
     w = width_of(n)
+    if not (_is_id(M) and M >= 0):
+        raise OutOfRange(f"need an int M >= 0, got {M!r}")
     return M * w * (w - 1)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from esakiakit import (Coloring, EmbeddingMismatch, EPartition, InvalidId,
                        quotient_census, schedule_beta_reductions,
                        verify_schedule)
 from esakiakit.lemma import _label_rows, c_rows, merges_every_full_c_row
+from esakiakit.poset import _top_down
 from esakiakit.randgen import random_weak_coloring
 from esakiakit.suite import SCHEDULE_RUNS, check_ladder_schedules
 
@@ -99,6 +101,69 @@ def test_random_schedules_verify():
                     assert len({f.colors[x] for x in block}) == 1
                 runs += 1
     assert runs == 30
+
+
+SCHEDULE_DIGEST_SEED = 2028
+# sha256 of the steps and kernel blocks of the 204 schedules that
+# `schedule_digest_cases` feeds the scheduler, recorded on the scheduler
+# that kept column objects and a (level, index) -> column map.
+SCHEDULE_DIGEST = "a4b8fe8ae750856b83b84393adc0582db9e974a975ba34584a3bea5bb936e733"
+
+
+def keen_coloring(rng, p, n):
+    """A weak coloring that keeps the meet of its successors' colors with
+    probability 0.6 and draws a random submask of it otherwise, so colors
+    survive deep into a ladder and levels split."""
+    colors = [0] * p.n
+    for x in _top_down(p):
+        ceiling = (1 << n) - 1
+        for y in p.covers_up(x):
+            ceiling &= colors[y]
+        colors[x] = ceiling if rng.random() < 0.6 else rng.getrandbits(n) & ceiling
+    return Coloring.of(p, n, colors)
+
+
+def shuffled(rng, p):
+    perm = list(range(p.n))
+    rng.shuffle(perm)
+    return permuted(p, perm)
+
+
+def schedule_digest_cases(rng):
+    """Seeded colorings of the full ladders at n = 0-2 and depths 0-4, of
+    upward-closed chunks of them, and of the same ladders again. Chunks
+    and repeats have shuffled ids, so a column's representative does not
+    follow its index."""
+    for n in (0, 1, 2):
+        for depth in range(5):
+            v = ladder_truncation(n, depth)
+            for _ in range(6):
+                yield v, keen_coloring(rng, v, n)
+            for _ in range(6):
+                up = 0
+                for x in range(v.n):
+                    if rng.random() < 0.15:
+                        up |= v.up_mask(x)
+                if up:
+                    chunk = shuffled(rng, v.induced(up)[0])
+                    yield chunk, keen_coloring(rng, chunk, n)
+            w = shuffled(rng, v)
+            for _ in range(3):
+                yield w, keen_coloring(rng, w, n)
+
+
+def test_schedules_match_the_recorded_digest():
+    """The same steps, in the same order, and the same kernels as the
+    scheduler the digest was recorded on."""
+    digest = hashlib.sha256()
+    count = steps = 0
+    for p, f in schedule_digest_cases(random.Random(SCHEDULE_DIGEST_SEED)):
+        sched = schedule_beta_reductions(p, f)
+        digest.update(repr(([(s.kind, s.pair) for s in sched.steps],
+                            sched.kernel.blocks)).encode())
+        count += 1
+        steps += len(sched.steps)
+    assert (count, steps, digest.hexdigest()) == (204, 1231, SCHEDULE_DIGEST)
 
 
 def test_verify_rejects_tampering():

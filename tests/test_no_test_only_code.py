@@ -6,10 +6,11 @@ somewhere in the library or in `perfbench/`, outside its own body, or be
 listed in KEPT with the reason it stays. A module-level definition is read
 by its name or as an attribute (`ek.corollary_check` in `perfbench/`); a
 method only as an attribute (`self.merge`, `p.covers_up`), or as a
-string in `perfbench/spans.py`, which wraps `Poset`'s methods by name.
-Dunder methods are called by the language and are not checked. The check
-goes by name, so a method that shares its name with an attribute read
-elsewhere counts as read."""
+string of `POSET_METHODS` in `perfbench/spans.py`, the `Poset` methods it
+wraps by name. Its other strings, such as the `UNWRAPPED` names it leaves
+unwrapped, are not reads. Dunder methods are called by the language and
+are not checked. The check goes by name, so a method that shares its name
+with an attribute read elsewhere counts as read."""
 
 import ast
 import pathlib
@@ -28,6 +29,8 @@ KEPT = {
         "a paper object: the subalgebra generated by a set of upsets",
     "coloring.py:Coloring.bits":
         "a core primitive: one element's color as a bit string",
+    "coloring.py:color_leq":
+        "a paper object: the color lattice's order",
     "coloring.py:promote_subspace_coloring":
         "a paper claim: a coloring restricted to a principal upset",
     "lemma.py:full_levels":
@@ -74,16 +77,19 @@ def definitions(tree: ast.Module, module: str) -> list[tuple[str, ast.AST, bool]
 
 def reads(tree: ast.Module, spans: bool) -> list[tuple[str, ast.AST, bool]]:
     """(name, node, read as an attribute) for every name read; in
-    `spans.py`, identifier strings count as attribute reads."""
+    `spans.py`, the strings assigned to `POSET_METHODS` count as attribute
+    reads."""
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             out.append((node.id, node, False))
         elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
             out.append((node.attr, node, True))
-        elif spans and isinstance(node, ast.Constant) \
-                and isinstance(node.value, str) and node.value.isidentifier():
-            out.append((node.value, node, True))
+        elif spans and isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "POSET_METHODS"
+                for t in node.targets):
+            out.extend((c.value, c, True) for c in ast.walk(node.value)
+                       if isinstance(c, ast.Constant) and isinstance(c.value, str))
     return out
 
 
@@ -142,6 +148,7 @@ def reader(depth):
     return used(Box(), depth)
 """),
         "b.py": ast.parse("import m\nm.reader(0)\n"),
-        SPANS: ast.parse("NAMES = ('height',)\n"),
+        SPANS: ast.parse("POSET_METHODS = ('height',)\n"
+                         "UNWRAPPED = {'m': {'depth', 'only_itself'}}\n"),
     }
     assert unread(trees, {"m.py"}) == ["m.py:only_itself", "m.py:Box.depth"]

@@ -38,7 +38,7 @@ BOUNDED = {
         "one level per antichain member, so at most the poset's width; "
         "reached through `upset_algebra`, capped at `SIZE_BOUND`, and "
         "through `downsets` in `enumerate_posets`",
-    "poset.py:_hopcroft_karp.dfs":
+    "poset.py:_max_matching.augment":
         "one level per matched left vertex on an augmenting path, so at "
         "most n; reached through `max_antichain_size` and `width`, which "
         "the report calls on the 68- to 132-element truncations and no "

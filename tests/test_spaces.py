@@ -138,12 +138,21 @@ CHAIN = Poset.from_covers(2, [(0, 1)])
     (random_poset, (random.Random(0), 2.0)),
     (search_coloring, (CHAIN, 1, True)),
     (quotient_census, (CHAIN, 1, 1.5)),
+    (abomination_id, (2, "c0_0")),
+    (abomination_id, (2, SpaceLabel("y", 0, 0))),
+    (abomination_cover_count, (2, 1.0)),
+    (abomination_cover_count, (2, -1)),
+    (abomination_cover_count, (2.0, 1)),
+    (ladder_cover_count, (0, 1.5)),
+    (ladder_cover_count, (0, -1)),
+    (ladder_cover_count, (True, 1)),
 ])
 def test_generators_refuse_sizes_that_are_not_ints(build, args):
     """A bool or a float is not a size, an id or a budget, even when it
     equals one, and a negative int is no size either. A label's level or
-    index is an id, so a label refuses it with InvalidId."""
-    labels = (SpaceLabel, abomination_level_ids)
+    index is an id, so a label refuses it with InvalidId, and
+    `abomination_id` refuses what is not one of its labels the same way."""
+    labels = (SpaceLabel, abomination_level_ids, abomination_id)
     with pytest.raises(InvalidId if build in labels else OutOfRange):
         build(*args)
 
