@@ -88,7 +88,10 @@ class Coloring:
 
 
 def _check_base(p: Poset, f: Coloring) -> None:
-    """InvalidId unless f colors p (or a poset equal to it)."""
+    """InvalidId unless f is a `Coloring` of p (or of a poset equal to
+    it)."""
+    if not isinstance(f, Coloring):
+        raise InvalidId(f"{type(f).__name__} is not a Coloring")
     if f.base is not p and f.base != p or len(f.colors) != p.n:
         raise InvalidId("coloring built on a different poset")
 

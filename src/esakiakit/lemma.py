@@ -363,7 +363,9 @@ def lift_schedule(z: Poset, f: Coloring, delta: DeltaMap,
 def corollary_certificate(z: Poset, f: Coloring, n: int) -> LiftCertificate:
     """End-to-end transport: pick the deepest full c-row of z, build the
     embedding and the ladder schedule for the pulled-back coloring, and
-    lift it. With no full c-row the certificate is empty."""
+    lift it. With no full c-row the certificate is empty. InvalidId
+    unless f is a `Coloring` of z."""
+    _check_base(z, f)
     full = full_c_levels(z, n)
     if not full:
         return LiftCertificate({}, (), EPartition.identity(z))
@@ -380,9 +382,12 @@ def corollary_check(z: Poset, part: EPartition, n: int,
 
     `witness` must be a coloring of order n of the quotient by `part`
     (as a census entry carries), or QuotientNotColorable is raised; no
-    coloring is searched for. The structural claim is that the answer is
-    always yes; callers treat a False as a falsification event.
+    coloring is searched for; InvalidId if it is not a `Coloring`. The
+    structural claim is that the answer is always yes; callers treat a
+    False as a falsification event.
     """
+    if not isinstance(witness, Coloring):
+        raise InvalidId(f"witness {type(witness).__name__} is not a Coloring")
     quot = quotient(z, part)[0]
     if not is_coloring(quot, Coloring.of(quot, n, witness.colors)):
         raise QuotientNotColorable("provided witness is not a valid coloring")

@@ -480,43 +480,61 @@ def compose_steps(p: Poset, steps: Iterable[ReductionStep]) -> EPartition:
 def coarsest_color_respecting(p: Poset, coloring) -> EPartition:
     """Largest E-partition that never merges two colors. NotWeakColoring
     for a coloring that is not order preserving, InvalidId for a coloring
-    of another poset.
+    of another poset or an argument that is not a `Coloring`.
 
-    Partition refinement (Paige & Tarjan 1987; Kanellakis & Smolka 1990),
-    starting from the color classes. Each round takes, top down, the set
-    `sig[x]` of current blocks that x's up set meets: x's own block and
-    its covers' sets. It then splits every block by that set, and stops
-    when a round splits none. Every single-colored E-partition refines
-    each round's blocks, and blocks no round splits form an E-partition,
-    so the last is the coarsest. It equals the kernel of the merge greedy
+    One pass, top down (by ascending depth), in the manner of the
+    rank-by-rank bisimulation algorithm of Dovier, Piazza & Policriti
+    (TCS 311, 2004). Each block keeps `sig`, the mask of blocks its
+    members see, itself included.
+
+    Each placed prefix U is an upset, and the coarsest partition
+    restricted to U is U's own coarsest. The restriction of an
+    E-partition to an upset is one of the upset, so it refines U's
+    coarsest. Conversely U's coarsest, with a singleton for each element
+    outside U, is a single-colored E-partition of p; its join with p's
+    coarsest is one too, so it refines p's coarsest. Hence the next
+    element x joins a block of U's coarsest partition or opens its own.
+    x's up set sees S, the OR of its covers' block `sig`s, and no placed
+    element lies below x, so x may join a block b of its color exactly
+    when `sig[b]` is S plus b: either b is in S and `sig[b]` is S
+    (`seen`), or b is not and `sig[b]` less b is S (`twin`). At most one
+    block qualifies, since two that did could be merged into a coarser
+    E-partition of U. If none does, x opens a block with `sig` S plus
+    itself.
+
+    The result equals the kernel of the merge greedy
     `color_respecting_reduction`, which alone gives the steps; the two
-    share only `kernel` and `is_epartition`. The result is checked once
-    with `is_epartition` (NotEPartition if it fails), and the verdict
+    share only `kernel` and `is_epartition`. It is checked once with
+    `is_epartition` (NotEPartition if it fails), and the verdict
     stays on it, so a quotient of it does not check it again.
     """
     from .coloring import is_weak_coloring   # local import, no cycle at load
 
     if not is_weak_coloring(p, coloring):
         raise NotWeakColoring("input coloring is not order preserving")
-    succ = p._succ
-    order = _top_down(p)                    # covers first
-    ids: dict = {}
-    label = [ids.setdefault(c, len(ids)) for c in coloring.colors]
-    sig = [0] * p.n
-    count = 0
-    while len(ids) > count:
-        count = len(ids)
-        for x in order:
-            s = 1 << label[x]
-            for y in succ[x]:
-                s |= sig[y]
-            sig[x] = s
-        ids = {}
-        label = [ids.setdefault(key, len(ids)) for key in zip(label, sig)]
-    part = kernel(p, label)
+    succ, colors = p._succ, coloring.colors
+    block = [0] * p.n
+    sig: list[int] = []         # per block: the blocks its members see
+    seen: dict = {}             # (color, sig) -> block
+    twin: dict = {}             # (color, sig less the block's own bit) -> block
+    for x in _top_down(p):
+        s = 0
+        for y in succ[x]:
+            s |= sig[block[y]]
+        key = (colors[x], s)
+        b = seen.get(key)
+        if b is None:
+            b = twin.get(key)
+            if b is None:
+                b = len(sig)
+                sig.append(s | 1 << b)
+                seen[colors[x], s | 1 << b] = b
+                twin[key] = b
+        block[x] = b
+    part = kernel(p, block)
     if not is_epartition(p, part):
-        raise NotEPartition("refined color classes fail the back-and-forth "
-                            "condition")
+        raise NotEPartition("color classes placed top down fail the "
+                            "back-and-forth condition")
     return part
 
 
@@ -525,9 +543,9 @@ def color_respecting_reduction(p: Poset, coloring) -> tuple[EPartition, list[Red
     its steps in original ids: same-colored alpha/beta pairs are merged,
     least move of `_Replay.least` first, until none remain. The fixpoint
     does not depend on the order of the merges, and its kernel equals
-    the refinement of `coarsest_color_respecting`, which is the library's
-    path when no steps are needed. NotWeakColoring for a coloring that is
-    not order preserving.
+    the one top-down pass of `coarsest_color_respecting`, which is the
+    library's path when no steps are needed. NotWeakColoring for a
+    coloring that is not order preserving.
 
     The merges are replayed in place by `_Replay.greedy`, so no poset is
     built per merge, and the final kernel is checked once with

@@ -125,7 +125,7 @@ def check_excluded_middle(seed: int = 0) -> dict:
 
 
 def _oracle_mismatch(p, f, brute) -> bool:
-    """Does the greedy's or the refinement's partition miss the oracle's
+    """Does the greedy's or the top-down pass's partition miss the oracle's
     partition `brute`?"""
     return (color_respecting_reduction(p, f)[0] != brute
             or coarsest_color_respecting(p, f) != brute)
@@ -133,7 +133,7 @@ def _oracle_mismatch(p, f, brute) -> bool:
 
 def check_coarsest_oracle(seed: int) -> dict:
     """The coarsest color-respecting partition by the merge greedy and by
-    partition refinement both equal the brute-force maximum over all
+    one top-down pass both equal the brute-force maximum over all
     E-partitions: exhaustively on every poset and order-2 coloring with
     up to 5 elements, then on seeded samples up to 8 elements. An
     instance where either differs counts as one mismatch. The exhaustive

@@ -15,8 +15,10 @@ from esakiakit import (Coloring, EPartition, InvalidId, NotEPartition,
                        coarsest_color_respecting, color_respecting_reduction,
                        compose_steps, decompose_pmorphism, is_epartition,
                        is_pmorphism, kernel, ladder_truncation, quotient)
-from esakiakit.coloring import enumerate_weak_colorings
-from esakiakit.poset import ids_of, mask_of
+from esakiakit.coloring import (enumerate_weak_colorings, is_coloring,
+                                is_weak_coloring, monochrome_mergeable_pair)
+from esakiakit.lemma import corollary_certificate, corollary_check
+from esakiakit.poset import _top_down, ids_of, mask_of
 from esakiakit.probes import enumerate_posets, quotient_census
 from esakiakit.randgen import random_poset, random_weak_coloring
 from esakiakit.reduction import _coarsest_among, _Replay
@@ -409,15 +411,17 @@ def test_coarsest_matches_brute_force_on_seeded_instances():
 
 def test_refinement_takes_more_than_one_round():
     # x < p < t and y < q, y < t2; x, y, p, q share color 0 and t, t2 have
-    # color 1. The first round puts x, y and p in one block (each sees
-    # both colors), and only the second splits y off: y sees q's block,
-    # which p does not.
+    # color 1. The first round of `refine_coarsest` puts x, y and p in one
+    # block (each sees both colors), and only the second splits y off: y
+    # sees q's block, which p does not. The one top-down pass splits y off
+    # when it places y.
     x, y, p_, q, t, t2 = range(6)
     p = Poset.from_covers(6, [(x, p_), (p_, t), (y, q), (y, t2)])
     f = Coloring.of(p, 1, [0, 0, 0, 0, 1, 1])
     want = ((x, p_), (y,), (q,), (t, t2))
     assert coarsest_color_respecting(p, f).blocks == want
     assert color_respecting_reduction(p, f)[0].blocks == want
+    assert refine_coarsest(p, f).blocks == want
     # 0 and 1 merge although their covers have different colors: the up
     # set of 0 reaches 2 through 1.
     c = chain(3)
@@ -435,6 +439,110 @@ def test_refinement_rejects_colorings_the_greedy_rejects():
         with pytest.raises(InvalidId):
             coarsest(p, Coloring.of(chain(3), 1, [0, 0, 0]))
         assert coarsest(empty, Coloring.of(empty, 0, [])).blocks == ()
+
+
+@pytest.mark.parametrize("call", [
+    coarsest_color_respecting, color_respecting_reduction,
+    brute_coarsest_color_respecting, is_weak_coloring, is_coloring,
+    monochrome_mergeable_pair,
+    lambda p, f: corollary_check(p, EPartition.identity(p), 1, witness=f),
+    lambda p, f: corollary_certificate(abomination_truncation(2, 0), f, 2),
+], ids=["coarsest", "reduction", "brute", "weak", "coloring", "monochrome",
+        "corollary_witness", "certificate"])
+@pytest.mark.parametrize("f", [[0, 0, 1], (0, 0, 1), None, "001"],
+                         ids=["list", "tuple", "none", "str"])
+def test_a_coloring_argument_must_be_a_coloring(call, f):
+    with pytest.raises(InvalidId, match="not a Coloring"):
+        call(v_poset(), f)
+
+
+def refine_coarsest(p, f):
+    """Reference for `coarsest_color_respecting`: partition refinement in
+    rounds (Paige & Tarjan 1987; Kanellakis & Smolka 1990), starting from
+    the color classes. Each round takes, top down, the set of current
+    blocks that x's up set meets (x's own block and its covers' sets),
+    splits every block by that set, and stops when a round splits none.
+    Every single-colored E-partition refines each round's blocks, and
+    blocks no round splits form an E-partition, so the last is the
+    coarsest. It shares no step with the one top-down pass but the
+    library's `kernel`."""
+    order = _top_down(p)
+    ids = {}
+    label = [ids.setdefault(c, len(ids)) for c in f.colors]
+    sig = [0] * p.n
+    count = 0
+    while len(ids) > count:
+        count = len(ids)
+        for x in order:
+            s = 1 << label[x]
+            for y in p._succ[x]:
+                s |= sig[y]
+            sig[x] = s
+        ids = {}
+        label = [ids.setdefault(key, len(ids)) for key in zip(label, sig)]
+    return kernel(p, label)
+
+
+# Seeds of the one-pass-against-rounds checks, on posets past the brute
+# oracle's ALL_EPARTITIONS_LIMIT.
+ROUNDS_TRUNCATION_SEED = 101
+ROUNDS_LADDER_SEED = 103
+
+
+@pytest.mark.parametrize("n,depth", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1)])
+def test_one_pass_equals_the_rounds_on_truncations(n, depth):
+    """40 weak colorings of orders 1..n of each truncation, seed
+    ROUNDS_TRUNCATION_SEED; the 68- and 102-element ones are the
+    large-reduction benchmark's spaces."""
+    rng = random.Random(ROUNDS_TRUNCATION_SEED)
+    z = abomination_truncation(n, depth)
+    for _ in range(40):
+        f = random_weak_coloring(rng, z, rng.randint(1, n))
+        assert coarsest_color_respecting(z, f) == refine_coarsest(z, f), \
+            f.colors
+
+
+def test_one_pass_equals_the_rounds_on_ladders():
+    """20 weak colorings of orders 0..n on each ladder with n <= 2 and
+    depth <= 5, seed ROUNDS_LADDER_SEED: 360 colorings."""
+    rng = random.Random(ROUNDS_LADDER_SEED)
+    for n in range(3):
+        for depth in range(6):
+            v = ladder_truncation(n, depth)
+            for _ in range(20):
+                f = random_weak_coloring(rng, v, rng.randint(0, n))
+                assert coarsest_color_respecting(v, f) == \
+                    refine_coarsest(v, f), (n, depth, f.colors)
+
+
+PREFIX_SEED = 107
+
+
+def test_the_coarsest_partition_restricts_to_each_top_down_prefix():
+    """The lemma the one pass rests on: on an upset U, the coarsest
+    partition restricted to U is the coarsest partition of U as an
+    induced subposet. Every top-down prefix is an upset; 300 seeded
+    posets of 1-9 elements with shuffled ids, weak colorings of order 1
+    or 2, seed PREFIX_SEED. The lemma is checked on `refine_coarsest`,
+    which does not rely on it, and the pass must agree on every
+    prefix."""
+    rng = random.Random(PREFIX_SEED)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        p = permuted(random_poset(rng, n), perm)
+        f = random_weak_coloring(rng, p, rng.randint(1, 2))
+        whole = refine_coarsest(p, f)
+        order = _top_down(p)
+        for k in range(1, n + 1):
+            u = mask_of(order[:k])
+            sub, remap = p.induced(u)
+            g = Coloring.of(sub, f.n, [f.colors[x] for x in ids_of(u)])
+            blocks = [[remap[x] for x in b if u >> x & 1] for b in whole.blocks]
+            restricted = EPartition.from_blocks(sub, [b for b in blocks if b])
+            assert restricted == refine_coarsest(sub, g) == \
+                coarsest_color_respecting(sub, g), (p, f.colors, k)
 
 
 def assert_greedy_is_the_refinement(p, f):
