@@ -28,8 +28,8 @@ from .errors import (EmbeddingMismatch, InvalidId, NotMergeable,
                      NotUpset, NotWeakColoring, OutOfRange,
                      PropertyFalsified, QuotientNotColorable)
 from .poset import Poset, _is_id, mask_of
-from .reduction import (EPartition, ReductionStep, coarsest_color_respecting,
-                        compose_steps, quotient)
+from .reduction import (EPartition, ReductionStep, _check_part,
+                        coarsest_color_respecting, compose_steps, quotient)
 from .spaces import SpaceLabel, ladder_truncation, width_of
 
 
@@ -317,7 +317,9 @@ def full_c_levels(z: Poset, n: int) -> list[int]:
 
 
 def merges_every_full_c_row(z: Poset, part: EPartition, n: int) -> bool:
-    """Does every full c-row of z hold two elements in one block of `part`?"""
+    """Does every full c-row of z hold two elements in one block of `part`?
+    InvalidId unless `part` is an `EPartition` of z."""
+    _check_part(z, part)
     rows = c_rows(z)
     return all(_merged_pair(part, rows[p]) is not None
                for p in _full(rows, width_of(n)))
@@ -382,7 +384,8 @@ def corollary_check(z: Poset, part: EPartition, n: int,
 
     `witness` must be a coloring of order n of the quotient by `part`
     (as a census entry carries), or QuotientNotColorable is raised; no
-    coloring is searched for; InvalidId if it is not a `Coloring`. The
+    coloring is searched for; InvalidId if it is not a `Coloring`, or if
+    `part` is not an `EPartition` of z (checked by `quotient`). The
     structural claim is that the answer is always yes; callers treat a
     False as a falsification event.
     """

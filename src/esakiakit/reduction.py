@@ -27,7 +27,8 @@ _IDS = tuple(tuple(ids_of(m)) for m in range(1 << ALL_EPARTITIONS_LIMIT))
 
 @dataclass(frozen=True)
 class EPartition:
-    """Partition of a poset's elements, blocks sorted and tupled."""
+    """Partition of a poset's elements, blocks sorted and tupled. Its
+    verdict and quotient read one top-down pass of block masks, `_sees`."""
 
     base: Poset
     blocks: tuple[tuple[int, ...], ...]
@@ -64,7 +65,11 @@ class EPartition:
 
     def refines(self, other: "EPartition") -> bool:
         """True when every block of self sits inside a block of other;
-        InvalidId when other is built on a different poset."""
+        InvalidId when other is not an EPartition of the same poset."""
+        # Checked inline, not by `_check_part`: the brute-force oracle calls
+        # this and shares no helper with the code it checks.
+        if not isinstance(other, EPartition):
+            raise InvalidId(f"{type(other).__name__} is not an EPartition")
         if other.base is not self.base and other.base != self.base:
             raise InvalidId("partitions built on different posets")
         look = other._lookup
@@ -83,47 +88,64 @@ class EPartition:
         return tuple(look)
 
     @cached_property
+    def _sees(self) -> tuple[int, ...]:
+        """For each element, the mask of block indices (as in `_lookup`)
+        meeting its up set. Each element starts with its own block's bit;
+        one `_top_down` pass then ORs in the masks of its covers, which
+        come before it."""
+        succ = self.base._succ
+        sees = [1 << i for i in self._lookup]
+        for x in _top_down(self.base):
+            s = sees[x]
+            for y in succ[x]:
+                s |= sees[y]
+            sees[x] = s
+        return tuple(sees)
+
+    @cached_property
     def _verdict(self) -> bool:
-        """`is_epartition` on `base`. The union of the blocks above x is
-        x's up mask widened by every merged block it touches; blocks are
-        disjoint, so equal unions mean equal sets of blocks. Singleton
-        blocks pass trivially, so only members of merged blocks are
-        compared."""
-        up = self.base._up
-        merged = [b for b in self.blocks if len(b) > 1]
-        masks = [mask_of(b) for b in merged]
-
-        def above(x: int) -> int:
-            ux = out = up[x]
-            for m in masks:
-                if ux & m:
-                    out |= m
-            return out
-
-        return all(len({above(x) for x in b}) == 1 for b in merged)
+        """`is_epartition` on `base`: every member sees the blocks its
+        block's first member sees."""
+        sees = self._sees
+        return all(sees[x] == sees[b[0]]
+                   for b in self.blocks if len(b) > 1 for x in b)
 
     @cached_property
     def _quotient(self) -> tuple[Poset, tuple[int, ...]]:
         """`quotient` of `base`, once `is_epartition` has passed. Blocks
-        are ranked by (depth of the shallowest member, first member); the
-        first members are distinct, so they break every depth tie."""
+        are ranked by (depth of the shallowest member, first member): the
+        blocks are sorted by first member and the sort is stable, so their
+        index breaks the ties.
+
+        The quotient order is the closure of "some member of B <= some
+        member of C". B's row is the OR of its members' masks, renumbered
+        by rank. In an E-partition every member sees what the first one
+        sees, so the row is B's row of the closed order. Otherwise the
+        rows still hold every step of that relation, so the constructor's
+        cycle check refuses any cycle in it."""
         p = self.base
         depths = p.depths()
-        ranked = sorted((min(depths[x] for x in b), b) for b in self.blocks)
+        blocks, sees = self.blocks, self._sees
+        shallowest = [min(map(depths.__getitem__, b)) for b in blocks]
+        order = sorted(range(len(blocks)), key=shallowest.__getitem__)
         proj = [0] * p.n
-        for i, (_, b) in enumerate(ranked):
-            for x in b:
-                proj[x] = i
-        # The quotient order is the closure of "some member of B <= some
-        # member of C". Every x <= y is a chain of covers, so the projected
-        # covers have the same closure and the same cycles between distinct
-        # blocks.
-        rows = [0] * len(ranked)
-        for x, ys in enumerate(p._succ):
+        ranked = {}         # a block's bit -> the bit of its rank
+        unions = []
+        for r, i in enumerate(order):
+            ranked[1 << i] = 1 << r
+            s = 0
+            for x in blocks[i]:
+                proj[x] = r
+                s |= sees[x]
+            unions.append(s)
+        rows = []
+        for s in unions:
             row = 0
-            for y in ys:
-                row |= 1 << proj[y]
-            rows[proj[x]] |= row
+            while s:
+                low = s & -s
+                row |= ranked[low]
+                s ^= low
+            rows.append(row)
         try:
             q = Poset.from_leq(len(rows), rows)
         except CycleDetected as exc:
@@ -131,13 +153,21 @@ class EPartition:
         return q, tuple(proj)
 
 
-def is_epartition(p: Poset, part: EPartition) -> bool:
-    """Back-and-forth check: the set of blocks reachable above x must be
-    constant on each block. InvalidId for a partition of a different
-    poset. The verdict is computed once, on the partition
-    (`EPartition._verdict`), so a repeated call only reads it."""
+def _check_part(p: Poset, part: EPartition) -> None:
+    """InvalidId unless part is an `EPartition` of p (or an equal poset)."""
+    if not isinstance(part, EPartition):
+        raise InvalidId(f"{type(part).__name__} is not an EPartition")
     if part.base is not p and part.base != p:
         raise InvalidId("partition built on a different poset")
+
+
+def is_epartition(p: Poset, part: EPartition) -> bool:
+    """Back-and-forth check: the set of blocks meeting the up set of x
+    must be constant on each block. InvalidId unless `part` is an
+    `EPartition` of p. The verdict is computed once, on the partition
+    (`EPartition._verdict`, from one top-down pass of block masks), so a
+    repeated call only reads it."""
+    _check_part(p, part)
     return part._verdict
 
 
@@ -145,11 +175,11 @@ def quotient(p: Poset, part: EPartition) -> tuple[Poset, tuple[int, ...]]:
     """Quotient poset plus the projection map (element -> new block id).
 
     Block ids are renumbered by (depth of the block's shallowest member,
-    smallest original id), so quotients are deterministic. InvalidId for a
-    partition of a different poset, and NotEPartition when `is_epartition`
-    rejects `part`, on every call. The quotient is built once, on the
-    partition (`EPartition._quotient`), so a repeated call returns the
-    same one without rebuilding it.
+    smallest original id), so quotients are deterministic. InvalidId
+    unless `part` is an `EPartition` of p, and NotEPartition when
+    `is_epartition` rejects `part`, on every call. The quotient is built
+    once, on the partition (`EPartition._quotient`, from the verdict's
+    block masks), so a repeated call returns the same one.
     """
     if not is_epartition(p, part):
         raise NotEPartition("blocks fail the back-and-forth condition")

@@ -540,3 +540,15 @@ def test_a_full_row_without_a_merged_pair_is_reported():
     assert not merges_every_full_c_row(z, EPartition.identity(z), 2)
     lifted = lift_schedule(z, f, delta, sched)
     assert merges_every_full_c_row(z, lifted.kernel, 2)
+
+
+def test_merges_every_full_c_row_refuses_a_partition_of_another_poset():
+    """One block over a 68-element antichain merges every pair of the
+    depth-1 truncation's full c-rows by id, but it partitions another
+    poset."""
+    z = abomination_truncation(2, 1)
+    antichain = Poset.from_covers(z.n, [])
+    part = EPartition(antichain, (tuple(range(z.n)),))
+    with pytest.raises(InvalidId, match="partition built on a different poset"):
+        merges_every_full_c_row(z, part, 2)
+    assert merges_every_full_c_row(z, EPartition(z, part.blocks), 2)

@@ -17,7 +17,8 @@ from esakiakit import (Coloring, EPartition, InvalidId, NotEPartition,
                        is_pmorphism, kernel, ladder_truncation, quotient)
 from esakiakit.coloring import (enumerate_weak_colorings, is_coloring,
                                 is_weak_coloring, monochrome_mergeable_pair)
-from esakiakit.lemma import corollary_certificate, corollary_check
+from esakiakit.lemma import (corollary_certificate, corollary_check,
+                            merges_every_full_c_row, schedule_beta_reductions)
 from esakiakit.poset import _top_down, ids_of, mask_of
 from esakiakit.probes import enumerate_posets, quotient_census
 from esakiakit.randgen import random_poset, random_weak_coloring
@@ -178,6 +179,16 @@ def test_quotient_rejects_a_cyclic_block_relation(monkeypatch):
     import esakiakit.reduction as reduction
     monkeypatch.setattr(reduction, "is_epartition", lambda p, part: True)
     p = chain(3)
+    with pytest.raises(NotEPartition):
+        quotient(p, EPartition.from_blocks(p, [[0, 2], [1]]))
+
+
+def test_quotient_rejects_a_cyclic_block_relation_on_a_reversed_chain(monkeypatch):
+    """The same split on a 3-chain whose ids run top-down: block {0, 2}
+    reaches {1} only through its second member, 2 < 1 < 0."""
+    import esakiakit.reduction as reduction
+    monkeypatch.setattr(reduction, "is_epartition", lambda p, part: True)
+    p = Poset.from_covers(3, [(2, 1), (1, 0)])
     with pytest.raises(NotEPartition):
         quotient(p, EPartition.from_blocks(p, [[0, 2], [1]]))
 
@@ -825,6 +836,98 @@ def test_kept_verdicts_and_quotients_repeat_the_first_answer():
                 failing += not expected
                 checked += 1
     assert checked == 3547 and failing == 3547 - 1385   # 1385 E-partitions
+
+
+@pytest.mark.parametrize("call", [
+    is_epartition, quotient,
+    lambda p, part: EPartition.identity(p).refines(part),
+    lambda p, part: corollary_check(p, part, 1,
+                                    witness=Coloring.of(p, 1, [0] * p.n)),
+    lambda p, part: merges_every_full_c_row(p, part, 1),
+], ids=["is_epartition", "quotient", "refines", "corollary", "full_rows"])
+@pytest.mark.parametrize("part", [[(0,), (1, 2)], ((0,), (1, 2)), None],
+                         ids=["list", "tuple", "none"])
+def test_a_partition_argument_must_be_an_epartition(call, part):
+    with pytest.raises(InvalidId, match="not an EPartition"):
+        call(v_poset(), part)
+
+
+# Seeds of the verdict and quotient checks at truncation size, past the
+# exhaustive checks' 5 and 6 elements.
+VERDICT_TRUNCATION_SEED = 109
+VERDICT_LADDER_SEED = 113
+
+
+def edited(rng, part):
+    """Two partitions one edit away from `part`: a seeded member of a
+    seeded merged block moved into the next block (by index, wrapping
+    round), and a seeded merged block split in two at a seeded cut. Either
+    may still be an E-partition; none when no block is merged."""
+    blocks = [list(b) for b in part.blocks]
+    merged = [i for i, b in enumerate(blocks) if len(b) > 1]
+    if not merged:
+        return []
+    i = rng.choice(merged)
+    moved = [list(b) for b in blocks]
+    x = moved[i].pop(rng.randrange(len(moved[i])))
+    moved[(i + 1) % len(moved)].append(x)
+    j = rng.choice(merged)
+    b = list(blocks[j])
+    rng.shuffle(b)
+    cut = rng.randint(1, len(b) - 1)
+    split = blocks[:j] + [b[:cut], b[cut:]] + blocks[j + 1:]
+    return [EPartition.from_blocks(part.base, bs) for bs in (moved, split)]
+
+
+def matches_the_references(p, part):
+    """`is_epartition` equals the block-set definition, and `quotient`
+    equals the up-set formula or raises NotEPartition; the verdict."""
+    expected = block_set_is_epartition(p, part)
+    assert is_epartition(p, part) == expected, part.blocks
+    if expected:
+        assert quotient_key(*quotient(p, part)) == \
+            quotient_key(*up_set_quotient(p, part)), part.blocks
+    else:
+        with pytest.raises(NotEPartition):
+            quotient(p, part)
+    return expected
+
+
+def test_verdicts_and_quotients_match_the_references_on_truncations():
+    """The coarsest partitions of 30 weak colorings of order n of each
+    truncation (n, depth), seed VERDICT_TRUNCATION_SEED, and two edits of
+    each: 68, 102 and 132 elements."""
+    rng = random.Random(VERDICT_TRUNCATION_SEED)
+    counts = {}     # (n, depth) -> [edits, E-partitions among them]
+    for n, depth in ((2, 1), (2, 2), (3, 1)):
+        z = abomination_truncation(n, depth)
+        count = counts[n, depth] = [0, 0]
+        for _ in range(30):
+            part = coarsest_color_respecting(z, random_weak_coloring(rng, z, n))
+            assert matches_the_references(z, part)
+            for variant in edited(rng, part):
+                count[0] += 1
+                count[1] += matches_the_references(z, variant)
+    assert counts == {(2, 1): [60, 9], (2, 2): [60, 12], (3, 1): [60, 15]}
+
+
+def test_verdicts_and_quotients_match_the_references_on_ladder_kernels():
+    """The kernels of the ladder schedules of 10 weak colorings of order n
+    of each ladder with n <= 2 and depth <= 5, seed VERDICT_LADDER_SEED,
+    and two edits of each."""
+    rng = random.Random(VERDICT_LADDER_SEED)
+    edits = passed = 0
+    for n in range(3):
+        for depth in range(6):
+            v = ladder_truncation(n, depth)
+            for _ in range(10):
+                f = random_weak_coloring(rng, v, n)
+                ker = schedule_beta_reductions(v, f).kernel
+                assert matches_the_references(v, ker)
+                for variant in edited(rng, ker):
+                    edits += 1
+                    passed += matches_the_references(v, variant)
+    assert (edits, passed) == (360, 149)
 
 
 def growth_key(blocks):
