@@ -286,7 +286,8 @@ class Poset:
     def canonical_form(self):
         """Hashable key equal across isomorphic posets: (n, the least
         sorted cover list) over the leaves of a search tree. Color
-        refinement splits cells by the colors of covers up and down;
+        refinement splits cells by the colors of covers up and down,
+        rebuilding keys only in the cells next to a cell that split;
         individualization branches on each member of the first
         non-singleton cell. Twin pruning skips a candidate with the covers
         of one already tried; automorphism pruning skips one in the orbit
@@ -436,9 +437,12 @@ def _max_matching(n, adj):
 
 def _canonical_form(p: Poset):
     """Colors are always dense ranks 0..count-1, so a discrete coloring is
-    itself a leaf's order. A skipped candidate's subtree is the image of a
-    tried one under an automorphism fixing the node, so it holds the same
-    encodings and the least one is found without it."""
+    itself a leaf's order. Each node keeps its cells' members, so a pass
+    of `refine` touches only the cells next to a split: at the root every
+    cell, and after individualizing v the cells of v's covers up and down.
+    A skipped candidate's subtree is the image of a tried one under an
+    automorphism fixing the node, so it holds the same encodings and the
+    least one is found without it."""
     n = p.n
     if n == 0:
         return (0, ())
@@ -448,37 +452,68 @@ def _canonical_form(p: Poset):
         for y in succ[x]:
             below[y].append(x)
     pred = [tuple(row) for row in below]
+    near = [succ[x] + pred[x] for x in range(n)]
 
-    def refine(colors, count):
+    def refine(colors, cells, hit):
         """Split cells by the sorted colors of covers up and down until a
-        pass splits none; the new ranks sort (color, ups, downs)."""
-        while count < n:
-            keys = [(colors[x], tuple(sorted([colors[y] for y in succ[x]])),
-                     tuple(sorted([colors[y] for y in pred[x]])))
-                    for x in range(n)]
-            ranks = {k: i for i, k in enumerate(sorted(set(keys)))}
-            if len(ranks) == count:
+        pass splits none, rebuilding keys only in the hit cells: every cell
+        at the root, and then those that hold a cover of an element whose
+        cell split in the last pass. Any other cell cannot split: its
+        members had equal keys, and the colors they read were only
+        renumbered monotonically. A split cell's children take its place,
+        ordered by (ups, downs), and the cells after them shift up, so the
+        ranks are those of rounds that sort (color, ups, downs) over every
+        element. `colors` is updated in place; `cells[c]` lists the members
+        of color c in id order."""
+        while len(cells) < n:
+            split = {}
+            for c in hit:
+                members = cells[c]
+                if len(members) < 2:
+                    continue
+                groups: dict = {}
+                for x in members:
+                    key = (tuple(sorted([colors[y] for y in succ[x]])),
+                           tuple(sorted([colors[y] for y in pred[x]])))
+                    groups.setdefault(key, []).append(x)
+                if len(groups) > 1:
+                    split[c] = [groups[k] for k in sorted(groups)]
+            if not split:
                 break
-            colors = [ranks[k] for k in keys]
-            count = len(ranks)
-        return colors, count
+            first = min(split)
+            new = cells[:first]
+            moved = []
+            for c in range(first, len(cells)):
+                parts = split.get(c)
+                if parts is None:
+                    new.append(cells[c])
+                else:
+                    new += parts
+                    moved += cells[c]
+            for c in range(first, len(new)):
+                for x in new[c]:
+                    colors[x] = c
+            cells = new
+            hit = {colors[y] for x in moved for y in near[x]}
+        return colors, cells
 
     depths, up, down = p._depths, p._up, p._down
     init = [(depths[x], len(succ[x]), len(pred[x]), up[x].bit_count(),
              down[x].bit_count()) for x in range(n)]
     ranks = {k: i for i, k in enumerate(sorted(set(init)))}
+    colors = [ranks[k] for k in init]
+    cells = [[] for _ in ranks]
+    for x, c in enumerate(colors):
+        cells[c].append(x)
     best = None
     first_leaf: dict = {}           # encoding -> the first leaf giving it
     autos: list[list[int]] = []     # automorphisms, as image lists
 
-    def children(colors, count, prefix):
+    def children(colors, cells, prefix):
         """The refined children of an inner node, one at a time, so each
         candidate reads the automorphisms found under the ones before."""
-        sizes = [0] * count
-        for c in colors:
-            sizes[c] += 1
-        t = next(c for c in range(count) if sizes[c] > 1)
-        target = [x for x in range(n) if colors[x] == t]
+        t = next(c for c, members in enumerate(cells) if len(members) > 1)
+        target = cells[t]
         gens = []
         seen = 0                    # autos already read at this node
         tried = 0                   # orbits of the candidates tried so far
@@ -499,21 +534,26 @@ def _canonical_form(p: Poset):
             tried_twins.append(key)
             tried = _orbit(tried | 1 << v, gens)
             branched = colors[:]
-            branched[v] = count
-            yield (*refine(branched, count + 1), prefix + [v])
+            branched[v] = len(cells)
+            rest = cells[:]
+            rest[t] = target[:]
+            rest[t].remove(v)
+            rest.append([v])
+            yield (*refine(branched, rest, {colors[y] for y in near[v]}),
+                   prefix + [v])
 
     # Depth first on a stack of child iterators, one per open node, the
     # root the one child of the bottom entry: the search goes one level
     # deeper per individualized element.
-    stack = [iter([(*refine([ranks[k] for k in init], len(ranks)), [])])]
+    stack = [iter([(*refine(colors, cells, range(len(cells))), [])])]
     while stack:
         node = next(stack[-1], None)
         if node is None:
             stack.pop()
             continue
-        colors, count, prefix = node
-        if count < n:
-            stack.append(children(colors, count, prefix))
+        colors, cells, prefix = node
+        if len(cells) < n:
+            stack.append(children(colors, cells, prefix))
             continue
         enc = tuple(sorted([(colors[x], colors[y])
                             for x in range(n) for y in succ[x]]))

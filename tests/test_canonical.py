@@ -1,14 +1,16 @@
 """Canonical forms against the individualization-refinement search with
 twin pruning only, kept here as the reference. The library search also
-prunes by automorphisms and stops refining once a pass splits no cell;
-neither may change the form, which `enumerate_posets` and the census sort
-by."""
+prunes by automorphisms, rebuilds keys only in the cells next to a split,
+and stops refining once a pass splits no cell; none of these may change
+the form, which `enumerate_posets` and the census sort by."""
 
+import hashlib
 import random
 
 from esakiakit import (Poset, abomination_truncation,
-                       coarsest_color_respecting, enumerate_posets, quotient)
-from esakiakit.randgen import random_weak_coloring
+                       coarsest_color_respecting, enumerate_posets,
+                       ladder_truncation, quotient)
+from esakiakit.randgen import random_poset, random_weak_coloring
 
 from test_poset import covers_down, permuted
 
@@ -150,8 +152,8 @@ def test_forms_match_the_reference_on_truncation_quotients():
 def test_order_4_quotients_keep_their_form_under_relabelling():
     """Six seeded quotients of the 260-element order-4 truncation, 33 to
     90 elements, two relabellings each. On a 2-CPU host the six forms take
-    about 0.3 s; the twin-only reference takes about 6.3 s, 5.2 s of it on
-    the 90-element quotient."""
+    about 0.03 s and the whole test about 0.15 s; the twin-only reference
+    takes about 3.8 s, 3.1 s of it on the 90-element quotient."""
     z = abomination_truncation(4, 1)
     quotients = seeded_quotients(z, 4, 6, seed=0)
     assert sorted(q.n for q in quotients) == [33, 46, 53, 58, 61, 90]
@@ -160,6 +162,45 @@ def test_order_4_quotients_keep_their_form_under_relabelling():
         form = q.canonical_form()
         for _ in range(2):
             assert relabelled(rng, q).canonical_form() == form
+
+
+FORM_DIGEST_SEED = 2031
+# sha256 of the forms of the posets `form_digest_cases` yields, recorded on
+# the refinement that rebuilt every element's key in every round.
+FORM_DIGEST = "ebc3366f4f1be1d1de9b7de0afa7bcc5814ebb56884f7df93dc550e4f623077c"
+
+
+def form_digest_cases(rng):
+    """Every enumeration candidate of at most 6 elements (939); 500 seeded
+    random posets of 1-14 elements with shuffled ids; seeded census
+    quotients of the 68- and 102-element truncations at order 2 and of the
+    260-element one at order 4; and the truncations and ladders the tests
+    build (all but the 260-element truncation, whose form alone takes about
+    4 s on a 2-CPU host)."""
+    for n in range(1, 7):
+        yield from enumeration_candidates(n)
+    for _ in range(500):
+        yield relabelled(rng, random_poset(rng, rng.randint(1, 14)))
+    for n, depth, count in ((2, 1, 100), (2, 2, 100), (4, 1, 12)):
+        yield from seeded_quotients(abomination_truncation(n, depth), n,
+                                    count, seed=rng.getrandbits(32))
+    for n, depth in ((2, 0), (2, 1), (2, 2), (3, 0), (3, 1)):
+        yield abomination_truncation(n, depth)
+    for n, depth in ((0, 3), (1, 4), (2, 2), (2, 5)):
+        yield ladder_truncation(n, depth)
+
+
+def test_forms_match_the_recorded_digest():
+    """The same form, element for element, as the refinement the digest
+    was recorded on, so the `enumerate_posets` order and every census
+    dedupe stay as they were."""
+    digest = hashlib.sha256()
+    count = size = 0
+    for p in form_digest_cases(random.Random(FORM_DIGEST_SEED)):
+        digest.update(repr(p.canonical_form()).encode())
+        count += 1
+        size += p.n
+    assert (count, size, digest.hexdigest()) == (1660, 13481, FORM_DIGEST)
 
 
 def crowns(*sizes):

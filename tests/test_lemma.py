@@ -470,11 +470,11 @@ def test_census_collapse_at_order_4():
     """The census claim at n = 4 on the 260-element depth-1 truncation,
     with the full budget of 80 seeded colorings: 80 distinct partitions in
     61 quotient classes, the largest quotient of 90 elements, and every
-    partition merges a pair in both full c-rows. About 2.5-3 s on a 2-CPU
-    host: 0.5-0.75 s is the strict search spending STRICT_SEARCH_BUDGET
-    before it gives up (no strict coloring of order 4 exists), 1.4 s the
-    80 canonical forms, and 0.25 s the 80 coarsest partitions. With twin
-    pruning alone the census took 86 s."""
+    partition merges a pair in both full c-rows. About 1-1.3 s on a 2-CPU
+    host: 0.45-0.55 s is the strict search spending STRICT_SEARCH_BUDGET
+    before it gives up (no strict coloring of order 4 exists), 0.25 s the
+    80 canonical forms, and 0.1-0.15 s the 80 coarsest partitions. With
+    twin pruning alone the census took 86 s."""
     z = abomination_truncation(4, 1)
     assert full_c_levels(z, 4) == [0, 1]
     census = quotient_census(z, 4, budget=80, seed=CENSUS_4_SEED)

@@ -187,9 +187,16 @@ def test_canonical_coloring_is_strict_at_every_depth():
 
 @pytest.mark.parametrize("n,depth", [(2, 1), (2, 2), (3, 1), (3, 2)])
 def test_no_strict_coloring_of_order_n(n, depth):
-    """The finite side's evidence at these sizes: exhaustive search finds
-    no strict coloring of order n on the truncation."""
-    assert search_coloring(abomination_truncation(n, depth), n) is None
+    """Exhaustive search finds no strict coloring of order n on the
+    truncation. Pigeonhole on the top level already decides it: the
+    truncation has 2^(n+1) maximal elements, pairwise beta twins (each has
+    no cover above it), and a strict coloring must give twins distinct
+    colors, of which order n has only 2^n. The search still proves it by
+    exhaustion."""
+    z = abomination_truncation(n, depth)
+    top = ids_of(maximal_mask(z))
+    assert len(top) == 2 ** (n + 1)
+    assert search_coloring(z, n) is None
 
 
 def test_downset_claim():
