@@ -22,6 +22,9 @@ from .poset import Poset, _is_id, _top_down, ids_of, mask_of
 ALL_EPARTITIONS_LIMIT = 8
 # Sorted id tuple of every element mask all_epartitions can place.
 _IDS = tuple(tuple(ids_of(m)) for m in range(1 << ALL_EPARTITIONS_LIMIT))
+# Pair masks give the ordered pair (x, y) the bit x * ALL_EPARTITIONS_LIMIT
+# + y; `_SPREAD[m]` has the bit of (y, 0) for every y in m.
+_SPREAD = tuple(sum(1 << ALL_EPARTITIONS_LIMIT * y for y in ids) for ids in _IDS)
 
 
 class _cached:
@@ -45,7 +48,8 @@ class _cached:
 @dataclass(frozen=True)
 class EPartition:
     """Partition of a poset's elements, blocks sorted and tupled. Its
-    verdict and quotient read one top-down pass of block masks, `_sees`."""
+    verdict and quotient read one top-down pass of block masks, `_sees`;
+    the brute-force oracle reads only its pair mask, `_pairs`."""
 
     base: Poset
     blocks: tuple[tuple[int, ...], ...]
@@ -83,12 +87,7 @@ class EPartition:
     def refines(self, other: "EPartition") -> bool:
         """True when every block of self sits inside a block of other;
         InvalidId when other is not an EPartition of the same poset."""
-        # Checked inline, not by `_check_part`: the brute-force oracle calls
-        # this and shares no helper with the code it checks.
-        if not isinstance(other, EPartition):
-            raise InvalidId(f"{type(other).__name__} is not an EPartition")
-        if other.base is not self.base and other.base != self.base:
-            raise InvalidId("partitions built on different posets")
+        _check_part(self.base, other)
         look = other._lookup
         return all(look[x] == look[b[0]] for b in self.blocks for x in b)
 
@@ -103,6 +102,21 @@ class EPartition:
             for x in b:
                 look[x] = i
         return tuple(look)
+
+    @_cached
+    def _pairs(self) -> int:
+        """The pair mask: bit x * ALL_EPARTITIONS_LIMIT + y for every
+        ordered pair x != y that shares a block. `all_epartitions` stores
+        it at each leaf. TooLarge past that limit, where the stride would
+        alias: at stride 8 the pair (1, 8) lands on the bit of (2, 0)."""
+        if self.base.n > ALL_EPARTITIONS_LIMIT:
+            raise TooLarge(f"pair masks limited to {ALL_EPARTITIONS_LIMIT} elements")
+        pairs = 0
+        for b in self.blocks:
+            m = mask_of(b)
+            for x in b:
+                pairs |= (m ^ 1 << x) << ALL_EPARTITIONS_LIMIT * x
+        return pairs
 
     @_cached
     def _sees(self) -> tuple[int, ...]:
@@ -618,6 +632,10 @@ def all_epartitions(p: Poset) -> list[EPartition]:
     are upsets and an E-partition restricted to an upset is again one, so
     every E-partition is reached and every leaf is one.
 
+    Each leaf stores its pair mask, `EPartition._pairs`, built on the way
+    down: x joining a block with member mask m adds the pairs (x, y) and
+    (y, x) for each y in m, `m << 8x | _SPREAD[m] << x` at stride 8.
+
     The order of the list is unspecified.
     """
     if p.n > ALL_EPARTITIONS_LIMIT:
@@ -626,11 +644,19 @@ def all_epartitions(p: Poset) -> list[EPartition]:
     above = [p.up_mask(x) & ~(1 << x) for x in range(p.n)]
     members: list[int] = []     # element mask per open block
     sigs: list[int] = []        # block-index mask each block's members see
-    leaves = []
+    leaves: list[EPartition] = []
+    new = object.__new__
 
-    def place(i: int) -> None:
+    def place(i: int, pairs: int) -> None:
         if i == len(order):
-            leaves.append(tuple(sorted([_IDS[m] for m in members])))
+            # Filled in place: the frozen dataclass `__init__` costs about
+            # twice these three stores.
+            part = new(EPartition)
+            d = part.__dict__
+            d["base"] = p
+            d["blocks"] = tuple(sorted([_IDS[m] for m in members]))
+            d["_pairs"] = pairs
+            leaves.append(part)
             return
         x = order[i]
         up = above[x]
@@ -640,25 +666,28 @@ def all_epartitions(p: Poset) -> list[EPartition]:
                 sig |= 1 << b
         for b, s in enumerate(sigs):
             if s == sig | 1 << b:
-                members[b] |= 1 << x
-                place(i + 1)
-                members[b] ^= 1 << x
+                m = members[b]
+                members[b] = m | 1 << x
+                place(i + 1, pairs | m << ALL_EPARTITIONS_LIMIT * x
+                      | _SPREAD[m] << x)
+                members[b] = m
         sigs.append(sig | 1 << len(members))
         members.append(1 << x)
-        place(i + 1)
+        place(i + 1, pairs)
         members.pop()
         sigs.pop()
 
-    place(0)
-    return [EPartition(p, blocks) for blocks in leaves]
+    place(0, 0)
+    return leaves
 
 
 def brute_coarsest_color_respecting(p: Poset, coloring) -> EPartition:
     """Reference oracle for coarsest_color_respecting: scan every
-    E-partition, keep the ones with single-colored blocks, and return the
-    one that every other refines. InvalidId for a coloring built on
-    another poset; TooLarge past the enumeration limit; PropertyFalsified
-    if no unique coarsest exists (it always should)."""
+    E-partition with `_coarsest_among`, one AND of pair masks per
+    partition, and return the single-colored one that every other
+    single-colored one refines. InvalidId for a coloring built on another
+    poset; TooLarge past the enumeration limit; PropertyFalsified if no
+    unique coarsest exists (it always should)."""
     from .coloring import _check_base   # local import, no cycle at load
 
     _check_base(p, coloring)
@@ -668,15 +697,34 @@ def brute_coarsest_color_respecting(p: Poset, coloring) -> EPartition:
 def _coarsest_among(parts: Sequence[EPartition], coloring) -> EPartition:
     """The oracle's scan over `parts`, every E-partition of the coloring's
     poset: the E-partitions do not depend on the coloring, so a caller
-    with many colorings of one poset enumerates them once. PropertyFalsified
-    if the single-colored ones lack a greatest element."""
+    with many colorings of one poset enumerates them once, and their pair
+    masks (`EPartition._pairs`) with them.
+
+    `same` masks the same-colored ordered pairs. A partition is kept,
+    single-colored, when its pair mask lies inside `same`: one AND per
+    partition. The answer is the kept partition least by (number of
+    blocks, blocks); every kept one refines it exactly when the OR of the
+    kept masks lies inside its mask, and PropertyFalsified otherwise, or
+    when none is kept. TooLarge for a partition of more than
+    ALL_EPARTITIONS_LIMIT elements, whose pair mask would alias. The scan
+    reads only `blocks` and the pair masks made from them: no `refines`,
+    `_lookup` or `_sees`."""
     colors = coloring.colors
-    candidates = [part for part in parts
-                  if all(colors[x] == colors[b[0]]
-                         for b in part.blocks for x in b)]
-    best = min(candidates, key=lambda e: (len(e.blocks), e.blocks))
-    for part in candidates:
-        if not part.refines(best):
-            raise PropertyFalsified(
-                "color-respecting partitions lack a greatest element")
+    classes: dict = {}          # color -> mask of its elements
+    for x, c in enumerate(colors):
+        classes[c] = classes.get(c, 0) | 1 << x
+    same = 0
+    for x, c in enumerate(colors):
+        same |= classes[c] << ALL_EPARTITIONS_LIMIT * x
+    outside = ~same
+    kept = [part for part in parts if not part._pairs & outside]
+    if not kept:
+        raise PropertyFalsified("no color-respecting partition given")
+    best = min(kept, key=lambda e: (len(e.blocks), e.blocks))
+    union = 0
+    for part in kept:
+        union |= part._pairs
+    if union & ~best._pairs:
+        raise PropertyFalsified(
+            "color-respecting partitions lack a greatest element")
     return best

@@ -137,8 +137,9 @@ def check_coarsest_oracle(seed: int) -> dict:
     E-partitions: exhaustively on every poset and order-2 coloring with
     up to 5 elements, then on seeded samples up to 8 elements. An
     instance where either differs counts as one mismatch. The exhaustive
-    part enumerates each poset's E-partitions once, for all its
-    colorings."""
+    part enumerates each poset's E-partitions once, with their pair
+    masks, for all its colorings; the oracle's scan then decides each
+    coloring by one AND per partition and one union check."""
     mismatches = 0
     exhaustive = 0
     for size in range(1, 6):

@@ -4,8 +4,14 @@ prunes by automorphisms, rebuilds keys only in the cells next to a split,
 and stops refining once a pass splits no cell; none of these may change
 the form, which `enumerate_posets` and the census sort by."""
 
+import contextlib
 import hashlib
 import random
+import signal
+import threading
+import time
+
+import pytest
 
 from esakiakit import (Poset, abomination_truncation,
                        coarsest_color_respecting, enumerate_posets,
@@ -149,19 +155,54 @@ def test_forms_match_the_reference_on_truncation_quotients():
             assert r.canonical_form() == reference_canonical_form(r)
 
 
+FORMS_DEADLINE_S = 30
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail the test once the block has run `seconds`. It takes over the
+    SIGALRM timer of the per-test bound in conftest.py and re-arms that
+    bound with what is left of it. Without SIGALRM, or off the main
+    thread, the block runs under the per-test bound alone."""
+    if not hasattr(signal, "SIGALRM") or \
+            threading.current_thread() is not threading.main_thread():
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail(f"block ran past its {seconds} s deadline")
+
+    start = time.monotonic()
+    previous = signal.signal(signal.SIGALRM, expire)
+    outer, _ = signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+        if outer:
+            left = outer - (time.monotonic() - start)
+            signal.setitimer(signal.ITIMER_REAL, max(left, 0.001))
+
+
 def test_order_4_quotients_keep_their_form_under_relabelling():
     """Six seeded quotients of the 260-element order-4 truncation, 33 to
     90 elements, two relabellings each. On a 2-CPU host the six forms take
     about 0.03 s and the whole test about 0.15 s; the twin-only reference
-    takes about 3.8 s, 3.1 s of it on the 90-element quotient."""
+    takes about 3.8 s, 3.1 s of it on the 90-element quotient. The library
+    search has no bound of its own, and a refinement that splits too
+    little makes it exponential, so the forms run under a deadline of
+    FORMS_DEADLINE_S, about 200 times their whole test: such a refinement
+    fails the test instead of stalling the run."""
     z = abomination_truncation(4, 1)
     quotients = seeded_quotients(z, 4, 6, seed=0)
     assert sorted(q.n for q in quotients) == [33, 46, 53, 58, 61, 90]
     rng = random.Random(37)
-    for q in quotients:
-        form = q.canonical_form()
-        for _ in range(2):
-            assert relabelled(rng, q).canonical_form() == form
+    with deadline(FORMS_DEADLINE_S):
+        for q in quotients:
+            form = q.canonical_form()
+            for _ in range(2):
+                assert relabelled(rng, q).canonical_form() == form
 
 
 FORM_DIGEST_SEED = 2031

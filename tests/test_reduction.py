@@ -1010,9 +1010,9 @@ def test_brute_coarsest_matches_the_set_filter():
     then seeded relabelled posets of 7 and 8 elements. The enumeration is
     pinned by test_all_epartitions_matches_bell_filter, so on the small
     posets each poset's list is taken once and the oracle's scan
-    `_coarsest_among`, its filter and refines check, runs per coloring.
-    The reference reads colors only through equality, so it runs once per
-    color pattern."""
+    `_coarsest_among`, one AND of pair masks per partition and the union
+    check, runs per coloring. The reference reads colors only through
+    equality, so it runs once per color pattern."""
     checked = 0
     for n in range(6):
         for p in enumerate_posets(n):
@@ -1054,6 +1054,99 @@ def test_the_oracle_scan_needs_a_greatest_candidate():
     assert _coarsest_among(parts + [whole], f) == whole
     g = Coloring.of(p, 1, [0, 0, 1])
     assert _coarsest_among([whole, parts[0]], g) == parts[0]
+
+
+def pair_mask(blocks):
+    """Reference: bit 8x + y for every ordered pair x != y in one block."""
+    return sum(1 << 8 * x + y for b in blocks for x in b for y in b if x != y)
+
+
+def test_stored_pair_masks_equal_the_masks_of_their_blocks():
+    """`all_epartitions` stores each leaf's pair mask; it must equal the
+    mask `_pairs` computes from the blocks of a fresh partition, and the
+    reference, on every E-partition of every poset up to 6 elements and of
+    seeded relabelled posets of 7 and 8."""
+    def check(p):
+        for part in all_epartitions(p):
+            assert "_pairs" in vars(part)      # stored, not computed on read
+            fresh = EPartition(p, part.blocks)
+            assert part._pairs == fresh._pairs == pair_mask(part.blocks), \
+                (p, part.blocks)
+        return len(all_epartitions(p))
+
+    assert sum(check(p) for n in range(7) for p in enumerate_posets(n)) == \
+        1 + 1 + 4 + 21 + 144 + 1214 + 13085
+    rng = random.Random(61)
+    for n in (7, 8):
+        for _ in range(15):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            check(permuted(random_poset(rng, n), perm))
+
+
+def test_pair_masks_refuse_a_poset_past_the_limit():
+    """At stride 8 the pair (1, 8) would land on the bit of (2, 0), so a
+    partition of 9 elements has no pair mask: TooLarge, not an alias."""
+    assert 1 * 8 + 8 == 2 * 8 + 0
+    p = Poset.from_covers(9, [])
+    part = EPartition.from_blocks(p, [[1, 8], [0, 2, 3, 4, 5, 6, 7]])
+    with pytest.raises(TooLarge):
+        part._pairs
+    with pytest.raises(TooLarge):
+        _coarsest_among([part], Coloring.of(p, 1, [0] * 9))
+    with pytest.raises(TooLarge):
+        _coarsest_among([EPartition.identity(p)], Coloring.of(p, 1, [0] * 9))
+
+
+def test_the_oracle_scan_refuses_a_list_without_the_coarsest():
+    """With the true coarsest partition removed, three same-colored
+    incomparable elements leave three incomparable candidates, and the
+    scan must refuse them. Over every poset up to 5 elements and every
+    weak coloring of order 2, the scan without the true coarsest refuses
+    exactly when the set reference finds no greatest candidate among the
+    rest, and otherwise returns that one."""
+    p = Poset.from_covers(3, [])
+    f = Coloring.of(p, 1, [0, 0, 0])
+    parts = all_epartitions(p)
+    top = _coarsest_among(parts, f)
+    assert top.blocks == ((0, 1, 2),)
+    with pytest.raises(PropertyFalsified):
+        _coarsest_among([part for part in parts if part != top], f)
+    outcomes = {"refused": 0, "returned": 0}
+    for n in range(6):
+        for p in enumerate_posets(n):
+            parts = all_epartitions(p)
+            for f in enumerate_weak_colorings(p, 2):
+                top = _coarsest_among(parts, f)
+                rest = [part for part in parts if part != top]
+                try:
+                    expected = set_filter_oracle(rest, f.colors)
+                except (PropertyFalsified, ValueError):    # ValueError: none left
+                    expected = None
+                if expected is None:
+                    with pytest.raises(PropertyFalsified):
+                        _coarsest_among(rest, f)
+                    outcomes["refused"] += 1
+                else:
+                    assert _coarsest_among(rest, f) == expected, (p, f.colors)
+                    outcomes["returned"] += 1
+    assert outcomes == {"refused": 7104, "returned": 4889}
+
+
+def test_the_one_pass_matches_the_mask_oracle_on_six_elements():
+    """Every weak coloring of order 2 of every 6-element poset: the
+    top-down pass alone against the oracle's scan over the poset's
+    E-partitions, enumerated once per poset. The report's sweeps stop at
+    5 elements; this one reaches past them."""
+    posets = instances = 0
+    for p in enumerate_posets(6):
+        posets += 1
+        parts = all_epartitions(p)
+        for f in enumerate_weak_colorings(p, 2):
+            instances += 1
+            assert coarsest_color_respecting(p, f) == _coarsest_among(parts, f), \
+                (p, f.colors)
+    assert (posets, instances) == (318, 107117)
 
 
 def test_the_oracle_check_enumerates_each_poset_once(monkeypatch):
