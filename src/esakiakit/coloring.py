@@ -15,8 +15,13 @@ from typing import Iterator, Mapping, Sequence
 
 from .errors import (BudgetExceeded, InvalidId, NotColoring, OutOfRange,
                      PropertyFalsified)
-from .poset import Poset, _id_items, _is_id, _top_down
-from .reduction import _Replay
+from .poset import Poset, _id_items, _is_id, _top_down, mask_of
+
+# Largest color order the library accepts, in colorings, searches and bit
+# strings. A color is an int below 2^n, so the order bounds every color
+# and color mask; the tests go up to 70, and at the limit a full mask
+# takes 128 bytes.
+COLOR_ORDER_LIMIT = 1024
 
 
 def color_leq(a: int, b: int) -> bool:
@@ -24,8 +29,18 @@ def color_leq(a: int, b: int) -> bool:
     return a & ~b == 0
 
 
+def _check_order(n) -> None:
+    """OutOfRange unless the color order n is a plain int (no bool or
+    float) in 0..COLOR_ORDER_LIMIT: the one order check, made before
+    anything of size 2^n is built."""
+    if not _is_id(n) or not 0 <= n <= COLOR_ORDER_LIMIT:
+        raise OutOfRange(f"color order {n!r} is not an int in "
+                         f"0..{COLOR_ORDER_LIMIT}")
+
+
 def color_bits(c: int, n: int) -> str:
     """Most significant bit first, width n (the empty string at n = 0)."""
+    _check_order(n)
     if not 0 <= c < (1 << n):
         raise OutOfRange(f"color {c} needs more than {n} bits")
     return format(c, f"0{n}b") if n else ""
@@ -39,10 +54,10 @@ class Coloring:
 
     @staticmethod
     def of(base: Poset, n: int, colors: Sequence[int]) -> "Coloring":
-        """A checked coloring: OutOfRange unless the order and every color
-        are plain ints (no bools or floats), each color below 2^n."""
-        if not _is_id(n) or n < 0:
-            raise OutOfRange(f"color order {n!r} is not a non-negative int")
+        """A checked coloring: OutOfRange unless the order passes
+        `_check_order` and every color is a plain int (no bool or float)
+        below 2^n."""
+        _check_order(n)
         cols = tuple(colors)
         if len(cols) != base.n:
             raise InvalidId("one color per element required")
@@ -57,11 +72,6 @@ class Coloring:
 
     def bits(self, x: int) -> str:
         return color_bits(self.color(x), self.n)
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.n,
-                "colors": {str(x): color_bits(c, self.n)
-                           for x, c in enumerate(self.colors)}}
 
     @staticmethod
     def from_json_dict(base: Poset, data: Mapping) -> "Coloring":
@@ -111,11 +121,59 @@ def is_weak_coloring(p: Poset, f: Coloring) -> bool:
     return True
 
 
+def _least_move(names, pos, succ, depth, values, floor=0):
+    """The least same-valued move by (depth of the merged-from element,
+    ids, kind: alpha first) as (kind, x, y) in current ids, or None: the
+    one move finder, behind both the strictness check and the reduction
+    greedy. It reads plain per-slot lists: `names` lists the slots in
+    current-id order and `pos` is its inverse, and per slot `succ` is the
+    cover mask over slots, `depth` the depth and `values` the value. One
+    pass over the slots finds the move without listing the moves. Slots
+    shallower than `floor` are skipped; the greedy passes a floor that no
+    move lies above.
+
+    Beta twins share their covers and so their depth. A twin group's
+    least pair is its first two members in current-id order, so each
+    group offers one beta move, found when its second member is seen.
+    Current ids need not follow depth, so every slot is visited; a slot
+    deeper than the best move so far is skipped, since its moves and its
+    twins' are deeper too. An alpha move and a beta move from the same x
+    are told apart by their full keys."""
+    best = None
+    first: dict[tuple[int, object], int] = {}
+    for x, s in enumerate(names):
+        d = depth[s]
+        if d < floor or best is not None and d > best[0]:
+            continue
+        c, v = succ[s], values[s]
+        if c and not c & (c - 1):
+            t = c.bit_length() - 1
+            if values[t] == v:
+                key = (d, x, pos[t], 0)
+                if best is None or key < best:
+                    best = key
+        w = first.setdefault((c, v), x)
+        if 0 <= w < x:
+            key = (d, w, x, 1)
+            if best is None or key < best:
+                best = key
+            first[c, v] = -1    # later members give only larger pairs
+    if best is None:
+        return None
+    _, x, y, rank = best
+    return ("beta" if rank else "alpha"), x, y
+
+
 def monochrome_mergeable_pair(p: Poset, f: Coloring) -> tuple[str, int, int] | None:
-    """The least same-colored move (kind, x, y), in `_Replay.least` order,
-    or None; InvalidId for a coloring built on another poset."""
+    """The least same-colored move (kind, x, y), in `_least_move` order,
+    or None; InvalidId for a coloring built on another poset. The poset's
+    ids are its slots, in their own order, so the move finder reads the
+    identity order, the stored successor rows as masks and the stored
+    depths."""
     _check_base(p, f)
-    return _Replay(p).least(f.colors)
+    ids = range(p.n)
+    return _least_move(ids, ids, [mask_of(ys) for ys in p._succ], p._depths,
+                       f.colors)
 
 
 def is_coloring(p: Poset, f: Coloring) -> bool:
@@ -135,8 +193,7 @@ def _weak_walk(p: Poset, n: int, groups: Sequence[int] | None,
     order. The walk keeps one candidate and one ceiling per placed element
     on its own lists, so its depth is not bounded by the interpreter's
     recursion limit."""
-    if type(n) is not int or n < 0:
-        raise OutOfRange(f"color order {n!r} is not a non-negative int")
+    _check_order(n)
     if budget is not None and type(budget) is not int:
         raise OutOfRange(f"search budget {budget!r} is not an int")
     order = _top_down(p)

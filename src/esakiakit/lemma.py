@@ -302,10 +302,6 @@ class LiftCertificate:
     steps: tuple[ReductionStep, ...]
     kernel: EPartition
 
-    def to_json_dict(self) -> dict:
-        return {"levels": {str(p): list(pair) for p, pair in sorted(self.levels.items())},
-                "steps": [{"kind": s.kind, "pair": list(s.pair)} for s in self.steps]}
-
 
 def c_rows(z: Poset) -> dict[int, dict[int, int]]:
     """level -> {index -> element} for the c-labeled points of z."""

@@ -414,24 +414,37 @@ def _max_matching(n, adj):
     """Size of a maximum matching between left and right copies of 0..n-1,
     adj[u] listing the right partners of left u. Each left vertex takes a
     free partner if it has one, and otherwise searches for one augmenting
-    path (Berge 1957; Kuhn 1955)."""
+    path (Berge 1957; Kuhn 1955). The search is depth first on its own
+    stack, so a path may be longer than the interpreter's recursion
+    limit."""
     match = [-1] * n                    # right vertex -> its left partner
 
-    def augment(u, seen):
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                if match[v] == -1 or augment(match[v], seen):
-                    match[v] = u
-                    return True
-        return False
+    def augment(root):
+        seen = set()
+        stack = [(root, iter(adj[root]))]   # the path's left vertices
+        path = []               # right vertex from stack[i] to stack[i + 1]
+        while stack:
+            for v in stack[-1][1]:
+                if v not in seen:
+                    seen.add(v)
+                    path.append(v)
+                    if match[v] == -1:
+                        for (u, _), t in zip(stack, path):
+                            match[t] = u
+                        return
+                    stack.append((match[v], iter(adj[match[v]])))
+                    break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
 
     for u in range(n):
         free = next((v for v in adj[u] if match[v] == -1), None)
         if free is not None:
             match[free] = u
         else:
-            augment(u, set())
+            augment(u)
     return n - match.count(-1)
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 
-from .coloring import Coloring
+from .coloring import Coloring, _check_order
 from .errors import OutOfRange
 from .poset import Poset, _is_id, _top_down
 
@@ -32,7 +32,9 @@ def random_poset(rng: random.Random, n: int) -> Poset:
 def random_weak_coloring(rng: random.Random, p: Poset, n: int) -> Coloring:
     """Uniform-ish weak coloring: sweep from the maximal elements down,
     drawing each color as a random submask of the meet of the colors
-    already placed on the immediate successors."""
+    already placed on the immediate successors. OutOfRange for an order
+    that `Coloring.of` refuses, before any color is drawn."""
+    _check_order(n)
     colors = [0] * p.n
     for x in _top_down(p):
         ceiling = (1 << n) - 1

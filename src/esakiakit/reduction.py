@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
+from .coloring import _check_base, _least_move, is_weak_coloring
 from .errors import (CycleDetected, InvalidId, NotEPartition, NotMergeable,
                      NotPMorphism, NotSurjective, NotWeakColoring,
                      PropertyFalsified, TooLarge)
@@ -301,8 +302,9 @@ class _Replay:
     sort. No poset is built: the current poset is the `quotient` of the
     base by `kernel`, up to the numbering of its blocks.
 
-    The greedy takes the least move in one pass over the live slots
-    (`least`); no list of moves is ever built.
+    The greedy finds each least move with `coloring._least_move`, which
+    the strictness check calls too: one pass over the live slots, and no
+    list of moves is ever built.
 
     Merging x and y into m, with D the strict down set of m: m's covers
     are y's for alpha and x's for beta. Only the immediate predecessors
@@ -436,52 +438,12 @@ class _Replay:
                 queued |= pred[z]
         return ReductionStep(kind, (x, y))
 
-    def least(self, values: Sequence, floor: int = 0) -> tuple[str, int, int] | None:
-        """The least same-valued move by (depth of the merged-from element,
-        ids, kind: alpha first) as (kind, x, y) in current ids, or None,
-        found in one pass over the live slots without listing the moves.
-        Slots shallower than `floor` are skipped; `greedy` passes a floor
-        that no move lies above.
-
-        Beta twins share their covers and so their depth. A twin group's
-        least pair is its first two members in current-id order, so each
-        group offers one beta move, found when its second member is seen.
-        Current ids follow pre-merge depth, not current depth, so every
-        slot is visited; a slot deeper than the best move so far is
-        skipped, since its moves and its twins' are deeper too. An alpha
-        move and a beta move from the same x are told apart by their full
-        keys."""
-        pos, succ, depth = self.pos, self.succ, self.depth
-        best = None
-        first: dict[tuple[int, object], int] = {}
-        for x, s in enumerate(self.names):
-            d = depth[s]
-            if d < floor or best is not None and d > best[0]:
-                continue
-            c, v = succ[s], values[s]
-            if c and not c & (c - 1):
-                t = c.bit_length() - 1
-                if values[t] == v:
-                    key = (d, x, pos[t], 0)
-                    if best is None or key < best:
-                        best = key
-            w = first.setdefault((c, v), x)
-            if 0 <= w < x:
-                key = (d, w, x, 1)
-                if best is None or key < best:
-                    best = key
-                first[c, v] = -1    # later members give only larger pairs
-        if best is None:
-            return None
-        _, x, y, rank = best
-        return ("beta" if rank else "alpha"), x, y
-
     def greedy(self, values: Sequence) -> list[ReductionStep]:
         """Merge same-valued pairs, least move first, until none remain.
         `values` is indexed by original id; only equal values are merged,
         so a current element's value is the value of its name.
 
-        Each round passes `least` the depth d of the last move's
+        Each round passes `_least_move` the depth d of the last move's
         merged-from element, read before the merge, as its floor: the least
         move's depth never decreases. m's moves were x's (beta) or y's
         (alpha) and so not below d; an alpha merge leaves every member of
@@ -489,7 +451,8 @@ class _Replay:
         depth; no other element changes its covers, depth or twins."""
         steps = []
         floor = 0
-        while (move := self.least(values, floor)) is not None:
+        while (move := _least_move(self.names, self.pos, self.succ, self.depth,
+                                   values, floor)) is not None:
             kind, x, y = move
             s = self.names[x]
             floor = self.depth[s]
@@ -569,8 +532,6 @@ def coarsest_color_respecting(p: Poset, coloring) -> EPartition:
     `is_epartition` (NotEPartition if it fails), and the verdict
     stays on it, so a quotient of it does not check it again.
     """
-    from .coloring import is_weak_coloring   # local import, no cycle at load
-
     if not is_weak_coloring(p, coloring):
         raise NotWeakColoring("input coloring is not order preserving")
     succ, colors = p._succ, coloring.colors
@@ -602,18 +563,16 @@ def coarsest_color_respecting(p: Poset, coloring) -> EPartition:
 def color_respecting_reduction(p: Poset, coloring) -> tuple[EPartition, list[ReductionStep]]:
     """The coarsest color-respecting partition by the merge greedy, with
     its steps in original ids: same-colored alpha/beta pairs are merged,
-    least move of `_Replay.least` first, until none remain. The fixpoint
-    does not depend on the order of the merges, and its kernel equals
-    the one top-down pass of `coarsest_color_respecting`, which is the
-    library's path when no steps are needed. NotWeakColoring for a
+    least move of `coloring._least_move` first, until none remain. The
+    fixpoint does not depend on the order of the merges, and its kernel
+    equals the one top-down pass of `coarsest_color_respecting`, which is
+    the library's path when no steps are needed. NotWeakColoring for a
     coloring that is not order preserving.
 
     The merges are replayed in place by `_Replay.greedy`, so no poset is
     built per merge, and the final kernel is checked once with
     `is_epartition`; NotEPartition if it fails.
     """
-    from .coloring import is_weak_coloring   # local import, no cycle at load
-
     if not is_weak_coloring(p, coloring):
         raise NotWeakColoring("input coloring is not order preserving")
     replay = _Replay(p)
@@ -688,8 +647,6 @@ def brute_coarsest_color_respecting(p: Poset, coloring) -> EPartition:
     single-colored one refines. InvalidId for a coloring built on another
     poset; TooLarge past the enumeration limit; PropertyFalsified if no
     unique coarsest exists (it always should)."""
-    from .coloring import _check_base   # local import, no cycle at load
-
     _check_base(p, coloring)
     return _coarsest_among(all_epartitions(p), coloring)
 

@@ -1,7 +1,10 @@
 import contextlib
+import hashlib
 import io
 import json
 import pathlib
+import random
+import resource
 import subprocess
 import sys
 import tempfile
@@ -11,9 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import esakiakit.cli as cli
-from esakiakit import Coloring, InvalidId, Poset, PropertyFalsified
+from esakiakit import (Coloring, InvalidId, Poset, PropertyFalsified,
+                       abomination_truncation, color_bits, ladder_truncation)
+from esakiakit.coloring import COLOR_ORDER_LIMIT
 from esakiakit.poset import JSON_SIZE_LIMIT
 from esakiakit.probes import EXHAUSTIVE_CENSUS_LIMIT
+from esakiakit.randgen import random_poset, random_weak_coloring
 
 
 def write_json(path, obj):
@@ -192,6 +198,56 @@ def test_reduce_a_wide_twin_group(capsys, tmp_path):
                              for y in range(1, n)]
 
 
+def pinned_inputs():
+    """Seeded weak colorings: of order 2 on the 68- and 102-element
+    truncations, of every order up to n on the ladders with n <= 2, and of
+    order 0 to 3 on random posets of up to 14 elements."""
+    rng = random.Random(331)
+    for depth in (1, 2):
+        z = abomination_truncation(2, depth)
+        for _ in range(4):
+            yield z, random_weak_coloring(rng, z, 2)
+    for n in range(3):
+        for depth in range(4):
+            v = ladder_truncation(n, depth)
+            for order in range(n + 1):
+                yield v, random_weak_coloring(rng, v, order)
+    for _ in range(150):
+        p = random_poset(rng, rng.randint(0, 14))
+        yield p, random_weak_coloring(rng, p, rng.randint(0, 3))
+
+
+# sha256 of the stdout of check-coloring, then reduce, on each of
+# `pinned_inputs` in turn, recorded while the move finder was a method of
+# the replay and the strictness check built a replay to call it.
+PINNED_OUTPUT_SHA256 = (
+    "a1f83a3de06a394172ef5f5c1f2150c96b5720aa6ba900b5a2a53f883b8e1b83")
+
+
+def test_check_coloring_and_reduce_output_is_pinned(tmp_path):
+    """The strictness check reads the move finder straight off the poset
+    and the reduction greedy passes it the replay's state; both commands
+    print the bytes they printed when the finder was the replay's own."""
+    poset, coloring = tmp_path / "p.json", tmp_path / "f.json"
+    digest = hashlib.sha256()
+    strict = []
+    for p, f in pinned_inputs():
+        write_json(poset, p.to_json_dict())
+        write_json(coloring, {"n": f.n,
+                              "colors": [color_bits(c, f.n) for c in f.colors]})
+        for command in ("check-coloring", "reduce"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main([command, "--poset", str(poset),
+                                 "--coloring", str(coloring)])
+            assert code == 0, (command, p, f.colors)
+            digest.update(out.getvalue().encode())
+            if command == "check-coloring":
+                strict.append(json.loads(out.getvalue())["strict"])
+    assert strict.count(True) > 10 and strict.count(False) > 100
+    assert digest.hexdigest() == PINNED_OUTPUT_SHA256
+
+
 def test_census_json_and_csv(capsys, chain2):
     code, out, _ = run(capsys, "census", "--poset", chain2, "--n", "1")
     assert code == 0
@@ -227,6 +283,53 @@ def test_census_negative_order_exits_2(chain2):
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("error:")
     assert "negative shift count" not in done.stderr
+
+
+HUGE_ORDER = 1 << 40
+ADDRESS_SPACE_CAP = 3 << 29     # 1.5 GiB
+
+
+def cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS,
+                       (ADDRESS_SPACE_CAP, ADDRESS_SPACE_CAP))
+
+
+def run_capped(*argv):
+    """`run_cli` in an interpreter capped at 1.5 GiB of address space, so
+    a command that did build a 2^40-bit color would fail with MemoryError
+    instead of taking the machine's memory, and within 30 s."""
+    done = subprocess.run([sys.executable, "-m", "esakiakit.cli", *argv],
+                          capture_output=True, text=True, timeout=30,
+                          preexec_fn=cap_address_space)
+    assert "Traceback" not in done.stderr
+    return done
+
+
+def test_a_color_order_past_the_limit_exits_2_at_once(tmp_path, chain2):
+    """An order of 2^40 would ask for 2^40-bit colors, 128 GiB each: every
+    command refuses it as bad input before building one."""
+    empty = write_json(tmp_path / "empty.json", {"n": 0, "covers": []})
+    coloring = write_json(tmp_path / "f.json", {"n": HUGE_ORDER, "colors": []})
+    for argv in (("check-coloring", "--poset", empty, "--coloring", coloring),
+                 ("reduce", "--poset", empty, "--coloring", coloring),
+                 ("census", "--poset", chain2, "--n", str(HUGE_ORDER)),
+                 ("census", "--poset", chain2,
+                  "--n", str(COLOR_ORDER_LIMIT + 1))):
+        done = run_capped(*argv)
+        assert done.returncode == 2 and done.stdout == "", argv
+        assert done.stderr.startswith("error: color order"), argv
+
+
+def test_the_color_order_limit_is_admitted(tmp_path, chain2):
+    empty = write_json(tmp_path / "empty.json", {"n": 0, "covers": []})
+    coloring = write_json(tmp_path / "f.json",
+                          {"n": COLOR_ORDER_LIMIT, "colors": []})
+    done = run_cli("check-coloring", "--poset", empty, "--coloring", coloring)
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["order"] == COLOR_ORDER_LIMIT
+    done = run_cli("census", "--poset", chain2, "--n", str(COLOR_ORDER_LIMIT),
+                   "--budget", "3")
+    assert done.returncode == 0
 
 
 def test_unbudgeted_exhaustive_census_stops_at_its_limit(tmp_path):

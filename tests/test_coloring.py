@@ -13,11 +13,12 @@ from esakiakit import (BudgetExceeded, Coloring, InvalidId, NotColoring,
                        is_weak_coloring, ladder_truncation,
                        monochrome_mergeable_pair, promote_subspace_coloring,
                        search_coloring)
+from esakiakit.coloring import COLOR_ORDER_LIMIT
 from esakiakit.poset import _top_down
 from esakiakit.probes import enumerate_posets
 from esakiakit.randgen import random_poset, random_weak_coloring
 
-from test_poset import permuted
+from test_poset import coloring_json, permuted
 from test_replay import mergeable_pairs
 
 
@@ -58,7 +59,7 @@ def test_coloring_of_validates():
 def test_coloring_json_roundtrip():
     p = v_poset()
     f = Coloring.of(p, 2, [0, 1, 3])
-    d = f.to_json_dict()
+    d = coloring_json(f)
     assert d == {"n": 2, "colors": {"0": "00", "1": "01", "2": "11"}}
     assert Coloring.from_json_dict(p, d) == f
 
@@ -379,6 +380,25 @@ def test_a_color_order_that_is_not_a_plain_int_is_out_of_range():
     for n in (True, 1.0, "1", None):
         with pytest.raises(OutOfRange):
             Coloring.of(chain(2), n, [0, 0])
+
+
+def test_a_color_order_past_the_limit_is_out_of_range():
+    """Refused before anything of 2^n bits is built: at 2^40 one color
+    would take 128 GiB."""
+    p = Poset.from_covers(0, [])
+    assert Coloring.of(p, COLOR_ORDER_LIMIT, []).n == COLOR_ORDER_LIMIT
+    rng = random.Random(0)
+    for n in (COLOR_ORDER_LIMIT + 1, 1 << 40):
+        with pytest.raises(OutOfRange, match="color order"):
+            Coloring.of(p, n, [])
+        with pytest.raises(OutOfRange, match="color order"):
+            color_bits(0, n)
+        with pytest.raises(OutOfRange, match="color order"):
+            search_coloring(chain(2), n)
+        with pytest.raises(OutOfRange, match="color order"):
+            enumerate_weak_colorings(chain(2), n)
+        with pytest.raises(OutOfRange, match="color order"):
+            random_weak_coloring(rng, chain(2), n)
 
 
 def test_search_at_an_order_that_is_not_a_plain_int_is_out_of_range():

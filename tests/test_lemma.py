@@ -359,10 +359,7 @@ def test_certificate_on_constant_coloring():
     cert = corollary_certificate(z, constant(z, 2), 2)
     assert cert.levels == {0: (0, 1), 1: (0, 1)}
     assert len(cert.steps) == 28
-    d = cert.to_json_dict()
-    assert d["levels"] == {"0": [0, 1], "1": [0, 1]}
-    assert len(d["steps"]) == 28
-    assert d["steps"][0] == {"kind": "beta", "pair": [0, 1]}
+    assert cert.steps[0] == ReductionStep("beta", (0, 1))
 
 
 def test_certificate_empty_without_full_rows():

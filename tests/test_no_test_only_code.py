@@ -10,7 +10,10 @@ string of `POSET_METHODS` in `perfbench/spans.py`, the `Poset` methods it
 wraps by name. Its other strings, such as the `UNWRAPPED` names it leaves
 unwrapped, are not reads. Dunder methods are called by the language and
 are not checked. The check goes by name, so a method that shares its name
-with an attribute read elsewhere counts as read."""
+with an attribute read elsewhere counts as read: the CLI's read of
+`Poset.to_json_dict` would hide a `to_json_dict` on any other class. A
+method whose name is shared therefore needs a look by hand, to see that
+something outside the tests calls it on its own class."""
 
 import ast
 import pathlib

@@ -5,7 +5,8 @@ default) with `RecursionError`, a traceback the CLI's exit codes do not
 cover. A function that calls itself must therefore recurse no deeper
 than a bound that its callers keep small; the bound is written down here.
 A search whose depth grows with the input poset keeps its own stack
-instead (`coloring._weak_walk`, `poset._canonical_form`).
+instead (`coloring._weak_walk`, `poset._canonical_form`,
+`poset._max_matching`).
 
 A plain or nested function is self-recursive when it calls its own name;
 a method, when it calls an attribute of its own name (`self.imp()`, or
@@ -38,11 +39,6 @@ BOUNDED = {
         "one level per antichain member, so at most the poset's width; "
         "reached through `upset_algebra`, capped at `SIZE_BOUND`, and "
         "through `downsets` in `enumerate_posets`",
-    "poset.py:_max_matching.augment":
-        "one level per matched left vertex on an augmenting path, so at "
-        "most n; reached through `max_antichain_size` and `width`, which "
-        "the report calls on the 68- to 132-element truncations and no "
-        "CLI command calls",
     "probes.py:enumerate_posets":
         "n levels; callers cap n (`enumerate_rooted_posets` in `kc_probe` "
         "at `KC_MAX_SIZE` - 1, the suite at 6)",
@@ -97,7 +93,8 @@ def test_every_self_recursive_function_has_a_depth_bound():
 def test_the_input_sized_searches_keep_their_own_stacks():
     assert not [name for name in BOUNDED
                 if name.startswith(("coloring.py:_weak_walk",
-                                    "poset.py:_canonical_form"))]
+                                    "poset.py:_canonical_form",
+                                    "poset.py:_max_matching"))]
 
 
 def test_the_detector_tells_methods_from_functions():

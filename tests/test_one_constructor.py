@@ -1,6 +1,7 @@
 """Every Poset is built by one constructor core, so covers, up and down
-masks are derived in exactly one place, and merges are replayed in one
-place, `reduction`."""
+masks are derived in exactly one place; merges are replayed in one
+place, `reduction`; and the package's modules import one another only at
+module level, so their import graph is acyclic."""
 
 import ast
 import pathlib
@@ -43,14 +44,81 @@ def test_poset_is_instantiated_only_in_the_core_constructor():
 
 
 def test_merges_are_replayed_only_in_reduction():
-    """Outside `reduction`, only the strictness check asks a fresh replay
-    for its least move: `lemma` replays schedules and their lifts only
-    through `compose_steps`."""
+    """No module but `reduction` builds a replay: the strictness check
+    calls the move finder on the poset itself, and `lemma` replays
+    schedules and their lifts only through `compose_steps`."""
     found = [name for path in sorted(SRC.glob("*.py"))
              for name in instantiating_functions(path, "_Replay")]
     assert any(name.startswith("reduction.") for name in found)
-    assert [name for name in found if not name.startswith("reduction.")] == \
-        ["coloring.monochrome_mergeable_pair"]
+    assert [name for name in found if not name.startswith("reduction.")] == []
+
+
+def function_imports(source, stem):
+    """(qualified function name, imported module) for every import
+    statement inside a function of the module `stem` with this source."""
+    tree = ast.parse(source, filename=stem)
+    found = []
+
+    def visit(node, scope, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                visit(child, scope + [child.name],
+                      in_function or not isinstance(child, ast.ClassDef))
+                continue
+            name = ".".join(scope)
+            if in_function and isinstance(child, ast.Import):
+                found.extend((name, a.name) for a in child.names)
+            elif in_function and isinstance(child, ast.ImportFrom):
+                found.append((name, "." * child.level + (child.module or "")))
+            visit(child, scope, in_function)
+
+    visit(tree, [stem], False)
+    return found
+
+
+def sibling(module):
+    """Whether an imported module name is one of the package's own."""
+    return module.startswith(".") or module.split(".")[0] == SRC.name
+
+
+def test_no_function_imports_a_sibling_module():
+    """The package's modules import their siblings' names at module top,
+    so two modules that imported each other would each ask for names of a
+    module still loading. A deferred import inside a function is the way
+    round that; with none allowed, the import graph stays acyclic."""
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    found = [(name, module) for path in modules
+             for name, module in function_imports(
+                 path.read_text(encoding="utf-8"), path.stem)
+             if sibling(module)]
+    assert found == []
+
+
+def test_the_import_detector_sees_nested_functions():
+    source = """
+import json
+from . import errors
+
+def load():
+    from .poset import Poset
+    import esakiakit.cli
+    import random
+    return Poset
+
+class Box:
+    from .spaces import width_of
+
+    def method(self):
+        def inner():
+            from .. import x
+        return inner
+"""
+    found = function_imports(source, "m")
+    assert found == [("m.load", ".poset"), ("m.load", "esakiakit.cli"),
+                     ("m.load", "random"), ("m.Box.method.inner", "..")]
+    assert [module for _, module in found if not sibling(module)] == ["random"]
 
 
 def attribute_readers(path, attr):

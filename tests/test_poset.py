@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from esakiakit import (Coloring, CycleDetected, EPartition, InvalidId,
                        OutOfRange, Poset, TooLarge, abomination_truncation,
-                       alpha_mergeable, beta_mergeable,
+                       alpha_mergeable, beta_mergeable, color_bits,
                        coarsest_color_respecting, enumerate_posets, ids_of,
                        is_pmorphism, ladder_truncation, mask_of, quotient)
 from esakiakit.poset import JSON_COVER_LIMIT
@@ -53,6 +53,13 @@ def is_upset(p: Poset, mask: int) -> bool:
 def maximal_mask(p: Poset) -> int:
     """The elements whose up set is themselves alone."""
     return mask_of(x for x in range(p.n) if p.up_mask(x) == 1 << x)
+
+
+def coloring_json(f: Coloring) -> dict:
+    """A coloring in the id-keyed file form that `Coloring.from_json_dict`
+    reads."""
+    return {"n": f.n, "colors": {str(x): color_bits(c, f.n)
+                                 for x, c in enumerate(f.colors)}}
 
 
 def permuted(p: Poset, perm) -> Poset:
@@ -516,6 +523,19 @@ def test_width_builds_no_poset(built_posets):
     assert len(built_posets) == 1
 
 
+def test_an_augmenting_path_longer_than_the_recursion_limit():
+    """Lower elements u_i < v_i, v_{i+1} (i < 1200) and w < v_1200, with
+    the v_j numbered in descending j: the matching gives u_i the partner
+    v_{i+1} first, so w's augmenting path runs through all 1200 u_i, past
+    the interpreter's 1,000 frames."""
+    k = 1200
+    covers = [(k + 1 + i, k - i - d) for i in range(k) for d in (0, 1)]
+    p = Poset.from_covers(2 * k + 2, covers + [(2 * k + 1, 0)])
+    assert p.n == 2402
+    assert p.max_antichain_size() == 1201
+    assert p.width() == 2
+
+
 def test_brute_width_size_guard():
     with pytest.raises(TooLarge):
         max_antichain_size_brute(Poset.from_covers(21, []))
@@ -632,7 +652,7 @@ def test_json_round_trip_keeps_covers_labels_and_colors(case):
     assert q.covers == p.covers
     assert q.labels == p.labels
     assert q.canonical_form() == p.canonical_form()
-    g = Coloring.from_json_dict(q, json.loads(json.dumps(f.to_json_dict())))
+    g = Coloring.from_json_dict(q, json.loads(json.dumps(coloring_json(f))))
     assert g.colors == f.colors
 
 

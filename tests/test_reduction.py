@@ -765,7 +765,7 @@ def test_all_epartitions_does_not_use_the_greedy(monkeypatch):
     # The brute-force oracle must stay independent of the merge greedy and
     # of the refinement it checks: every function and class of `reduction`
     # outside the oracle's own is replaced, so a helper added later for
-    # either is forbidden too.
+    # either is forbidden too, and so is the move finder it imports.
     import esakiakit.reduction as reduction
 
     def forbidden(*args, **kwargs):
@@ -778,6 +778,8 @@ def test_all_epartitions_does_not_use_the_greedy(monkeypatch):
                 reduction.__name__ and name not in oracle:
             monkeypatch.setattr(reduction, name, forbidden)
             replaced.add(name)
+    monkeypatch.setattr(reduction, "_least_move", forbidden)
+    replaced.add("_least_move")
     assert {"coarsest_color_respecting", "color_respecting_reduction",
             "_Replay", "kernel", "is_epartition"} <= replaced
     p = Poset.from_covers(8, [])

@@ -129,18 +129,25 @@ def same_valued_moves(ref, values):
             if cur_values[x] == cur_values[y]]
 
 
+def least(replay, values):
+    """The move finder on the replay's current per-slot state."""
+    return reduction._least_move(replay.names, replay.pos, replay.succ,
+                                 replay.depth, values)
+
+
 def lockstep(p, values, pick):
     """Step the in-place replay and the reference on p together. At every
     state `pick(replay, moves, merges)` gets the reference's same-valued
     moves and the number of merges so far, and returns one of the moves,
-    or None to stop. At every state `least` must find the reference's
-    least move; after every merge both must record the same step and
-    name the same slots. Returns both replays and the number of merges."""
+    or None to stop. At every state the move finder must find the
+    reference's least move; after every merge both must record the same
+    step and name the same slots. Returns both replays and the number of
+    merges."""
     replay, ref = reduction._Replay(p), ReferenceReplay(p)
     merges = 0
     while True:
         moves = same_valued_moves(ref, values)
-        assert replay.least(values) == (moves[0] if moves else None), \
+        assert least(replay, values) == (moves[0] if moves else None), \
             (p, values, merges)
         move = pick(replay, moves, merges)
         if move is None:
@@ -311,34 +318,31 @@ def test_least_move_matches_the_candidate_list():
     assert states > 10000
 
 
-class FloorCheckingReplay(reduction._Replay):
-    """Checks every floor the greedy passes to `least`: it skips no move
-    that the unfloored scan finds, and it is the depth of the move before."""
+def test_the_least_move_depth_never_decreases(monkeypatch):
+    """The floor is sound: the default greedy's moves come in
+    non-decreasing depth, and every floor it passes the move finder is the
+    depth of the move before and skips no move that the unfloored scan
+    finds."""
+    finder = reduction._least_move
+    depths = []
 
-    __slots__ = ("depths",)
-
-    def least(self, values, floor=0):
-        move = super().least(values)
-        assert super().least(values, floor) == move
-        assert floor == (self.depths[-1] if self.depths else 0)
+    def floor_checking(names, pos, succ, depth, values, floor=0):
+        move = finder(names, pos, succ, depth, values)
+        assert finder(names, pos, succ, depth, values, floor) == move
+        assert floor == (depths[-1] if depths else 0)
         if move is not None:
-            self.depths.append(self.depth[self.names[move[1]]])
+            depths.append(depth[names[move[1]]])
         return move
 
-
-def test_the_least_move_depth_never_decreases():
-    """The floor is sound: the default greedy's moves come in
-    non-decreasing depth, and `least` above the last move's depth finds
-    the same move as without a floor."""
+    monkeypatch.setattr(reduction, "_least_move", floor_checking)
     rng = random.Random(97)
     moves = 0
     for p, values in least_move_inputs(rng):
         rng.randint(0, p.n)     # the candidate-list test's stop draw
-        replay = FloorCheckingReplay(p)
-        replay.depths = []
-        steps = replay.greedy(values)
-        assert replay.depths == sorted(replay.depths)
-        assert len(steps) == len(replay.depths)
+        depths.clear()
+        steps = reduction._Replay(p).greedy(values)
+        assert depths == sorted(depths)
+        assert len(steps) == len(depths)
         moves += len(steps)
     assert moves > 10000
 
