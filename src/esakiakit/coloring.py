@@ -15,7 +15,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .errors import (BudgetExceeded, InvalidId, NotColoring, OutOfRange,
                      PropertyFalsified)
-from .poset import Poset, _id_items, _is_id, _top_down, mask_of
+from .poset import Poset, _cover_masks, _id_items, _is_id, _top_down
 
 # Largest color order the library accepts, in colorings, searches and bit
 # strings. A color is an int below 2^n, so the order bounds every color
@@ -168,12 +168,11 @@ def monochrome_mergeable_pair(p: Poset, f: Coloring) -> tuple[str, int, int] | N
     """The least same-colored move (kind, x, y), in `_least_move` order,
     or None; InvalidId for a coloring built on another poset. The poset's
     ids are its slots, in their own order, so the move finder reads the
-    identity order, the stored successor rows as masks and the stored
-    depths."""
+    identity order, the poset's memoized successor masks (`_cover_masks`)
+    and the stored depths."""
     _check_base(p, f)
     ids = range(p.n)
-    return _least_move(ids, ids, [mask_of(ys) for ys in p._succ], p._depths,
-                       f.colors)
+    return _least_move(ids, ids, _cover_masks(p)[0], p._depths, f.colors)
 
 
 def is_coloring(p: Poset, f: Coloring) -> bool:

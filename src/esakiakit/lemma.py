@@ -22,6 +22,8 @@ divergence raises PropertyFalsified.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 from .coloring import Coloring, _check_base, is_coloring, is_weak_coloring
 from .errors import (EmbeddingMismatch, InvalidId, NotMergeable,
@@ -42,25 +44,42 @@ class Schedule:
     kernel: EPartition
 
 
-def _label_rows(p: Poset, kind: str) -> dict[int, dict[int, int]]:
+# A row map, level -> {index -> element}: read-only at both depths.
+_Rows = Mapping[int, Mapping[int, int]]
+
+
+def _label_rows(p: Poset, kind: str) -> _Rows:
     """level -> {index -> element} for the `kind`-labeled points of p;
-    InvalidId when p is unlabeled or a label names two elements."""
+    InvalidId when p is unlabeled or a label names two elements. Parsed
+    once per poset and kind and kept in the poset's memo as read-only
+    maps; a poset whose labels raise is parsed, and raises, each time."""
+    rows = p._memo.get(("label_rows", kind))
+    if rows is not None:
+        return rows
     if p.labels is None:
         raise InvalidId("expected generated labels")
-    rows: dict[int, dict[int, int]] = {}
+    parsed: dict[int, dict[int, int]] = {}
     for x, text in enumerate(p.labels):
         lab = SpaceLabel.parse(text)
         if lab.kind == kind:
-            row = rows.setdefault(lab.level, {})
+            row = parsed.setdefault(lab.level, {})
             if lab.index in row:
                 raise InvalidId(f"label {text!r} names elements {row[lab.index]} and {x}")
             row[lab.index] = x
+    rows = p._memo["label_rows", kind] = MappingProxyType(
+        {m: MappingProxyType(row) for m, row in parsed.items()})
     return rows
 
 
-def _ladder_rows(v: Poset, width: int) -> dict[int, dict[int, int]]:
+def _ladder_rows(v: Poset, width: int) -> _Rows:
     """Validate that v is an upward-closed chunk of a ladder and return
-    level -> {column -> element}."""
+    level -> {column -> element}, the y-rows of `_label_rows`. Validated
+    once per poset and width: the rows are kept in the poset's memo once
+    they pass, and a poset that fails is checked, and raises, each time."""
+    key = ("ladder_rows", width)
+    rows = v._memo.get(key)
+    if rows is not None:
+        return rows
     rows = _label_rows(v, "y")
     if sum(map(len, rows.values())) != v.n:
         raise InvalidId("a ladder subspace holds only y-labeled points")
@@ -73,15 +92,16 @@ def _ladder_rows(v: Poset, width: int) -> dict[int, dict[int, int]]:
                 raise NotUpset(f"level {m - 1} misses successors of column {i}")
             if v.covers_up(x) != tuple(sorted(y for j, y in above.items() if j != i)):
                 raise NotUpset("cover relation does not match the ladder pattern")
+    v._memo[key] = rows
     return rows
 
 
-def _full(rows: dict[int, dict[int, int]], width: int) -> list[int]:
+def _full(rows: _Rows, width: int) -> list[int]:
     """Levels of a row map holding all `width` indices, ascending."""
     return sorted(m for m, row in rows.items() if len(row) == width)
 
 
-def _merged_pair(part: EPartition, row: dict[int, int]) -> tuple[int, int] | None:
+def _merged_pair(part: EPartition, row: Mapping[int, int]) -> tuple[int, int] | None:
     """The first two indices of `row` whose elements share a block of
     `part`, or None."""
     seen: dict[int, int] = {}
@@ -94,7 +114,7 @@ def _merged_pair(part: EPartition, row: dict[int, int]) -> tuple[int, int] | Non
 
 
 def _checked_replay(p: Poset, steps: tuple[ReductionStep, ...], f: Coloring,
-                    rows: dict[int, dict[int, int]], full: list[int],
+                    rows: _Rows, full: list[int],
                     row: str) -> tuple[EPartition, dict[int, tuple[int, int]]]:
     """The one checked replay of a schedule and of its lift: the kernel of
     `steps` on p, replayed by `compose_steps`, and the merged index pair
@@ -303,8 +323,9 @@ class LiftCertificate:
     kernel: EPartition
 
 
-def c_rows(z: Poset) -> dict[int, dict[int, int]]:
-    """level -> {index -> element} for the c-labeled points of z."""
+def c_rows(z: Poset) -> _Rows:
+    """level -> {index -> element} for the c-labeled points of z, as
+    read-only maps parsed once per poset (`_label_rows`)."""
     return _label_rows(z, "c")
 
 

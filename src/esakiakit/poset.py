@@ -48,9 +48,15 @@ def ids_of(mask: int) -> list[int]:
 
 
 class Poset:
-    """Immutable finite poset. Build with :meth:`from_covers`."""
+    """Immutable finite poset. Build with :meth:`from_covers`.
 
-    __slots__ = ("n", "labels", "_up", "_down", "_succ", "_depths", "_canon")
+    `_memo` is the one cache of data derived from the poset alone, filled
+    on first use by its named helpers (`_top_down`, `_cover_masks` and
+    `canonical_form` here, `_label_rows` and `_ladder_rows` in `lemma`)
+    and read by no one else. It holds only immutable values, keyed by
+    helper, never an exception, and `==` and `hash` do not read it."""
+
+    __slots__ = ("n", "labels", "_up", "_down", "_succ", "_depths", "_memo")
 
     def __init__(self, n, labels, up, down, succ, depths):
         self.n = n
@@ -59,7 +65,7 @@ class Poset:
         self._down = down
         self._succ = succ
         self._depths = depths
-        self._canon = None
+        self._memo = {}
 
     # ----- construction ---------------------------------------------------
 
@@ -293,10 +299,12 @@ class Poset:
         of one already tried; automorphism pruning skips one in the orbit
         of a tried candidate under the automorphisms found so far (from
         leaves with equal cover lists) that fix the individualized
-        prefix (McKay 1981; McKay & Piperno 2014)."""
-        if self._canon is None:
-            self._canon = _canonical_form(self)
-        return self._canon
+        prefix (McKay 1981; McKay & Piperno 2014). Computed once per
+        poset, in its memo."""
+        form = self._memo.get("canonical_form")
+        if form is None:
+            form = self._memo["canonical_form"] = _canonical_form(self)
+        return form
 
     # ----- serialization ------------------------------------------------------------
 
@@ -354,6 +362,12 @@ class Poset:
     def __hash__(self):
         return hash((self.n, self._succ))
 
+    def __reduce__(self):
+        """Pickle and copy the poset without its memo: the memo is derived
+        data, and its read-only maps cannot be pickled."""
+        return Poset, (self.n, self.labels, self._up, self._down, self._succ,
+                       self._depths)
+
     def __repr__(self):
         return f"Poset(n={self.n}, covers={len(self.covers)})"
 
@@ -368,11 +382,35 @@ def _is_id(v) -> bool:
     return type(v) is int
 
 
-def _top_down(p: Poset) -> list[int]:
+def _top_down(p: Poset) -> tuple[int, ...]:
     """The ids by (depth, id), so every element comes after all its
     covers: the one top-down order of the library. The sort is stable, so
-    ids break the depth ties."""
-    return sorted(range(p.n), key=p._depths.__getitem__)
+    ids break the depth ties. Sorted once per poset and kept in its memo,
+    so every caller gets the same tuple."""
+    order = p._memo.get("top_down")
+    if order is None:
+        order = p._memo["top_down"] = tuple(
+            sorted(range(p.n), key=p._depths.__getitem__))
+    return order
+
+
+def _cover_masks(p: Poset) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(succ, pred): per element, the mask of its upper covers and the
+    mask of its lower covers, each the transpose of the other. Built once
+    per poset from the stored successor rows and kept in its memo; a
+    caller that updates them copies them first."""
+    masks = p._memo.get("cover_masks")
+    if masks is None:
+        succ = [0] * p.n
+        pred = [0] * p.n
+        for x, ys in enumerate(p._succ):
+            m = 0
+            for y in ys:
+                m |= 1 << y
+                pred[y] |= 1 << x
+            succ[x] = m
+        masks = p._memo["cover_masks"] = (tuple(succ), tuple(pred))
+    return masks
 
 
 def _id_items(n: int, entries) -> list[tuple[int, object]]:

@@ -18,7 +18,7 @@ from .coloring import _check_base, _least_move, is_weak_coloring
 from .errors import (CycleDetected, InvalidId, NotEPartition, NotMergeable,
                      NotPMorphism, NotSurjective, NotWeakColoring,
                      PropertyFalsified, TooLarge)
-from .poset import Poset, _is_id, _top_down, ids_of, mask_of
+from .poset import Poset, _cover_masks, _is_id, _top_down, ids_of, mask_of
 
 ALL_EPARTITIONS_LIMIT = 8
 # Sorted id tuple of every element mask all_epartitions can place.
@@ -300,7 +300,10 @@ class _Replay:
     follow pre-merge depth, `names` need not be in current-depth order; it
     is, and no sort is needed, while no depth has moved since the last
     sort. No poset is built: the current poset is the `quotient` of the
-    base by `kernel`, up to the numbering of its blocks.
+    base by `kernel`, up to the numbering of its blocks. A new replay
+    starts from list copies of the base's stored down masks and depths
+    and of its memoized cover masks (`poset._cover_masks`), so the merges
+    in place never touch the poset or its memo.
 
     The greedy finds each least move with `coloring._least_move`, which
     the strictness check calls too: one pass over the live slots, and no
@@ -334,13 +337,11 @@ class _Replay:
         self.down = list(p._down)
         self.depth = depth = list(p._depths)
         self.level = level = [0] * (n + 1)     # depths run 1..n
-        self.succ = succ = [0] * n
-        self.pred = pred = [0] * n
-        for x, ys in enumerate(p._succ):
-            level[depth[x]] |= 1 << x
-            for y in ys:
-                succ[x] |= 1 << y
-                pred[y] |= 1 << x
+        for x, d in enumerate(depth):
+            level[d] |= 1 << x
+        succ, pred = _cover_masks(p)
+        self.succ = list(succ)      # copies: merges update them in place
+        self.pred = list(pred)
         self._unsorted = True       # base ids need not follow depth
 
     def merge(self, kind: str, x: int, y: int) -> ReductionStep:

@@ -1,7 +1,8 @@
 """Every Poset is built by one constructor core, so covers, up and down
 masks are derived in exactly one place; merges are replayed in one
-place, `reduction`; and the package's modules import one another only at
-module level, so their import graph is acyclic."""
+place, `reduction`; data derived from a poset alone is cached in one
+place, its memo, by named helpers only; and the package's modules import
+one another only at module level, so their import graph is acyclic."""
 
 import ast
 import pathlib
@@ -122,8 +123,17 @@ class Box:
 
 
 def attribute_readers(path, attr):
-    """Qualified names of the functions that read the attribute `attr`."""
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    """Qualified names of the functions of a module file that name the
+    attribute `attr` (`attribute_users`)."""
+    return attribute_users(path.read_text(encoding="utf-8"), path.stem, attr)
+
+
+def attribute_users(source, stem, attr):
+    """Qualified names of the functions, in the module `stem` with this
+    source, that name the attribute `attr` of anything, to read, write or
+    delete it, one entry per use; module-level uses are named `stem`. Only
+    the attribute syntax is seen, not `getattr` with a string."""
+    tree = ast.parse(source, filename=stem)
     found = []
 
     def visit(node, scope):
@@ -136,7 +146,7 @@ def attribute_readers(path, attr):
                     found.append(".".join(scope))
                 visit(child, scope)
 
-    visit(tree, [path.stem])
+    visit(tree, [stem])
     return found
 
 
@@ -155,3 +165,45 @@ def test_reduction_has_one_quotient_builder():
     path = SRC / "reduction.py"
     assert attribute_readers(path, "from_leq") == ["reduction.EPartition._quotient"]
     assert attribute_readers(path, "from_covers") == []
+
+
+# The functions that may name a poset's memo slot: the constructor that
+# opens it empty, and the helpers that each fill and read one entry.
+MEMO_HELPERS = ["lemma._label_rows", "lemma._ladder_rows",
+                "poset.Poset.__init__", "poset.Poset.canonical_form",
+                "poset._cover_masks", "poset._top_down"]
+
+
+def test_only_the_memo_helpers_touch_the_poset_memo():
+    """Every cached value goes through a helper that computes it fresh on
+    a miss, so no caller can store a value of its own, or read an entry
+    before it is filled."""
+    found = {name for path in sorted(SRC.glob("*.py"))
+             for name in attribute_readers(path, "_memo")}
+    assert sorted(found) == MEMO_HELPERS
+
+
+def test_the_memo_detector_sees_reads_writes_and_nesting():
+    source = """
+class Poset:
+    __slots__ = ("_memo",)
+
+    def __init__(self):
+        self._memo = {}
+
+    def form(self):
+        return self._memo.get("form")
+
+def helper(p):
+    def fill():
+        p._memo["k"] = 1
+    return fill
+
+def drop(p):
+    del p._memo
+
+cache = lambda p: p._memo
+hidden = getattr(object(), "_memo", None)
+"""
+    assert attribute_users(source, "m", "_memo") == [
+        "m.Poset.__init__", "m.Poset.form", "m.helper.fill", "m.drop", "m"]
